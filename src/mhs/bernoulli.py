@@ -12,7 +12,7 @@ import threading
 from fractions import Fraction
 from math import comb
 
-from .residues import is_prime
+from .residues import NonPIntegralError, require_admissible
 
 __all__ = ["bernoulli", "bernoulli_invariant"]
 
@@ -43,10 +43,10 @@ def bernoulli_invariant(p: int) -> Fraction:
     """The constant B(p-3)/(p-3) - B(2p-4)/(4p-8) attached to a prime p > 5.
 
     Both indices avoid multiples of p - 1, so by von Staudt-Clausen the value
-    is p-integral; that is asserted at runtime rather than assumed.
+    is p-integral; that is checked at runtime rather than assumed.
     """
-    if p <= 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 5, got {p}")
+    require_admissible(p)
     value = bernoulli(p - 3) / (p - 3) - bernoulli(2 * p - 4) / (4 * p - 8)
-    assert value.denominator % p != 0, f"invariant unexpectedly non-p-integral at {p}"
+    if value.denominator % p == 0:
+        raise NonPIntegralError(f"invariant unexpectedly non-p-integral at {p}")
     return value

@@ -26,7 +26,7 @@ from .bernoulli import bernoulli_invariant
 from .congruences import homogeneous_product_sum_mod
 from .partitions import arrangement_count, enumerate_partitions
 from .report import CheckResult
-from .residues import PResidue, is_prime, padic_valuation, reduce_mod
+from .residues import PResidue, is_prime, padic_valuation, reduce_mod, require_admissible
 
 __all__ = [
     "alternating_power_sum",
@@ -43,11 +43,6 @@ __all__ = [
 ]
 
 
-def _require_admissible(p: int) -> None:
-    if p <= 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 5, got {p}")
-
-
 def generalized_binomial(a: int, r: int) -> int:
     """C(a, r) = a(a-1)...(a-r+1) / r! for any integer a, always an integer."""
     if r < 0:
@@ -56,7 +51,8 @@ def generalized_binomial(a: int, r: int) -> int:
     for i in range(r):
         numerator *= a - i
     quotient, remainder = divmod(numerator, factorial(r))
-    assert remainder == 0, "falling factorial of an integer is divisible by r!"
+    if remainder:
+        raise ArithmeticError(f"falling factorial of {a} is not divisible by {r}!")
     return quotient
 
 
@@ -77,7 +73,7 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
 
     The base is 1 mod p, hence a unit, so negative a inverts cleanly.
     """
-    _require_admissible(p)
+    require_admissible(p)
     if not 0 <= k <= p - 1:
         raise ValueError("k must lie in [0, p-1]")
     base = _signed_binomial_units(p, e)[k]
@@ -86,7 +82,7 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
 
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
     """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route)."""
-    _require_admissible(p)
+    require_admissible(p)
     mod = p**e
     total = 0
     for base in _signed_binomial_units(p, e):
@@ -96,7 +92,7 @@ def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
     """(a-1)p / (ap-1) * (1 + a(a+1)(3a-2)/6 * p^3 * X) in Z / p^e."""
-    _require_admissible(p)
+    require_admissible(p)
     x = bernoulli_invariant(p)
     value = Fraction((a - 1) * p, a * p - 1) * (
         1 + Fraction(a * (a + 1) * (3 * a - 2), 6) * p**3 * x
@@ -112,7 +108,7 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     Valid modulo p^6 since dropped terms carry at least six powers of p.
     Shares nothing with :func:`binomial_power_sum` beyond residue arithmetic.
     """
-    _require_admissible(p)
+    require_admissible(p)
     if e > 6:
         raise ValueError("the weight-5 truncation only supports e <= 6")
     mod = p**e
@@ -161,7 +157,7 @@ def wolstenholme_holds(p: int) -> bool:
 
 def central_binomial_sum_exact(p: int) -> tuple[Fraction, Fraction]:
     """Exact (lhs, rhs) of sum_{k<p} (1/k)C(2k,k) = -16/3 p^2 X mod p^4."""
-    _require_admissible(p)
+    require_admissible(p)
     lhs = sum(Fraction(comb(2 * k, k), k) for k in range(1, p))
     rhs = Fraction(-16, 3) * p * p * bernoulli_invariant(p)
     return lhs, rhs
@@ -178,7 +174,7 @@ def cai_granville_holds(a: int, p: int) -> bool:
     """sum (-1)^(ak) C(p-1,k)^a = C(ap-2, p-1) modulo p^4, for a >= 1."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    _require_admissible(p)
+    require_admissible(p)
     lhs = binomial_power_sum(a, p, e=4).value
     rhs = comb(a * p - 2, p - 1) % p**4
     return lhs == rhs

@@ -7,7 +7,6 @@ import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .algebra import MhsExpression, N, stuffle
 from .congruences import (
@@ -16,11 +15,11 @@ from .congruences import (
     base_congruence_suite,
     sum_congruence_suite,
 )
-from .core import Composition, CompositionError, mhs_prefix_values
+from .core import Composition, CompositionError
 from .hoffman import hoffman_reduce
 from .report import CheckResult
 from .residues import primes_in_range
-from .summation import RebaseError, known_identities, rebase, sum_product
+from .summation import RebaseError, known_identities, partial_sum_oracle, rebase, sum_product
 from .tables import derive_table, row_basis
 from . import binomial_sums
 
@@ -69,7 +68,12 @@ def _load_basis(source: str) -> list[MhsExpression]:
         return [row.basis for row in row_basis(5)]
     with open(source, encoding="utf-8") as handle:
         data = json.load(handle)
-    return [MhsExpression.from_json(entry) for entry in data]
+    if isinstance(data, list):
+        try:
+            return [MhsExpression.from_json(entry) for entry in data]
+        except (AttributeError, KeyError, TypeError):
+            pass
+    raise ValueError(f"basis file {source!r} is not a JSON list of expressions")
 
 
 def _cmd_derive(args) -> int:
@@ -92,17 +96,7 @@ def _cmd_derive(args) -> int:
 
     verified = None
     if args.check:
-        prefix_rows = [mhs_prefix_values(args.check, f) for f in factors]
-        partial = Fraction(0)
-        verified = True
-        for n in range(1, args.check + 1):
-            term = Fraction(1)
-            for row in prefix_rows:
-                term *= row[n]
-            partial += term
-            if closed.eval(n) != partial:
-                verified = False
-                break
+        verified = partial_sum_oracle(factors, closed, args.check)
         payload["verified"] = verified
 
     if args.format == "json":
@@ -162,17 +156,7 @@ def _identity_checks(nmax: int) -> list[CheckResult]:
     for record in known_identities():
         derived = sum_product(record.factors)
         symbolic = expr_equal(derived, record.rhs)
-        prefix_rows = [mhs_prefix_values(nmax, f) for f in record.factors]
-        partial = Fraction(0)
-        numeric = True
-        for n in range(1, nmax + 1):
-            term = Fraction(1)
-            for row in prefix_rows:
-                term *= row[n]
-            partial += term
-            if derived.eval(n) != partial:
-                numeric = False
-                break
+        numeric = partial_sum_oracle(record.factors, derived, nmax)
         results.append(
             CheckResult(
                 claim_id=f"identity:{record.name}",
@@ -230,6 +214,13 @@ def _cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    # A run that would execute no check of a selected suite is an error, not a pass.
+    if not primes and {"congruences", "theorem", "corollary"} & set(suites):
+        raise ValueError(f"no primes in [{args.pmin}, {args.pmax}]")
+    if args.nmax < 1 and {"identities", "staver"} & set(suites):
+        raise ValueError("--nmax must be >= 1")
+    if args.amin > args.amax and "theorem" in suites:
+        raise ValueError("--amin must not exceed --amax")
 
     checks: list[CheckResult] = []
     if "identities" in suites:
@@ -343,10 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers CompositionError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant
-from .core import Composition
+from .core import Composition, mhs_row
 from .report import CheckResult
-from .residues import PResidue, is_prime, reduce_mod
+from .residues import PResidue, reduce_mod, require_admissible
 
 __all__ = [
     "BASE_CLAIMS",
@@ -45,34 +46,26 @@ def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
     All denominators are products of integers below p, hence units; the full
     rational value is never materialized.
     """
-    comp = Composition(s)
-    mod = p**e
-    values = [1] * p  # H_j of the empty prefix, j = 0..p-1
-    for exponent in comp:
-        prev = values
-        values = [0] * p
-        for j in range(1, p):
-            values[j] = (values[j - 1] + prev[j - 1] * pow(j, -exponent, mod)) % mod
-    return PResidue(values[p - 1], p, e)
+    comp = tuple(Composition(s))
+    return PResidue(mhs_row(comp, p - 1, {}, p**e)[p - 1], p, e)
 
 
+@lru_cache(maxsize=4096)
 def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
-    """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i) in Z / p^e, by brute force."""
+    """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i) in Z / p^e, by brute force.
+
+    The integer result is cached per (lam, p, e); the residue rows are not.
+    """
     mod = p**e
-    dmax = max(lam)
-    h = [0] * (dmax + 1)
-    h[0] = 1
+    rows: dict = {}
+    factors = [mhs_row((1,) * part, p - 1, rows, mod) for part in lam]
     total = 0
     for k in range(1, p):
-        inv = pow(k, -1, mod)
-        # update depths top-down so h[d-1] still holds the k-1 value
-        for d in range(dmax, 0, -1):
-            h[d] = (h[d] + h[d - 1] * inv) % mod
         term = 1
-        for part in lam:
-            term = term * h[part] % mod
-        total = (total + term) % mod
-    return total
+        for row in factors:
+            term = term * row[k] % mod
+        total += term
+    return total % mod
 
 
 @dataclass(frozen=True)
@@ -175,20 +168,15 @@ SUM_CLAIMS: tuple[CongruenceClaim, ...] = (
 )
 
 
-def _require_admissible(p: int) -> None:
-    if p <= 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 5, got {p}")
-
-
 def base_congruence_suite(p: int) -> list[CheckResult]:
     """Check every base claim at the prime p."""
-    _require_admissible(p)
+    require_admissible(p)
     return [claim.check(p) for claim in BASE_CLAIMS]
 
 
 def sum_congruence_suite(p: int) -> list[CheckResult]:
     """Check every sum-of-products claim at the prime p."""
-    _require_admissible(p)
+    require_admissible(p)
     return [claim.check(p) for claim in SUM_CLAIMS]
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import threading
 from fractions import Fraction
-from functools import cache
 from typing import Iterable
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "eval_mhs",
     "eval_mhs_direct",
     "mhs_prefix_values",
+    "mhs_row",
 ]
 
 
@@ -105,25 +106,61 @@ def composition_parse(text: str) -> Composition:
     return Composition.parse(text)
 
 
-@cache
-def _eval(n: int, s: tuple) -> Fraction:
-    if not s:
-        return Fraction(1)
-    if len(s) > n:
-        return Fraction(0)
-    # Peel the largest index: terms with kd = n contribute H_{n-1}(s') / n^{sd}.
-    return _eval(n - 1, s) + _eval(n - 1, s[:-1]) * Fraction(1, n ** s[-1])
+# Exact rows [H_0(s), H_1(s), ...] keyed by composition.  The bound is on the
+# number of compositions, not on n: a row only ever grows.
+_ROW_LIMIT = 1024
+_exact_rows: dict[tuple, list] = {}
+_exact_lock = threading.Lock()  # growth appends in place: one writer at a time
+_ONE, _ZERO = Fraction(1), Fraction(0)
+
+
+def mhs_row(s: tuple, n: int, rows: dict, mod: int | None = None) -> list:
+    """The row [H_0(s), ..., H_m(s)], m >= n, kept in ``rows`` by composition.
+
+    Grows the row of each prefix s[:d] in place, shortest first, by
+    H_j(s[:d]) = H_{j-1}(s[:d]) + H_{j-1}(s[:d-1]) * j^(-s_d): O(depth * n)
+    steps over Q (``mod`` None) or Z / mod, with no recursion.  The returned
+    list is the stored row, not a copy.  The call moves s to the end of
+    ``rows`` and drops the first row past _ROW_LIMIT.
+    """
+    row = rows.get(s)
+    if row is None or len(row) <= n:
+        one, zero = (_ONE, _ZERO) if mod is None else (1, 0)
+        depth = len(s)
+        for d in range(depth + 1):
+            key = s[:d]
+            top = n - depth + d  # s[:d] is read up to H_top(s[:d])
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [zero if d else one]
+                if len(rows) > _ROW_LIMIT:
+                    del rows[next(iter(rows))]
+            if d == 0:
+                row.extend([one] * (top + 1 - len(row)))
+            elif mod is None:
+                exponent = s[d - 1]
+                for j in range(len(row), top + 1):
+                    row.append(row[j - 1] + prefix[j - 1] / j**exponent)
+            else:
+                exponent = s[d - 1]
+                for j in range(len(row), top + 1):
+                    row.append((row[j - 1] + prefix[j - 1] * pow(j, -exponent, mod)) % mod)
+            prefix = row
+    rows[s] = rows.pop(s, row)  # now the most recently used
+    return row
+
+
+def _exact_row(n: int, s: Iterable[int]) -> list:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    comp = tuple(Composition(s))
+    with _exact_lock:
+        return mhs_row(comp, n, _exact_rows)
 
 
 def eval_mhs(n: int, s: Iterable[int] = ()) -> Fraction:
-    """Exact value of H_n(s).
-
-    Uses the recursion H_n(s) = H_{n-1}(s) + H_{n-1}(s1..s_{d-1}) / n^{sd},
-    memoized over (n, s).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _eval(n, tuple(Composition(s)))
+    """Exact value of H_n(s): entry n of the exact row of s (see :func:`mhs_row`)."""
+    return _exact_row(n, s)[n]
 
 
 def eval_mhs_direct(n: int, s: Iterable[int] = ()) -> Fraction:
@@ -144,18 +181,9 @@ def eval_mhs_direct(n: int, s: Iterable[int] = ()) -> Fraction:
 
 
 def mhs_prefix_values(n: int, s: Iterable[int] = ()) -> list[Fraction]:
-    """All of H_0(s), H_1(s), ..., H_n(s) in a single sweep.
+    """All of H_0(s), H_1(s), ..., H_n(s), as a new list.
 
-    Builds up the composition one trailing exponent at a time, so the whole
-    row costs O(depth * n) fraction operations.
+    Copies the first n + 1 entries of the row that :func:`eval_mhs` reads,
+    so the caller may change the list freely.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    comp = Composition(s)
-    values = [Fraction(1)] * (n + 1)
-    for exponent in comp:
-        prev = values
-        values = [Fraction(0)] * (n + 1)
-        for j in range(1, n + 1):
-            values[j] = values[j - 1] + prev[j - 1] * Fraction(1, j**exponent)
-    return values
+    return _exact_row(n, s)[: n + 1]

@@ -40,9 +40,8 @@ def hoffman_reduce(d: int) -> MhsExpression:
     for mono in result.terms():
         coeff = mono.coeff
         # The recurrence runs over rationals; the end result must be integral.
-        assert coeff.degree <= 0 and coeff.coeff(0).denominator == 1, (
-            f"non-integer coefficient {coeff} in reduction of d={d}"
-        )
+        if coeff.degree > 0 or coeff.coeff(0).denominator != 1:
+            raise ArithmeticError(f"non-integer coefficient {coeff} in reduction of d={d}")
     return result
 
 

@@ -13,6 +13,7 @@ __all__ = [
     "padic_valuation",
     "primes_in_range",
     "reduce_mod",
+    "require_admissible",
 ]
 
 
@@ -33,6 +34,12 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def require_admissible(p: int) -> None:
+    """Raise ValueError unless p is a prime > 5, the primes every claim covers."""
+    if p <= 5 or not is_prime(p):
+        raise ValueError(f"p must be a prime > 5, got {p}")
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -18,12 +18,13 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .algebra import H, MhsExpression, N, NPolynomial
-from .core import Composition
+from .core import Composition, mhs_prefix_values
 
 __all__ = [
     "IdentityRecord",
     "RebaseError",
     "known_identities",
+    "partial_sum_oracle",
     "rebase",
     "sum_product",
     "sum_single",
@@ -70,6 +71,24 @@ def sum_product(factors: Iterable) -> MhsExpression:
         comp = mono.factors[0] if mono.factors else Composition()
         total = total + mono.coeff * sum_single(comp)
     return total
+
+
+def partial_sum_oracle(factors: Iterable, closed: MhsExpression, nmax: int) -> bool:
+    """Whether ``closed`` at n equals sum_{k=1}^n prod_j H_k(factors_j), n = 1..nmax.
+
+    The brute-force check behind every derived closed form: the partial sums
+    come from the exact rows, never from the summation engine.
+    """
+    rows = [mhs_prefix_values(nmax, f) for f in factors]
+    partial = Fraction(0)
+    for n in range(1, nmax + 1):
+        term = Fraction(1)
+        for row in rows:
+            term *= row[n]
+        partial += term
+        if closed.eval(n) != partial:
+            return False
+    return True
 
 
 class RebaseError(ValueError):
@@ -192,7 +211,11 @@ def rebase(
             "basis admits multiple representations (underdetermined system)",
             MhsExpression.zero(),
         )
-    assert expr_equal(e, combination)
+    if not expr_equal(e, combination):
+        raise RebaseError(
+            "solved combination fails the equality re-check",
+            (e - combination).linearize(),
+        )
     return coeffs
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .algebra import H, MhsExpression, N, NPolynomial
+from .algebra import H, MhsExpression, N, NPolynomial, _format_factors
 from .core import Composition
-from .summation import rebase, sum_product
+from .summation import partial_sum_oracle, rebase, sum_product
 
 __all__ = [
     "DerivedTable",
@@ -178,32 +178,10 @@ class DerivedTable:
     errata: list[Erratum] = field(default_factory=list)
 
     def column_label(self, index: int) -> str:
-        factors = self.columns[index]
-        grouped: dict[Composition, int] = {}
-        for c in factors:
-            grouped[c] = grouped.get(c, 0) + 1
-        pieces = []
-        for comp in sorted(grouped, key=Composition.sort_key):
-            head = f"H({comp})"
-            mult = grouped[comp]
-            pieces.append(head if mult == 1 else f"{head}^{mult}")
-        return "*".join(pieces)
+        return _format_factors(self.columns[index])
 
     def column_latex(self, index: int) -> str:
-        factors = self.columns[index]
-        grouped: dict[Composition, int] = {}
-        for c in factors:
-            grouped[c] = grouped.get(c, 0) + 1
-        pieces = []
-        for comp in sorted(grouped, key=Composition.sort_key):
-            if comp.depth >= 2 and set(comp) == {1}:
-                body = rf"\{{1\}}^{comp.depth}"
-            else:
-                body = str(comp)
-            mult = grouped[comp]
-            head = "H_n" if mult == 1 else f"H_n^{mult}"
-            pieces.append(f"{head}({body})")
-        return "".join(pieces)
+        return _format_factors(self.columns[index], latex=True)
 
     def render_text(self) -> str:
         blocks = []
@@ -305,21 +283,6 @@ class DerivedTable:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _oracle_verified(factors: tuple[Composition, ...], closed: MhsExpression) -> bool:
-    from .core import mhs_prefix_values
-
-    prefix_rows = [mhs_prefix_values(ORACLE_POINTS, f) for f in factors]
-    partial = Fraction(0)
-    for n in range(1, ORACLE_POINTS + 1):
-        term = Fraction(1)
-        for row in prefix_rows:
-            term *= row[n]
-        partial += term
-        if closed.eval(n) != partial:
-            return False
-    return True
-
-
 def derive_table(weight: int) -> DerivedTable:
     """Recompute the full coefficient grid and diff it against the reference."""
     rows = row_basis(weight)
@@ -347,7 +310,7 @@ def derive_table(weight: int) -> DerivedTable:
                         column=table.column_label(j),
                         printed=printed,
                         derived=(str(cell.coeff(0)), str(cell.coeff(1))),
-                        oracle_verified=_oracle_verified(factors, closed),
+                        oracle_verified=partial_sum_oracle(factors, closed, ORACLE_POINTS),
                     )
                 )
     return table

@@ -182,3 +182,34 @@ def test_verify_parallel_jobs(capsys):
     checks = json.loads(out)
     assert len(checks) == 6
     assert all(c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "staver", "--nmax", "-3"],
+        ["--suite", "identities", "--nmax", "0"],
+        ["--suite", "congruences", "--pmin", "24", "--pmax", "28"],
+        ["--suite", "corollary", "--pmin", "24", "--pmax", "28"],
+        ["--suite", "all", "--pmin", "24", "--pmax", "28"],
+        ["--suite", "theorem", "--pmin", "7", "--pmax", "7", "--amin", "3", "--amax", "1"],
+    ],
+)
+def test_verify_refuses_vacuous_runs(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("content", [None, "dir", '[{"x": 1}]', '{"a": 1}', "{}", "5"])
+def test_derive_bad_basis_file(capsys, tmp_path, content):
+    basis_file = tmp_path / "basis.json"
+    if content == "dir":
+        basis_file.mkdir()
+    elif content is not None:
+        basis_file.write_text(content)
+    code, out, err = run(capsys, "derive", "1", "--basis", str(basis_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

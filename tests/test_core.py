@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhs import core
 from mhs.core import (
     Composition,
     CompositionError,
@@ -11,6 +16,7 @@ from mhs.core import (
     eval_mhs,
     eval_mhs_direct,
     mhs_prefix_values,
+    mhs_row,
 )
 
 compositions = st.lists(st.integers(1, 4), max_size=4).map(tuple).filter(
@@ -96,3 +102,61 @@ def test_composition_invariants():
         Composition((0,))
     with pytest.raises(CompositionError):
         Composition((-1, 2))
+
+
+def test_cold_eval_has_no_recursion_limit():
+    """A fresh process evaluates H_1500(1) and an expression at n = 600."""
+    script = (
+        "from fractions import Fraction\n"
+        "from mhs.algebra import H\n"
+        "from mhs.core import eval_mhs\n"
+        "assert eval_mhs(1500, (1,)) == sum(Fraction(1, k) for k in range(1, 1501))\n"
+        "assert (2 * H(1)).eval(600) == 2 * sum(Fraction(1, k) for k in range(1, 601))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_prefix_values_returns_a_copy():
+    row = mhs_prefix_values(10, (1, 2))
+    expected = eval_mhs(10, (1, 2))
+    row[10] = Fraction(-1)
+    row.append(Fraction(7))
+    assert eval_mhs(10, (1, 2)) == expected == eval_mhs_direct(10, (1, 2))
+    assert eval_mhs(11, (1, 2)) == eval_mhs_direct(11, (1, 2))
+
+
+def test_exact_row_table_is_bounded():
+    for d in range(1, 1200):
+        eval_mhs(2, (d,))
+    assert len(core._exact_rows) <= core._ROW_LIMIT
+    assert eval_mhs(3, (1,)) == Fraction(11, 6)
+
+
+def test_threads_share_exact_rows_safely():
+    """Threads growing the same rows in small steps all read correct values."""
+    shapes = [(3, 1, 2), (2, 3), (1, 4, 1)]
+    expected = {s: mhs_row(s, 120, {}) for s in shapes}
+    errors = []
+
+    def worker(offset):
+        for n in range(120):
+            s = shapes[(n + offset) % len(shapes)]
+            if eval_mhs(n, s) != expected[s][n]:
+                errors.append((s, n))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -1,0 +1,61 @@
+"""Correctness guards must survive ``python -O``, which strips ``assert``."""
+
+import os
+import subprocess
+import sys
+
+# Each case injects one fault by monkeypatching, then expects the guard's
+# exception from the public function.
+GUARDS = """
+import importlib
+from fractions import Fraction
+
+from mhs.algebra import H, MhsExpression
+
+def expect(exc_type, fn, *args):
+    try:
+        fn(*args)
+    except exc_type:
+        print("raised", fn.__name__)
+    else:
+        print("silent", fn.__name__)
+
+assert False, "asserts must be stripped in this process"
+
+algebra = importlib.import_module("mhs.algebra")
+summation = importlib.import_module("mhs.summation")
+algebra.expr_equal = lambda e1, e2: False
+expect(summation.RebaseError, summation.rebase, H(1), [H(1)])
+
+bernoulli = importlib.import_module("mhs.bernoulli")
+residues = importlib.import_module("mhs.residues")
+bernoulli.bernoulli = lambda m: Fraction(1, 7)
+expect(residues.NonPIntegralError, bernoulli.bernoulli_invariant, 7)
+
+hoffman = importlib.import_module("mhs.hoffman")
+hoffman._elementary = lambda d: Fraction(1, 7) * H(1) ** d
+expect(ArithmeticError, hoffman.hoffman_reduce, 2)
+
+binomial_sums = importlib.import_module("mhs.binomial_sums")
+binomial_sums.factorial = lambda r: 7
+expect(ArithmeticError, binomial_sums.generalized_binomial, 5, 2)
+"""
+
+
+def test_guards_raise_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", GUARDS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [
+        "raised rebase",
+        "raised bernoulli_invariant",
+        "raised hoffman_reduce",
+        "raised generalized_binomial",
+        "",
+    ]

@@ -12,7 +12,7 @@ from mhs.congruences import (
     mhs_mod,
     sum_congruence_suite,
 )
-from mhs.core import eval_mhs, mhs_prefix_values
+from mhs.core import eval_mhs, eval_mhs_direct, mhs_prefix_values
 from mhs.residues import (
     NonPIntegralError,
     PResidue,
@@ -145,3 +145,22 @@ def test_report_json_keys():
     result = base_congruence_suite(7)[0]
     data = result.to_json()
     assert set(data) == {"claim-id", "p", "modulus", "lhs-residue", "rhs-residue", "pass"}
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_residue_rows_match_direct_oracle(p):
+    """The Z/p^e kernel against reductions of brute-force rational sums."""
+    shapes = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 3), (1, 1, 2), (1, 1, 1, 1)]
+    direct = {s: eval_mhs_direct(p - 1, s) for s in shapes}
+    homogeneous = {d: [eval_mhs_direct(k, (1,) * d) for k in range(p)] for d in (1, 2, 3)}
+    for e in (1, 2, 3, 4):
+        for s in shapes:
+            assert mhs_mod(s, p, e) == reduce_mod(direct[s], p, e)
+        for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1)]:
+            total = Fraction(0)
+            for k in range(1, p):
+                term = Fraction(1)
+                for part in lam:
+                    term *= homogeneous[part][k]
+                total += term
+            assert homogeneous_product_sum_mod(lam, p, e) == reduce_mod(total, p, e).value

@@ -8,6 +8,7 @@ from mhs.core import Composition, mhs_prefix_values
 from mhs.summation import (
     RebaseError,
     known_identities,
+    partial_sum_oracle,
     rebase,
     sum_product,
     sum_single,
@@ -141,3 +142,13 @@ def test_rebase_polynomial_coefficients():
     coeffs = rebase(target, [H(1), H(2)])
     assert coeffs[0] == N * N
     assert coeffs[1] == N + 1
+
+
+def test_partial_sum_oracle():
+    record = known_identities()[4]
+    assert partial_sum_oracle(record.factors, record.rhs, 25)
+    assert not partial_sum_oracle(record.factors, record.rhs + H(3), 25)
+    # an error that vanishes for n < 5 is caught at n = 5
+    late = record.rhs + N * (N - 1) * (N - 2) * (N - 3) * (N - 4)
+    assert partial_sum_oracle(record.factors, late, 4)
+    assert not partial_sum_oracle(record.factors, late, 5)
