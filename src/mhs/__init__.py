@@ -17,7 +17,7 @@ from .algebra import (
     linearize,
     stuffle,
 )
-from .bernoulli import bernoulli, bernoulli_invariant
+from .bernoulli import bernoulli, bernoulli_invariant, bernoulli_invariant_mod
 from .binomial_sums import (
     binomial_power_sum,
     binomial_power_sum_closed_form,
@@ -66,6 +66,7 @@ __all__ = [
     "base_congruence_suite",
     "bernoulli",
     "bernoulli_invariant",
+    "bernoulli_invariant_mod",
     "binomial_power_sum",
     "binomial_power_sum_closed_form",
     "binomial_power_sum_via_mhs",

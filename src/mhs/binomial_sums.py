@@ -5,11 +5,12 @@ For a prime p > 5 and any integer a, the sum over k of
 
     sum = (a-1)p / (ap-1) * (1 + a(a+1)(3a-2)/6 * p^3 * X)
 
-with X = bernoulli_invariant(p).  Two wholly independent evaluations of the
-left side are provided: the direct one powers up the product formula
-(-1)^k C(p-1,k) = prod_{j<=k} (1 - p/j), while the expansion route rewrites
-that product in homogeneous harmonic sums and sums over partitions.  Their
-agreement re-verifies the congruence tables along the way.
+with X = bernoulli_invariant(p), which enters only modulo p^2.  Two wholly
+independent evaluations of the left side are provided: the direct one powers
+up the product formula (-1)^k C(p-1,k) = prod_{j<=k} (1 - p/j), while the
+expansion route rewrites that product in homogeneous harmonic sums and sums
+over partitions.  Their agreement re-verifies the congruence tables along the
+way.
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
@@ -22,11 +23,11 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .bernoulli import bernoulli_invariant
+from .bernoulli import bernoulli_invariant, bernoulli_invariant_mod
 from .congruences import homogeneous_product_sum_mod
 from .partitions import arrangement_count, enumerate_partitions
 from .report import CheckResult
-from .residues import PResidue, is_prime, padic_valuation, reduce_mod, require_admissible
+from .residues import PResidue, is_prime, padic_valuation, require_admissible
 
 __all__ = [
     "alternating_power_sum",
@@ -36,6 +37,7 @@ __all__ = [
     "cai_granville_holds",
     "central_binomial_sum_check",
     "central_binomial_sum_exact",
+    "central_binomial_sum_mod",
     "generalized_binomial",
     "signed_binomial_power",
     "staver_identity_holds",
@@ -91,13 +93,18 @@ def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
 
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
-    """(a-1)p / (ap-1) * (1 + a(a+1)(3a-2)/6 * p^3 * X) in Z / p^e."""
+    """(a-1)p / (ap-1) * (1 + a(a+1)(3a-2)/6 * p^3 * X) in Z / p^e.
+
+    X enters only as p^4 * X, so X modulo p^2 serves every e <= 6, the
+    precision of the congruence itself.
+    """
     require_admissible(p)
-    x = bernoulli_invariant(p)
-    value = Fraction((a - 1) * p, a * p - 1) * (
-        1 + Fraction(a * (a + 1) * (3 * a - 2), 6) * p**3 * x
-    )
-    return reduce_mod(value, p, e)
+    if e > 6:
+        raise ValueError("the closed form only holds modulo p^6")
+    mod = p**e
+    x = bernoulli_invariant_mod(p)
+    bracket = 1 + a * (a + 1) * (3 * a - 2) * pow(6, -1, mod) * p**3 * x
+    return PResidue((a - 1) * p * pow(a * p - 1, -1, mod) * bracket, p, e)
 
 
 def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
@@ -247,18 +254,34 @@ def cai_granville_suite(p: int) -> list[CheckResult]:
     return results
 
 
+def central_binomial_sum_mod(p: int) -> tuple[int, int]:
+    """(lhs, rhs) of the central-binomial congruence, both in Z / p^4.
+
+    Streams C(2k,k) by the unit factor 2(2k-1)/k, so no step divides by p;
+    the right side needs only X modulo p^2.
+    """
+    require_admissible(p)
+    mod = p**4
+    central = 1
+    lhs = 0
+    for k in range(1, p):
+        inverse = pow(k, -1, mod)
+        central = central * 2 * (2 * k - 1) * inverse % mod
+        lhs += central * inverse
+    rhs = -16 * pow(3, -1, mod) * p * p * bernoulli_invariant_mod(p)
+    return lhs % mod, rhs % mod
+
+
 def corollary_suite(p: int) -> list[CheckResult]:
-    lhs, rhs = central_binomial_sum_exact(p)
-    lhs_res = reduce_mod(lhs, p, 4)
-    rhs_res = reduce_mod(rhs, p, 4)
+    lhs, rhs = central_binomial_sum_mod(p)
     results = [
         CheckResult(
             claim_id="central-binomial-sum",
             p=p,
             modulus=p**4,
-            lhs=lhs_res.value,
-            rhs=rhs_res.value,
-            passed=lhs_res == rhs_res,
+            lhs=lhs,
+            rhs=rhs,
+            passed=lhs == rhs,
         ),
         CheckResult(
             claim_id="wolstenholme",

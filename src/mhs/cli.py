@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -183,13 +184,14 @@ def _corollary_checks_for_prime(p: int) -> list[CheckResult]:
 
 
 def _fan_out(worker, items, jobs: int) -> list[CheckResult]:
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         results: list[CheckResult] = []
         for item in items:
             results.extend(worker(item))
         return results
     out: list[CheckResult] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(worker, items):
             out.extend(chunk)
     return out
@@ -197,11 +199,9 @@ def _fan_out(worker, items, jobs: int) -> list[CheckResult]:
 
 def _cmd_verify(args) -> int:
     if args.pmin <= 5:
-        print("pmin must be > 5", file=sys.stderr)
-        return 2
+        raise ValueError("pmin must be > 5")
     if args.pmin > args.pmax:
-        print("pmin must not exceed pmax", file=sys.stderr)
-        return 2
+        raise ValueError("pmin must not exceed pmax")
 
     if args.list:
         for claim in BASE_CLAIMS + SUM_CLAIMS:

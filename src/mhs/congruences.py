@@ -4,7 +4,8 @@ Two registries of claims, shipped as data so the CLI can list and select
 them:
 
 * base claims: H_{p-1}(s) modulo p^e for small compositions s, expressed in
-  the prime p and the Bernoulli invariant X = bernoulli_invariant(p);
+  the prime p and the Bernoulli invariant X = bernoulli_invariant(p), of
+  which every right side needs only X mod p^2 (bernoulli_invariant_mod);
 * sum claims: sum_{k=1}^{p-1} of products of homogeneous H_k({1}^j) modulo
   p^e, one row per partition of the total weight (up to 5).
 
@@ -23,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .algebra import NPolynomial
-from .bernoulli import bernoulli_invariant
+from .bernoulli import bernoulli_invariant_mod
 from .core import Composition, mhs_row
 from .report import CheckResult
 from .residues import PResidue, reduce_mod, require_admissible
@@ -79,12 +80,23 @@ class CongruenceClaim:
     exponent: int
     prime_floor: int = 7
 
-    def rhs_value(self, p: int) -> Fraction:
-        x = bernoulli_invariant(p)
-        total = Fraction(0)
+    def rhs_value(self, p: int) -> int:
+        """The right side in Z / p^e, from X modulo p^2 only.
+
+        A term p^i * X^j (j > 0) is determined modulo p^(i+2), so every X
+        term must have e - i <= 2; a claim that breaks this is refused.
+        """
+        e = self.exponent
+        mod = p**e
+        x = bernoulli_invariant_mod(p)
+        total = 0
         for (i, j), coeff in self.rhs_terms:
-            total += Fraction(coeff) * p**i * x**j
-        return total
+            if j and e - i > 2:
+                raise ArithmeticError(
+                    f"{self.claim_id}: p^{i}*X^{j} mod p^{e} needs X beyond mod p^2"
+                )
+            total += coeff * p**i * pow(x, j, mod)
+        return total % mod
 
     def lhs_residue(self, p: int) -> PResidue:
         if self.kind == "mhs":

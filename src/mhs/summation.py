@@ -31,16 +31,28 @@ __all__ = [
 ]
 
 
-@cache
 def sum_single(s: Composition) -> MhsExpression:
     """Closed form of sum_{k=1}^n H_k(s), in harmonic sums at n.
 
     Every symbol in the output has weight at most |s|.  The trailing-exponent
     rule leaves a correction sum_{j<=n} H_{j-1}(s') / j^{sd-1}: for sd > 1 that
     is H_n(s', sd - 1); for sd = 1 it is sum_{k=0}^{n-1} H_k(s'), handled
-    recursively (the k = 0 term matters only when s' is empty).
+    recursively (the k = 0 term matters only when s' is empty).  That
+    recursion runs once per trailing 1, so the shorter prefixes are filled
+    into the cache first, in ascending order, and no call goes deeper than
+    one level.
     """
     s = Composition(s)
+    start = len(s)
+    while start > 0 and s[start - 1] == 1:
+        start -= 1
+    for cut in range(start, len(s)):
+        _sum_single(Composition(s[:cut]))
+    return _sum_single(s)
+
+
+@cache
+def _sum_single(s: Composition) -> MhsExpression:
     if not s:
         return MhsExpression.constant(N)  # sum of 1 over k = 1..n
     head = Composition(s[:-1])
@@ -48,7 +60,7 @@ def sum_single(s: Composition) -> MhsExpression:
     leading = (N + 1) * MhsExpression.symbol(s)
     if last > 1:
         return leading - MhsExpression.symbol(Composition(tuple(head) + (last - 1,)))
-    correction = sum_single(head) - MhsExpression.symbol(head)
+    correction = _sum_single(head) - MhsExpression.symbol(head)
     if head.depth == 0:
         correction = correction + 1  # H_0 of the empty composition is 1
     return leading - correction
@@ -159,19 +171,15 @@ def rebase(
 
     target = _linear_coefficients(e)
     basis_coeffs = [_linear_coefficients(b) for b in basis]
+    basis_deg = max((p.degree for bc in basis_coeffs for p in bc.values()), default=0)
+    target_deg = max((p.degree for p in target.values()), default=0)
     if max_degree is None:
-        basis_deg = max(
-            (p.degree for bc in basis_coeffs for p in bc.values()), default=0
-        )
-        target_deg = max((p.degree for p in target.values()), default=0)
         max_degree = max(target_deg + basis_deg + 1, 1)
 
     symbols = sorted(
         set(target) | {s for bc in basis_coeffs for s in bc},
         key=Composition.sort_key,
     )
-    basis_deg = max((p.degree for bc in basis_coeffs for p in bc.values()), default=0)
-    target_deg = max((p.degree for p in target.values()), default=0)
     max_power = max(max_degree + basis_deg, target_deg)
 
     if not symbols:  # zero target over an all-zero basis

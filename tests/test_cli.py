@@ -213,3 +213,78 @@ def test_derive_bad_basis_file(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--pmin", "3", "--pmax", "11"], "pmin must be > 5"),
+        (["--pmin", "13", "--pmax", "11"], "pmin must not exceed pmax"),
+    ],
+)
+def test_verify_range_errors_are_prefixed(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_capped_at_cpus_and_items(monkeypatch, capsys):
+    from mhs import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "seen", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._fan_out(lambda x: [x], [1, 2], 3) == [1, 2]
+    assert cli._fan_out(lambda x: [x], list(range(8)), 10**6) == list(range(8))
+    assert _RecordingPool.seen == [2, 4]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._fan_out(lambda x: [x], [1, 2], 10**6) == [1, 2]  # serial
+    assert _RecordingPool.seen == [2, 4]
+
+    argv = ["verify", "--suite", "corollary", "--pmin", "7", "--pmax", "31", "--format", "json"]
+    serial = run(capsys, *argv)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    fanned = run(capsys, *argv, "--jobs", str(10**6))
+    assert _RecordingPool.seen == [2, 4, 4]
+    assert fanned == serial
+    assert serial[0] == 0
+
+
+def test_derive_long_trailing_ones_needs_no_deep_recursion():
+    # sum_single once recursed per trailing 1; under a recursion limit far
+    # below the composition's depth, it must still answer.
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "from mhs.cli import main\n"
+        "sys.exit(main(['derive', '1^300']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.startswith("(n + 1)*H(1,1,1,")

@@ -31,6 +31,12 @@ bernoulli = importlib.import_module("mhs.bernoulli")
 residues = importlib.import_module("mhs.residues")
 bernoulli.bernoulli = lambda m: Fraction(1, 7)
 expect(residues.NonPIntegralError, bernoulli.bernoulli_invariant, 7)
+bernoulli._power_sum_mod = lambda m, p, mod: 1
+expect(residues.NonPIntegralError, bernoulli.bernoulli_invariant_mod, 11)
+
+congruences = importlib.import_module("mhs.congruences")
+deep_x = congruences.CongruenceClaim("H:1", "mhs", (1,), (((1, 1), 2),), 4)
+expect(ArithmeticError, deep_x.rhs_value, 7)
 
 hoffman = importlib.import_module("mhs.hoffman")
 hoffman._elementary = lambda d: Fraction(1, 7) * H(1) ** d
@@ -55,6 +61,8 @@ def test_guards_raise_under_optimize():
     assert done.stdout.split("\n") == [
         "raised rebase",
         "raised bernoulli_invariant",
+        "raised bernoulli_invariant_mod",
+        "raised rhs_value",
         "raised hoffman_reduce",
         "raised generalized_binomial",
         "",
