@@ -19,15 +19,22 @@ C(ap-2, p-1) congruence modulo p^4.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import comb, factorial
 
 from .bernoulli import bernoulli_invariant, bernoulli_invariant_mod
 from .congruences import homogeneous_product_sum_mod
 from .partitions import arrangement_count, enumerate_partitions
 from .report import CheckResult
-from .residues import PResidue, is_prime, padic_valuation, require_admissible
+from .residues import (
+    PResidue,
+    batch_inverse,
+    is_prime,
+    padic_valuation,
+    require_admissible,
+)
 
 __all__ = [
     "alternating_power_sum",
@@ -58,16 +65,27 @@ def generalized_binomial(a: int, r: int) -> int:
     return quotient
 
 
-@cache
-def _signed_binomial_units(p: int, e: int) -> tuple[int, ...]:
-    """u_k = (-1)^k C(p-1, k) mod p^e for k = 0..p-1, via prod (1 - p/j)."""
-    mod = p**e
-    units = [1]
-    u = 1
-    for j in range(1, p):
-        u = u * (1 - p * pow(j, -1, mod)) % mod
-        units.append(u)
-    return tuple(units)
+# Signed binomial units of the current prime, modulo p^max(e, 6); each
+# e <= 6 reads them through Z/p^6 -> Z/p^e.  One modulus is held at a time.
+_units_table: dict = {"mod": None, "units": None}
+_units_lock = threading.Lock()
+
+
+def _signed_binomial_units(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(u, 1/u) with u_k = (-1)^k C(p-1, k) mod p^max(e, 6) for k = 0..p-1.
+
+    u comes from prod (1 - p/j) and 1/u from one batch inversion of u; both
+    are kept for the last prime asked only, so a sweep does not grow them.
+    """
+    mod = p ** max(e, 6)
+    with _units_lock:
+        if _units_table["mod"] != mod:
+            units = [1]
+            for inverse in batch_inverse(range(1, p), mod):
+                units.append(units[-1] * (1 - p * inverse) % mod)
+            inverses = batch_inverse(units, mod)
+            _units_table.update(mod=mod, units=(tuple(units), tuple(inverses)))
+        return _units_table["units"]
 
 
 def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
@@ -78,17 +96,20 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
     require_admissible(p)
     if not 0 <= k <= p - 1:
         raise ValueError("k must lie in [0, p-1]")
-    base = _signed_binomial_units(p, e)[k]
-    return PResidue(pow(base, a, p**e), p, e)
+    units, inverses = _signed_binomial_units(p, e)
+    base = units[k] if a >= 0 else inverses[k]
+    return PResidue(pow(base, abs(a), p**e), p, e)
 
 
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
     """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route)."""
     require_admissible(p)
     mod = p**e
+    units, inverses = _signed_binomial_units(p, e)
+    bases = units if a >= 0 else inverses
     total = 0
-    for base in _signed_binomial_units(p, e):
-        total = (total + pow(base, a, mod)) % mod
+    for base in bases:
+        total += pow(base, abs(a), mod)
     return PResidue(total, p, e)
 
 
@@ -107,6 +128,24 @@ def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
     return PResidue((a - 1) * p * pow(a * p - 1, -1, mod) * bracket, p, e)
 
 
+@lru_cache(maxsize=64)
+def _expansion_terms(a: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The nonzero terms (j, lam, C(a, r) * arrangements of lam) of the expansion.
+
+    lam runs over the partitions of j <= 5 into r parts.  Cached per a, as a
+    tuple, so no caller can change a cached term.
+    """
+    terms = []
+    for j in range(1, 6):
+        for r in range(1, j + 1):
+            c_ar = generalized_binomial(a, r)
+            if c_ar == 0:
+                continue
+            for lam in enumerate_partitions(j, r):
+                terms.append((j, lam, c_ar * arrangement_count(lam)))
+    return tuple(terms)
+
+
 def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     """The same sum through the partition expansion of prod (1 - p/j)^a.
 
@@ -118,18 +157,9 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     require_admissible(p)
     if e > 6:
         raise ValueError("the weight-5 truncation only supports e <= 6")
-    mod = p**e
-    total = p % mod
-    for j in range(1, 6):
-        p_power = (-p) ** j % mod
-        for r in range(1, j + 1):
-            c_ar = generalized_binomial(a, r)
-            if c_ar == 0:
-                continue
-            for lam in enumerate_partitions(j, r):
-                inner = homogeneous_product_sum_mod(lam, p, e)
-                contribution = p_power * c_ar * arrangement_count(lam) * inner
-                total = (total + contribution) % mod
+    total = p
+    for j, lam, coeff in _expansion_terms(a):
+        total += (-p) ** j * coeff * homogeneous_product_sum_mod(lam, p, e)
     return PResidue(total, p, e)
 
 

@@ -18,6 +18,7 @@ identities, with explicit error-term bookkeeping.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,25 +42,46 @@ __all__ = [
 ]
 
 
+# Residue rows of the current prime, kept modulo p^max(e, 6): every e <= 6
+# check at p reads the same rows through the ring map Z/p^6 -> Z/p^e.  One
+# modulus, hence one prime, is held at a time, so a sweep does not grow it.
+_TABLE_EXPONENT = 6
+_residue_table: dict = {"mod": None, "rows": {}}
+_residue_lock = threading.Lock()  # rows grow in place: one writer at a time
+
+
+def _residue_row(comp: tuple, p: int, e: int) -> list:
+    """The row [H_0(comp), ..., H_{p-1}(comp)] mod p^max(e, 6), from the table."""
+    mod = p ** max(e, _TABLE_EXPONENT)
+    with _residue_lock:
+        if _residue_table["mod"] != mod:
+            _residue_table.update(mod=mod, rows={})
+        return mhs_row(comp, p - 1, _residue_table["rows"], mod)
+
+
 def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
     """H_{p-1}(s) in Z / p^e by streaming evaluation.
 
     All denominators are products of integers below p, hence units; the full
-    rational value is never materialized.
+    rational value is never materialized.  The row is read from the residue
+    table of p (modulo p^max(e, 6)), which every check at p shares.
     """
     comp = tuple(Composition(s))
-    return PResidue(mhs_row(comp, p - 1, {}, p**e)[p - 1], p, e)
+    return PResidue(_residue_row(comp, p, e)[p - 1], p, e)
 
 
 @lru_cache(maxsize=4096)
 def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
     """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i) in Z / p^e, by brute force.
 
-    The integer result is cached per (lam, p, e); the residue rows are not.
+    The integer result is cached per (lam, p, e).  For e < 6 it is the
+    e = 6 value reduced mod p^e; the rows H_k({1}^j) come from the residue
+    table of p, so all partitions and exponents at p share them.
     """
     mod = p**e
-    rows: dict = {}
-    factors = [mhs_row((1,) * part, p - 1, rows, mod) for part in lam]
+    if e < _TABLE_EXPONENT:
+        return homogeneous_product_sum_mod(lam, p, _TABLE_EXPONENT) % mod
+    factors = [_residue_row((1,) * part, p, e) for part in lam]
     total = 0
     for k in range(1, p):
         term = 1

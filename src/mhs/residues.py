@@ -5,10 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import Iterable
 
 __all__ = [
     "NonPIntegralError",
     "PResidue",
+    "batch_inverse",
     "is_prime",
     "padic_valuation",
     "primes_in_range",
@@ -40,6 +42,27 @@ def require_admissible(p: int) -> None:
     """Raise ValueError unless p is a prime > 5, the primes every claim covers."""
     if p <= 5 or not is_prime(p):
         raise ValueError(f"p must be a prime > 5, got {p}")
+
+
+def batch_inverse(values: Iterable[int], mod: int) -> list[int]:
+    """The inverses of ``values`` modulo ``mod``, with one modular inversion.
+
+    Montgomery's trick: invert the product of all values once, then peel the
+    factors off walking back, three multiplications per value.  Raises
+    ValueError, as ``pow(v, -1, mod)`` does, when some value is not a unit.
+    """
+    values = list(values)
+    prefix = []
+    product = 1
+    for v in values:
+        prefix.append(product)
+        product = product * v % mod
+    inverse = pow(product, -1, mod)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inverse * prefix[i] % mod
+        inverse = inverse * values[i] % mod
+    return out
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -2,25 +2,37 @@
 
 Per-prime checks use X = bernoulli_invariant(p) only modulo p^2, read off
 power sums by Faulhaber's formula.  The exact Bernoulli numbers stay as the
-oracle; both routes are compared here for every prime 7 <= p <= 400.
+oracle; both routes are compared here for every prime 7 <= p <= 400.  The
+per-prime residue table of H_k(s) rows is checked against the exact rows.
 """
 
 import importlib
 import sys
+import threading
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from mhs import cli
+from mhs import binomial_sums, cli, congruences, core
 from mhs.bernoulli import bernoulli, bernoulli_invariant, bernoulli_invariant_mod
 from mhs.binomial_sums import (
     binomial_power_sum_closed_form,
     central_binomial_sum_exact,
+    cai_granville_suite,
     central_binomial_sum_mod,
+    theorem_suite,
 )
-from mhs.congruences import BASE_CLAIMS, SUM_CLAIMS
-from mhs.residues import primes_in_range, reduce_mod
+from mhs.congruences import (
+    BASE_CLAIMS,
+    SUM_CLAIMS,
+    base_congruence_suite,
+    homogeneous_product_sum_mod,
+    mhs_mod,
+    sum_congruence_suite,
+)
+from mhs.core import eval_mhs, mhs_prefix_values, mhs_row
+from mhs.residues import batch_inverse, primes_in_range, reduce_mod
 
 PRIMES = primes_in_range(7, 400)
 
@@ -101,3 +113,132 @@ def test_verify_never_builds_exact_bernoulli(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
+
+# ---------------------------------------------------------------------------
+# The per-prime residue table: rows H_k(s) mod p^max(e, 6), shared by every
+# check at p and read mod p^e, against the exact rows over Q.
+# ---------------------------------------------------------------------------
+
+TABLE_PRIMES = [7, 11, 13, 31]
+SHAPES = [(), (2, 1)] + [claim.target for claim in BASE_CLAIMS]
+PARTITIONS = [claim.target for claim in SUM_CLAIMS]
+
+
+def _exact_tables(p: int):
+    """H_{p-1}(s) for each shape, and each partition's sum of products, over Q."""
+    mhs = {s: eval_mhs(p - 1, s) for s in SHAPES}
+    homogeneous = {d: mhs_prefix_values(p - 1, (1,) * d) for d in range(1, 6)}
+    sums = {}
+    for lam in PARTITIONS:
+        total = Fraction(0)
+        for k in range(1, p):
+            term = Fraction(1)
+            for part in lam:
+                term *= homogeneous[part][k]
+            total += term
+        sums[lam] = total
+    return mhs, sums
+
+
+def _interleaved_schedule():
+    """(p, e) visits alternating primes p, q, p with e ascending, then descending."""
+    exponents = list(range(1, 9)) + list(range(8, 0, -1))
+    for p, q in zip(TABLE_PRIMES, TABLE_PRIMES[1:] + TABLE_PRIMES[:1]):
+        for e in exponents:
+            for prime in (p, q, p):
+                yield prime, e
+
+
+def test_residue_table_matches_exact_interleaved():
+    exact = {p: _exact_tables(p) for p in TABLE_PRIMES}
+    for p, e in _interleaved_schedule():
+        homogeneous_product_sum_mod.cache_clear()  # recompute from the table
+        mhs, sums = exact[p]
+        for s in SHAPES:
+            assert mhs_mod(s, p, e) == reduce_mod(mhs[s], p, e), (s, p, e)
+        for lam in PARTITIONS:
+            expected = reduce_mod(sums[lam], p, e).value
+            assert homogeneous_product_sum_mod(lam, p, e) == expected, (lam, p, e)
+
+
+@pytest.mark.parametrize("e", [1, 3, 6, 8])
+def test_residue_row_refuses_index_divisible_by_p(e):
+    p = 7
+    mhs_mod((2, 1), p, e)  # the inverse-power tables now cover j < p
+    for s, n in [((1,), p), ((2, 1), p + 3), ((3,), 2 * p)]:
+        with pytest.raises(ValueError):
+            mhs_row(s, n, {}, p**e)
+    assert mhs_mod((1,), p, e) == reduce_mod(eval_mhs(p - 1, (1,)), p, e)
+
+
+def test_threads_share_residue_table_safely():
+    """Threads switching primes and growing shared rows all read correct values."""
+    primes = [7, 11, 13, 17, 19]
+    exact = {p: {s: eval_mhs(p - 1, s) for s in SHAPES} for p in primes}
+    work = [(p, s, e) for p in primes for s in SHAPES for e in (1, 4, 6)]
+    sums = {p: homogeneous_product_sum_mod((2, 1), p, 6) for p in primes}
+    errors = []
+
+    def worker(offset):
+        for i in range(len(work)):
+            p, s, e = work[(7 * i + offset) % len(work)]
+            if mhs_mod(s, p, e) != reduce_mod(exact[p][s], p, e):
+                errors.append((s, p, e))
+            if homogeneous_product_sum_mod.__wrapped__((2, 1), p, 6) != sums[p]:
+                errors.append(((2, 1), p, 6))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_residue_work_happens_once_per_prime(monkeypatch):
+    """At one prime the three suites grow each row once and invert once per table."""
+    p = 101
+    homogeneous_product_sum_mod.cache_clear()
+    monkeypatch.setattr(core, "_unit_powers_table", {})
+    monkeypatch.setattr(congruences, "_residue_table", {"mod": None, "rows": {}})
+    monkeypatch.setattr(binomial_sums, "_units_table", {"mod": None, "units": None})
+    inversions = {"core": [], "binomial_sums": []}
+    grown = []
+
+    def counting_inverse(owner):
+        def batch(values, mod):
+            inversions[owner].append(mod)
+            return batch_inverse(values, mod)
+
+        return batch
+
+    def counting_unit_powers(exponent, n, mod, real=core._unit_powers):
+        grown.append(exponent)
+        return real(exponent, n, mod)
+
+    monkeypatch.setattr(core, "batch_inverse", counting_inverse("core"))
+    monkeypatch.setattr(binomial_sums, "batch_inverse", counting_inverse("binomial_sums"))
+    monkeypatch.setattr(core, "_unit_powers", counting_unit_powers)
+    results = (
+        sum_congruence_suite(p)
+        + base_congruence_suite(p)
+        + theorem_suite(p)
+        + cai_granville_suite(p)
+    )
+    assert results and all(r.passed for r in results)
+
+    compositions = [claim.target for claim in BASE_CLAIMS] + [(1,) * d for d in range(1, 6)]
+    prefixes = {s[:d] for s in compositions for d in range(1, len(s) + 1)}
+    exponents = {part for s in compositions for part in s}
+    # one row growth per prefix, one inverse-power table per distinct part
+    assert len(grown) <= len(prefixes)
+    assert sorted(inversions["core"]) == [p**6] * len(exponents)
+    # the signed binomial units and their inverses, once, for e = 6 and e = 4
+    assert inversions["binomial_sums"] == [p**6, p**6]
