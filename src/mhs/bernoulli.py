@@ -47,9 +47,10 @@ def bernoulli(m: int) -> Fraction:
         with _lock:
             start = len(_cache)
             if m >= start:
-                t = _tangent_numbers(m // 2)
+                top = max(m, 2 * start)  # ascending calls then cost O(the last one)
+                t = _tangent_numbers(top // 2)
                 fresh = []
-                for k in range(start, m + 1):
+                for k in range(start, top + 1):
                     if k % 2:
                         fresh.append(Fraction(0))
                         continue

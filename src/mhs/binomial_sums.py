@@ -20,14 +20,16 @@ C(ap-2, p-1) congruence modulo p^4.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
+from typing import Callable
 
 from .bernoulli import bernoulli_invariant, bernoulli_invariant_mod
 from .congruences import homogeneous_product_sum_mod
 from .partitions import arrangement_count, enumerate_partitions
-from .report import CheckResult
+from .report import CheckResult, ResidueClaim
 from .residues import (
     PResidue,
     batch_inverse,
@@ -101,16 +103,16 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
     return PResidue(pow(base, abs(a), p**e), p, e)
 
 
+@lru_cache(maxsize=4096)
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
-    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route)."""
+    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route), cached."""
     require_admissible(p)
+    if e < 6:  # the e = 6 sum reduced, so the checks at p sum each a once
+        return PResidue(binomial_power_sum(a, p).value, p, e)
     mod = p**e
     units, inverses = _signed_binomial_units(p, e)
-    bases = units if a >= 0 else inverses
-    total = 0
-    for base in bases:
-        total += pow(base, abs(a), mod)
-    return PResidue(total, p, e)
+    bases, exponent = (units, a) if a >= 0 else (inverses, -a)
+    return PResidue(sum(pow(base, exponent, mod) for base in bases), p, e)
 
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
@@ -211,77 +213,8 @@ def cai_granville_holds(a: int, p: int) -> bool:
     """sum (-1)^(ak) C(p-1,k)^a = C(ap-2, p-1) modulo p^4, for a >= 1."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    require_admissible(p)
-    lhs = binomial_power_sum(a, p, e=4).value
-    rhs = comb(a * p - 2, p - 1) % p**4
+    lhs, rhs = _single_binomial_sides(a, p)  # binomial_power_sum requires p > 5 prime
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# Suite wrappers producing report records.
-# ---------------------------------------------------------------------------
-
-
-def theorem_suite(p: int, amin: int = -6, amax: int = 6) -> list[CheckResult]:
-    """Direct vs closed form and direct vs expansion, over a range of a."""
-    results = []
-    for a in range(amin, amax + 1):
-        lhs = binomial_power_sum(a, p)
-        rhs = binomial_power_sum_closed_form(a, p)
-        results.append(
-            CheckResult(
-                claim_id=f"binomial-power-sum:a={a}",
-                p=p,
-                modulus=p**6,
-                lhs=lhs.value,
-                rhs=rhs.value,
-                passed=lhs == rhs,
-            )
-        )
-        via = binomial_power_sum_via_mhs(a, p)
-        results.append(
-            CheckResult(
-                claim_id=f"binomial-power-sum-expansion:a={a}",
-                p=p,
-                modulus=p**6,
-                lhs=via.value,
-                rhs=lhs.value,
-                passed=via == lhs,
-            )
-        )
-    anchors = [(0, p % p**6), (1, 0)]
-    for a, expected in anchors:
-        if amin <= a <= amax:
-            value = binomial_power_sum(a, p).value
-            results.append(
-                CheckResult(
-                    claim_id=f"binomial-power-sum-anchor:a={a}",
-                    p=p,
-                    modulus=p**6,
-                    lhs=value,
-                    rhs=expected,
-                    passed=value == expected,
-                )
-            )
-    return results
-
-
-def cai_granville_suite(p: int) -> list[CheckResult]:
-    results = []
-    for a in (1, 2, 3):
-        lhs = binomial_power_sum(a, p, e=4).value
-        rhs = comb(a * p - 2, p - 1) % p**4
-        results.append(
-            CheckResult(
-                claim_id=f"binomial-vs-single-binomial:a={a}",
-                p=p,
-                modulus=p**4,
-                lhs=lhs,
-                rhs=rhs,
-                passed=lhs == rhs,
-            )
-        )
-    return results
 
 
 def central_binomial_sum_mod(p: int) -> tuple[int, int]:
@@ -302,38 +235,88 @@ def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     return lhs % mod, rhs % mod
 
 
-def corollary_suite(p: int) -> list[CheckResult]:
-    lhs, rhs = central_binomial_sum_mod(p)
-    results = [
-        CheckResult(
-            claim_id="central-binomial-sum",
-            p=p,
-            modulus=p**4,
-            lhs=lhs,
-            rhs=rhs,
-            passed=lhs == rhs,
-        ),
-        CheckResult(
-            claim_id="wolstenholme",
-            p=p,
-            modulus=p**3,
-            lhs=comb(2 * p - 1, p - 1) % p**3,
-            rhs=1,
-            passed=wolstenholme_holds(p),
-        ),
+@dataclass(frozen=True)
+class BinomialClaim(ResidueClaim):
+    """A per-prime claim whose two sides come from the function ``sides``."""
+
+    claim_id: str
+    exponent: int
+    sides: Callable[[int], tuple[int, int]]
+
+
+def _closed_form_sides(a: int, p: int) -> tuple[int, int]:
+    return binomial_power_sum(a, p).value, binomial_power_sum_closed_form(a, p).value
+
+
+def _expansion_sides(a: int, p: int) -> tuple[int, int]:
+    return binomial_power_sum_via_mhs(a, p).value, binomial_power_sum(a, p).value
+
+
+def _anchor_sides(a: int, p: int) -> tuple[int, int]:
+    return binomial_power_sum(a, p).value, p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
+
+
+def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
+    return binomial_power_sum(a, p, 4).value, comb(a * p - 2, p - 1) % p**4
+
+
+def _wolstenholme_sides(p: int) -> tuple[int, int]:
+    return comb(2 * p - 1, p - 1) % p**3, 1
+
+
+def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
+    """Direct vs closed form and expansion vs direct for each a, then the anchors."""
+    routes = [("", _closed_form_sides), ("-expansion", _expansion_sides)]
+    claims = [
+        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, partial(sides, a))
+        for a in range(amin, amax + 1)
+        for route, sides in routes
     ]
-    return results
+    claims += [
+        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a))
+        for a in (0, 1)
+        if amin <= a <= amax
+    ]
+    return tuple(claims)
+
+
+CAI_GRANVILLE_CLAIMS = tuple(
+    BinomialClaim(f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a))
+    for a in (1, 2, 3)
+)
+
+COROLLARY_CLAIMS = (
+    BinomialClaim("central-binomial-sum", 4, central_binomial_sum_mod),
+    BinomialClaim("wolstenholme", 3, _wolstenholme_sides),
+)
+
+
+@dataclass(frozen=True)
+class StaverClaim:
+    """Staver's identity at one n, checked exactly."""
+
+    n: int
+
+    @property
+    def claim_id(self) -> str:
+        return f"staver:n={self.n}"
+
+    def check(self) -> CheckResult:
+        return CheckResult(self.claim_id, None, None, None, None, staver_identity_holds(self.n))
+
+
+def theorem_suite(p: int, amin: int = -6, amax: int = 6) -> list[CheckResult]:
+    """Direct vs closed form and direct vs expansion, over a range of a."""
+    return [claim.check(p) for claim in theorem_claims(amin, amax)]
+
+
+def cai_granville_suite(p: int) -> list[CheckResult]:
+    return [claim.check(p) for claim in CAI_GRANVILLE_CLAIMS]
+
+
+def corollary_suite(p: int) -> list[CheckResult]:
+    return [claim.check(p) for claim in COROLLARY_CLAIMS]
 
 
 def staver_suite(nmax: int) -> list[CheckResult]:
-    return [
-        CheckResult(
-            claim_id=f"staver:n={n}",
-            p=None,
-            modulus=None,
-            lhs=None,
-            rhs=None,
-            passed=staver_identity_holds(n),
-        )
-        for n in range(1, nmax + 1)
-    ]
+    return [StaverClaim(n).check() for n in range(1, nmax + 1)]

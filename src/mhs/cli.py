@@ -9,20 +9,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from . import registry
 from .algebra import MhsExpression, N, stuffle
-from .congruences import (
-    BASE_CLAIMS,
-    SUM_CLAIMS,
-    base_congruence_suite,
-    sum_congruence_suite,
-)
 from .core import Composition, CompositionError
 from .hoffman import hoffman_reduce
-from .report import CheckResult
-from .residues import primes_in_range
-from .summation import RebaseError, known_identities, partial_sum_oracle, rebase, sum_product
+from .summation import RebaseError, partial_sum_oracle, rebase, sum_product
 from .tables import derive_table, row_basis
-from . import binomial_sums
 
 
 def _render_multiset(counter) -> str:
@@ -78,6 +70,8 @@ def _load_basis(source: str) -> list[MhsExpression]:
 
 
 def _cmd_derive(args) -> int:
+    if args.check is not None and args.check < 1:
+        raise ValueError("--check must be >= 1")
     factors = _parse_product(args.product)
     closed = sum_product(factors)
     payload: dict = {"product": [str(c) for c in factors], "closed_form": closed.to_json()}
@@ -96,7 +90,7 @@ def _cmd_derive(args) -> int:
         payload["basis_coefficients"] = [poly.to_json() for poly in coeffs]
 
     verified = None
-    if args.check:
+    if args.check is not None:
         verified = partial_sum_oracle(factors, closed, args.check)
         payload["verified"] = verified
 
@@ -150,51 +144,12 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _identity_checks(nmax: int) -> list[CheckResult]:
-    from .algebra import expr_equal
-
-    results = []
-    for record in known_identities():
-        derived = sum_product(record.factors)
-        symbolic = expr_equal(derived, record.rhs)
-        numeric = partial_sum_oracle(record.factors, derived, nmax)
-        results.append(
-            CheckResult(
-                claim_id=f"identity:{record.name}",
-                p=None,
-                modulus=None,
-                lhs=str(derived),
-                rhs=str(record.rhs),
-                passed=symbolic and numeric,
-            )
-        )
-    return results
-
-
-def _congruence_checks_for_prime(p: int) -> list[CheckResult]:
-    return base_congruence_suite(p) + sum_congruence_suite(p)
-
-
-def _theorem_checks_for_prime(p: int, amin: int = -6, amax: int = 6) -> list[CheckResult]:
-    return binomial_sums.theorem_suite(p, amin, amax) + binomial_sums.cai_granville_suite(p)
-
-
-def _corollary_checks_for_prime(p: int) -> list[CheckResult]:
-    return binomial_sums.corollary_suite(p)
-
-
-def _fan_out(worker, items, jobs: int) -> list[CheckResult]:
+def _fan_out(worker, items, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
-        results: list[CheckResult] = []
-        for item in items:
-            results.extend(worker(item))
-        return results
-    out: list[CheckResult] = []
+        return [result for item in items for result in worker(item)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(worker, items):
-            out.extend(chunk)
-    return out
+        return [result for chunk in pool.map(worker, items) for result in chunk]
 
 
 def _cmd_verify(args) -> int:
@@ -203,48 +158,14 @@ def _cmd_verify(args) -> int:
     if args.pmin > args.pmax:
         raise ValueError("pmin must not exceed pmax")
 
+    selection = registry.select(args.suite, args.claim, args)
     if args.list:
-        for claim in BASE_CLAIMS + SUM_CLAIMS:
-            print(claim.claim_id)
+        for _, claims in selection:
+            for claim in claims:
+                print(claim.claim_id)
         return 0
 
-    primes = primes_in_range(args.pmin, args.pmax)
-    suites = (
-        ["identities", "congruences", "theorem", "corollary", "staver"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    # A run that would execute no check of a selected suite is an error, not a pass.
-    if not primes and {"congruences", "theorem", "corollary"} & set(suites):
-        raise ValueError(f"no primes in [{args.pmin}, {args.pmax}]")
-    if args.nmax < 1 and {"identities", "staver"} & set(suites):
-        raise ValueError("--nmax must be >= 1")
-    if args.amin > args.amax and "theorem" in suites:
-        raise ValueError("--amin must not exceed --amax")
-
-    checks: list[CheckResult] = []
-    if "identities" in suites:
-        checks.extend(_identity_checks(args.nmax))
-    if "congruences" in suites:
-        if args.claim:
-            wanted = set(args.claim)
-            registry = [c for c in BASE_CLAIMS + SUM_CLAIMS if c.claim_id in wanted]
-            missing = wanted - {c.claim_id for c in registry}
-            if missing:
-                print(f"unknown claim ids: {sorted(missing)}", file=sys.stderr)
-                return 2
-            for p in primes:
-                checks.extend(claim.check(p) for claim in registry)
-        else:
-            checks.extend(_fan_out(_congruence_checks_for_prime, primes, args.jobs))
-    if "theorem" in suites:
-        worker = functools.partial(_theorem_checks_for_prime, amin=args.amin, amax=args.amax)
-        checks.extend(_fan_out(worker, primes, args.jobs))
-    if "corollary" in suites:
-        checks.extend(_fan_out(_corollary_checks_for_prime, primes, args.jobs))
-    if "staver" in suites:
-        checks.extend(binomial_sums.staver_suite(args.nmax))
-
+    checks = registry.run(selection, args, functools.partial(_fan_out, jobs=args.jobs))
     all_passed = all(c.passed for c in checks)
     if args.format == "json":
         print(json.dumps([c.to_json() for c in checks]))
@@ -310,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "--suite",
-        choices=["identities", "congruences", "theorem", "corollary", "staver", "all"],
+        choices=[suite.name for suite in registry.SUITES] + ["all"],
         default="all",
     )
     p_verify.add_argument("--pmin", type=int, default=7)
@@ -319,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--amax", type=int, default=6)
     p_verify.add_argument("--nmax", type=int, default=30)
     p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--list", action="store_true", help="list congruence claim ids")
+    p_verify.add_argument("--list", action="store_true", help="list the selected claim ids")
     p_verify.add_argument(
         "--claim", action="append", metavar="ID", help="run only this claim id (repeatable)"
     )

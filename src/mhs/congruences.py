@@ -27,8 +27,8 @@ from typing import Iterable
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition, mhs_row
-from .report import CheckResult
-from .residues import PResidue, reduce_mod, require_admissible
+from .report import CheckResult, ResidueClaim
+from .residues import PResidue, require_admissible
 
 __all__ = [
     "BASE_CLAIMS",
@@ -92,7 +92,7 @@ def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
 
 
 @dataclass(frozen=True)
-class CongruenceClaim:
+class CongruenceClaim(ResidueClaim):
     """One congruence, with its right side as a polynomial in p and X."""
 
     claim_id: str
@@ -100,7 +100,6 @@ class CongruenceClaim:
     target: tuple[int, ...]  # composition (mhs) or partition of the weight (sum)
     rhs_terms: tuple[tuple[tuple[int, int], int], ...]  # ((p_exp, x_exp), coeff)
     exponent: int
-    prime_floor: int = 7
 
     def rhs_value(self, p: int) -> int:
         """The right side in Z / p^e, from X modulo p^2 only.
@@ -120,26 +119,10 @@ class CongruenceClaim:
             total += coeff * p**i * pow(x, j, mod)
         return total % mod
 
-    def lhs_residue(self, p: int) -> PResidue:
+    def sides(self, p: int) -> tuple[int, int]:
         if self.kind == "mhs":
-            return mhs_mod(self.target, p, self.exponent)
-        return PResidue(
-            homogeneous_product_sum_mod(self.target, p, self.exponent),
-            p,
-            self.exponent,
-        )
-
-    def check(self, p: int) -> CheckResult:
-        lhs = self.lhs_residue(p)
-        rhs = reduce_mod(self.rhs_value(p), p, self.exponent)
-        return CheckResult(
-            claim_id=self.claim_id,
-            p=p,
-            modulus=p**self.exponent,
-            lhs=lhs.value,
-            rhs=rhs.value,
-            passed=lhs == rhs,
-        )
+            return mhs_mod(self.target, p, self.exponent).value, self.rhs_value(p)
+        return homogeneous_product_sum_mod(self.target, p, self.exponent), self.rhs_value(p)
 
 
 def _mhs_claim(parts: tuple[int, ...], rhs: dict, e: int) -> CongruenceClaim:

@@ -1,0 +1,100 @@
+"""The verify suites as one registry of claims, and one prime-major runner.
+
+A claim has a ``claim_id`` and a ``check`` returning a CheckResult: per-prime
+claims are checked as ``check(p)`` at each prime, the others once.  Checking
+every claim at p before the next prime builds each prime's tables once.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+from . import binomial_sums as bs
+from .algebra import expr_equal
+from .congruences import BASE_CLAIMS, SUM_CLAIMS
+from .report import CheckResult
+from .residues import primes_in_range
+from .summation import IdentityRecord, known_identities, partial_sum_oracle, sum_product
+
+__all__ = ["SUITES", "IdentityClaim", "Suite", "run", "select"]
+
+
+@dataclass(frozen=True)
+class IdentityClaim:
+    """A known identity, derived again and checked against partial sums to nmax."""
+
+    record: IdentityRecord
+    nmax: int
+
+    @property
+    def claim_id(self) -> str:
+        return f"identity:{self.record.name}"
+
+    def check(self) -> CheckResult:
+        factors, rhs = self.record.factors, self.record.rhs
+        derived = sum_product(factors)
+        holds = expr_equal(derived, rhs) and partial_sum_oracle(factors, derived, self.nmax)
+        return CheckResult(self.claim_id, None, None, str(derived), str(rhs), holds)
+
+
+class Suite(NamedTuple):
+    """A suite's claims, built from the range arguments, in output order."""
+
+    name: str
+    reads: str  # the ranges its claims run over: "p" primes, "a" amin..amax, "n" 1..nmax
+    claims: Callable  # claims(ranges), in order; ranges has amin, amax and nmax
+
+
+SUITES: tuple[Suite, ...] = (
+    Suite("identities", "n", lambda r: [IdentityClaim(x, r.nmax) for x in known_identities()]),
+    Suite("congruences", "p", lambda r: BASE_CLAIMS + SUM_CLAIMS),
+    Suite("theorem", "pa", lambda r: bs.theorem_claims(r.amin, r.amax) + bs.CAI_GRANVILLE_CLAIMS),
+    Suite("corollary", "p", lambda r: bs.COROLLARY_CLAIMS),
+    Suite("staver", "n", lambda r: tuple(map(bs.StaverClaim, range(1, r.nmax + 1)))),
+)
+
+
+def select(suite: str, claim_ids, ranges) -> list[tuple[Suite, tuple]]:
+    """The (suite, claims) pairs of a run, in registry order; ``suite`` may be "all".
+
+    Given ``claim_ids``, each suite keeps only those claims and is dropped if
+    none is left; an id that no selected suite owns raises ValueError.
+    """
+    chosen = [(s, s.claims(ranges)) for s in SUITES if suite in ("all", s.name)]
+    if claim_ids:
+        chosen = [(s, tuple(c for c in claims if c.claim_id in claim_ids)) for s, claims in chosen]
+        missing = set(claim_ids) - {c.claim_id for _, claims in chosen for c in claims}
+        if missing:
+            raise ValueError(f"unknown claim ids: {sorted(missing)}")
+        chosen = [(s, claims) for s, claims in chosen if claims]
+    return chosen
+
+
+def _check_at(claims: tuple, p: int) -> list[tuple[int, CheckResult]]:
+    """(suite position, result) for each (suite position, claim) at p."""
+    return [(index, claim.check(p)) for index, claim in claims]
+
+
+def run(selection: list[tuple[Suite, tuple]], ranges, fan_out) -> list[CheckResult]:
+    """Check the selection, refusing empty ranges; results suite by suite.
+
+    ``fan_out(worker, primes)`` maps the worker over the primes, in a process
+    pool or not, and concatenates the lists it returns in prime order.
+    """
+    primes = primes_in_range(ranges.pmin, ranges.pmax)
+    reads = "".join(s.reads for s, _ in selection)
+    if "p" in reads and not primes:
+        raise ValueError(f"no primes in [{ranges.pmin}, {ranges.pmax}]")
+    if "n" in reads and ranges.nmax < 1:
+        raise ValueError("--nmax must be >= 1")
+    if "a" in reads and ranges.amin > ranges.amax:
+        raise ValueError("--amin must not exceed --amax")
+    tagged = [(i, c) for i, (s, claims) in enumerate(selection) for c in claims]
+    per_prime = tuple((i, c) for i, c in tagged if "p" in selection[i][0].reads)
+    results = [(i, c.check()) for i, c in tagged if "p" not in selection[i][0].reads]
+    if per_prime:
+        results += fan_out(functools.partial(_check_at, per_prime), primes)
+    results.sort(key=lambda pair: pair[0])  # stable: primes stay ascending in a suite
+    return [result for _, result in results]

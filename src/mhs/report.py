@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CheckResult"]
+__all__ = ["CheckResult", "ResidueClaim"]
 
 
 @dataclass(frozen=True)
@@ -27,3 +27,11 @@ class CheckResult:
             "rhs-residue": self.rhs,
             "pass": self.passed,
         }
+
+
+class ResidueClaim:
+    """Base of the per-prime claims: ``sides(p)`` gives both sides mod p^exponent."""
+
+    def check(self, p: int) -> CheckResult:
+        lhs, rhs = self.sides(p)
+        return CheckResult(self.claim_id, p, p**self.exponent, lhs, rhs, lhs == rhs)

@@ -106,3 +106,24 @@ def test_cai_granville_small():
     for p in (7, 11, 13):
         for a in (1, 2, 3):
             assert cai_granville_holds(a, p)
+
+
+def test_power_sum_computed_once_per_a_and_prime(monkeypatch):
+    from mhs import binomial_sums
+
+    sweeps = []
+
+    def counting_units(p, e, real=binomial_sums._signed_binomial_units):
+        sweeps.append((p, e))
+        return real(p, e)
+
+    binomial_sums.binomial_power_sum.cache_clear()
+    monkeypatch.setattr(binomial_sums, "_signed_binomial_units", counting_units)
+    p = 17
+    results = binomial_sums.theorem_suite(p) + binomial_sums.cai_granville_suite(p)
+    assert len(results) == 31 and all(r.passed for r in results)
+    # one direct sum per a in [-6, 6]; the anchors and the e = 4 checks reuse them
+    assert sweeps == [(p, 6)] * 13
+    assert binomial_power_sum(2, p, e=4) == binomial_sums.PResidue(
+        sum(pow(comb(p - 1, k), 2, p**4) for k in range(p)), p, 4
+    )

@@ -269,6 +269,100 @@ def test_jobs_capped_at_cpus_and_items(monkeypatch, capsys):
     assert serial[0] == 0
 
 
+def test_verify_claim_filters_every_suite(capsys):
+    wanted = ["binomial-power-sum:a=2", "wolstenholme", "staver:n=3", "identity:S:1"]
+    argv = ["verify", "--suite", "all", "--pmin", "7", "--pmax", "13", "--format", "json"]
+    for claim_id in wanted:
+        argv += ["--claim", claim_id]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)
+    assert [(c["claim-id"], c["p"]) for c in checks] == (
+        [("identity:S:1", None)]
+        + [("binomial-power-sum:a=2", p) for p in (7, 11, 13)]
+        + [("wolstenholme", p) for p in (7, 11, 13)]
+        + [("staver:n=3", None)]
+    )
+
+
+def test_verify_claim_outside_selected_suite_is_unknown(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "theorem", "--claim", "S:1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown claim ids: ['S:1']\n"
+
+
+CONGRUENCE_IDS = (
+    "H:1 H:2 H:3 H:1,2 H:4 H:1,1,2 H:1,3 H:1,1 H:1,1,1 H:1,1,1,1 "
+    "S:1 S:2 S:1,1 S:3 S:2,1 S:1,1,1 S:4 S:2,2 S:3,1 S:2,1,1 S:1,1,1,1 "
+    "S:5 S:4,1 S:3,2 S:3,1,1 S:2,2,1 S:2,1,1,1 S:1,1,1,1,1"
+).split()
+
+
+def test_verify_list_follows_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--list", "--suite", "congruences")
+    assert code == 0
+    assert out.splitlines() == CONGRUENCE_IDS
+    code, out, _ = run(capsys, "verify", "--list", "--nmax", "4", "--amin", "0", "--amax", "0")
+    assert code == 0
+    ids = out.splitlines()
+    assert ids[6:34] == CONGRUENCE_IDS
+    assert ids[:6] == ["identity:S:1", "identity:S:2", "identity:S:1,1",
+                       "identity:S:3", "identity:S:2,1", "identity:S:1,1,1"]
+    assert ids[34:] == [
+        "binomial-power-sum:a=0", "binomial-power-sum-expansion:a=0",
+        "binomial-power-sum-anchor:a=0",
+        "binomial-vs-single-binomial:a=1", "binomial-vs-single-binomial:a=2",
+        "binomial-vs-single-binomial:a=3",
+        "central-binomial-sum", "wolstenholme",
+        "staver:n=1", "staver:n=2", "staver:n=3", "staver:n=4",
+    ]
+
+
+def test_verify_runs_prime_major(monkeypatch, capsys):
+    from mhs import binomial_sums, congruences
+
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(args[1])  # the prime: check(self, p), binomial_power_sum(a, p, ...)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(congruences.CongruenceClaim, "check",
+                        recording(congruences.CongruenceClaim.check))
+    monkeypatch.setattr(binomial_sums, "binomial_power_sum",
+                        recording(binomial_sums.binomial_power_sum))
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--pmin", "7", "--pmax", "31")
+    assert code == 0
+    assert set(seen) == {7, 11, 13, 17, 19, 23, 29, 31}
+    assert seen == sorted(seen)
+
+
+def test_verify_all_fans_out_once(monkeypatch, capsys):
+    from mhs import cli
+
+    argv = ["verify", "--suite", "all", "--pmin", "7", "--pmax", "31"]
+    serial = run(capsys, *argv)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "seen", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    fanned = run(capsys, *argv, "--jobs", "4")
+    assert _RecordingPool.seen == [4]
+    assert fanned == serial
+    assert serial[0] == 0
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_derive_refuses_check_below_one(capsys, n):
+    code, out, err = run(capsys, "derive", "1", "--check", n)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --check must be >= 1\n"
+
+
 def test_derive_long_trailing_ones_needs_no_deep_recursion():
     # sum_single once recursed per trailing 1; under a recursion limit far
     # below the composition's depth, it must still answer.

@@ -55,6 +55,23 @@ def test_bernoulli_matches_convolution_recurrence():
     assert bernoulli(1) == reference[1] == Fraction(-1, 2)
 
 
+def test_bernoulli_grows_its_table_geometrically(monkeypatch):
+    module = importlib.import_module("mhs.bernoulli")
+    expected = {m: bernoulli(m) for m in range(2, 801, 2)}
+    sizes = []
+
+    def recording(n, real=module._tangent_numbers):
+        sizes.append(n)
+        return real(n)
+
+    monkeypatch.setattr(module, "_cache", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(module, "_tangent_numbers", recording)
+    for m in range(2, 801, 2):
+        assert bernoulli(m) == expected[m], m
+    # one table per call would cost sum_{n<=400} n^2, about 133 * 400^2
+    assert sum(n * n for n in sizes) <= 8 * 400**2, sizes
+
+
 def test_invariant_mod_matches_exact():
     for p in PRIMES:
         assert bernoulli_invariant_mod(p) == reduce_mod(bernoulli_invariant(p), p, 2).value, p
@@ -206,6 +223,7 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     """At one prime the three suites grow each row once and invert once per table."""
     p = 101
     homogeneous_product_sum_mod.cache_clear()
+    binomial_sums.binomial_power_sum.cache_clear()
     monkeypatch.setattr(core, "_unit_powers_table", {})
     monkeypatch.setattr(congruences, "_residue_table", {"mod": None, "rows": {}})
     monkeypatch.setattr(binomial_sums, "_units_table", {"mod": None, "units": None})
