@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
 from .residues import NonPIntegralError, require_admissible
 
@@ -87,7 +86,6 @@ def _bernoulli_mod_p2(m: int, p: int) -> int:
     return power_sum // p
 
 
-@lru_cache(maxsize=256)
 def bernoulli_invariant_mod(p: int) -> int:
     """bernoulli_invariant(p) modulo p^2, without any exact Bernoulli number.
 
@@ -95,7 +93,7 @@ def bernoulli_invariant_mod(p: int) -> int:
     p * B_m = sum_{j<p} j^m (mod p^3): B_{m-1} = 0, and the next term,
     m(m-1)/6 * B_{m-2} * p^3, is p-integral because p - 1 does not divide
     m - 2 for p > 5.  So B_m mod p^2 is that power sum divided by p.  The
-    result is cached per p, since every claim at a prime asks for it.
+    checks at p read it once, from congruences.prime_context(p).
     """
     require_admissible(p)
     mod = p**2

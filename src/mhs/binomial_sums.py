@@ -10,7 +10,8 @@ independent evaluations of the left side are provided: the direct one powers
 up the product formula (-1)^k C(p-1,k) = prod_{j<=k} (1 - p/j), while the
 expansion route rewrites that product in homogeneous harmonic sums and sums
 over partitions.  Their agreement re-verifies the congruence tables along the
-way.
+way.  Both read their residues at p from the context of p
+(congruences.prime_context), which holds the units, X mod p^2 and each sum.
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
@@ -19,24 +20,17 @@ C(ap-2, p-1) congruence modulo p^4.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import comb, factorial
 from typing import Callable
 
-from .bernoulli import bernoulli_invariant, bernoulli_invariant_mod
-from .congruences import homogeneous_product_sum_mod
-from .partitions import arrangement_count, enumerate_partitions
+from .bernoulli import bernoulli_invariant
+from .congruences import prime_context
+from .partitions import arrangement_count, partitions_of
 from .report import CheckResult, ResidueClaim
-from .residues import (
-    PResidue,
-    batch_inverse,
-    is_prime,
-    padic_valuation,
-    require_admissible,
-)
+from .residues import PResidue, is_prime, padic_valuation, require_admissible
 
 __all__ = [
     "alternating_power_sum",
@@ -67,52 +61,23 @@ def generalized_binomial(a: int, r: int) -> int:
     return quotient
 
 
-# Signed binomial units of the current prime, modulo p^max(e, 6); each
-# e <= 6 reads them through Z/p^6 -> Z/p^e.  One modulus is held at a time.
-_units_table: dict = {"mod": None, "units": None}
-_units_lock = threading.Lock()
-
-
-def _signed_binomial_units(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(u, 1/u) with u_k = (-1)^k C(p-1, k) mod p^max(e, 6) for k = 0..p-1.
-
-    u comes from prod (1 - p/j) and 1/u from one batch inversion of u; both
-    are kept for the last prime asked only, so a sweep does not grow them.
-    """
-    mod = p ** max(e, 6)
-    with _units_lock:
-        if _units_table["mod"] != mod:
-            units = [1]
-            for inverse in batch_inverse(range(1, p), mod):
-                units.append(units[-1] * (1 - p * inverse) % mod)
-            inverses = batch_inverse(units, mod)
-            _units_table.update(mod=mod, units=(tuple(units), tuple(inverses)))
-        return _units_table["units"]
-
-
 def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
-    """((-1)^k C(p-1, k))^a in Z / p^e.
+    """((-1)^k C(p-1, k))^a in Z / p^e, from the units of the context of p.
 
     The base is 1 mod p, hence a unit, so negative a inverts cleanly.
     """
     require_admissible(p)
     if not 0 <= k <= p - 1:
         raise ValueError("k must lie in [0, p-1]")
-    units, inverses = _signed_binomial_units(p, e)
-    base = units[k] if a >= 0 else inverses[k]
+    units, inverses = prime_context(p, e).units
+    base = inverses[k] if a < 0 else units[k]
     return PResidue(pow(base, abs(a), p**e), p, e)
 
 
-@lru_cache(maxsize=4096)
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
-    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route), cached."""
+    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route), once per a at p."""
     require_admissible(p)
-    if e < 6:  # the e = 6 sum reduced, so the checks at p sum each a once
-        return PResidue(binomial_power_sum(a, p).value, p, e)
-    mod = p**e
-    units, inverses = _signed_binomial_units(p, e)
-    bases, exponent = (units, a) if a >= 0 else (inverses, -a)
-    return PResidue(sum(pow(base, exponent, mod) for base in bases), p, e)
+    return PResidue(prime_context(p, e).power_sum(a), p, e)
 
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
@@ -125,27 +90,35 @@ def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
     if e > 6:
         raise ValueError("the closed form only holds modulo p^6")
     mod = p**e
-    x = bernoulli_invariant_mod(p)
+    x = prime_context(p, e).invariant
     bracket = 1 + a * (a + 1) * (3 * a - 2) * pow(6, -1, mod) * p**3 * x
     return PResidue((a - 1) * p * pow(a * p - 1, -1, mod) * bracket, p, e)
 
 
-@lru_cache(maxsize=64)
-def _expansion_terms(a: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """The nonzero terms (j, lam, C(a, r) * arrangements of lam) of the expansion.
+# Each partition lam of j <= 5, by j and then by length, with its arrangement count
+_PARTITIONS = tuple((lam, arrangement_count(lam)) for j in range(1, 6) for lam in partitions_of(j))
 
-    lam runs over the partitions of j <= 5 into r parts.  Cached per a, as a
-    tuple, so no caller can change a cached term.
-    """
+
+def _expansion_terms(a: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The nonzero terms (j, lam, C(a, r) * arrangements of lam), lam of j into r parts."""
     terms = []
-    for j in range(1, 6):
-        for r in range(1, j + 1):
-            c_ar = generalized_binomial(a, r)
-            if c_ar == 0:
-                continue
-            for lam in enumerate_partitions(j, r):
-                terms.append((j, lam, c_ar * arrangement_count(lam)))
+    for lam, count in _PARTITIONS:
+        c_ar = generalized_binomial(a, len(lam))
+        if c_ar:
+            terms.append((sum(lam), lam, c_ar * count))
     return tuple(terms)
+
+
+def _expansion_sum(terms: tuple, p: int, e: int) -> PResidue:
+    """p + sum of (-p)^j * coeff * homogeneous_product_sum_mod(lam) over the terms."""
+    require_admissible(p)
+    if e > 6:
+        raise ValueError("the weight-5 truncation only supports e <= 6")
+    context = prime_context(p, e)
+    total = p
+    for j, lam, coeff in terms:
+        total += (-p) ** j * coeff * context.product_sum(lam)
+    return PResidue(total, p, e)
 
 
 def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
@@ -154,15 +127,10 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     Expands (1 + sum_{j=1}^5 (-p)^j H_k({1}^j))^a with generalized binomials
     and sums each product of homogeneous harmonic sums by brute force mod p^e.
     Valid modulo p^6 since dropped terms carry at least six powers of p.
-    Shares nothing with :func:`binomial_power_sum` beyond residue arithmetic.
+    Shares nothing with :func:`binomial_power_sum` beyond residue arithmetic
+    and the inverses 1/j of the context of p.
     """
-    require_admissible(p)
-    if e > 6:
-        raise ValueError("the weight-5 truncation only supports e <= 6")
-    total = p
-    for j, lam, coeff in _expansion_terms(a):
-        total += (-p) ** j * coeff * homogeneous_product_sum_mod(lam, p, e)
-    return PResidue(total, p, e)
+    return _expansion_sum(_expansion_terms(a), p, e)
 
 
 def alternating_power_sum(n: int, a: int) -> Fraction:
@@ -220,18 +188,19 @@ def cai_granville_holds(a: int, p: int) -> bool:
 def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     """(lhs, rhs) of the central-binomial congruence, both in Z / p^4.
 
-    Streams C(2k,k) by the unit factor 2(2k-1)/k, so no step divides by p;
-    the right side needs only X modulo p^2.
+    Streams C(2k,k) by the unit factor 2(2k-1)/k, with 1/k from the context
+    of p, so no step divides by p; the right side needs only X modulo p^2.
     """
     require_admissible(p)
     mod = p**4
+    context = prime_context(p, 4)
     central = 1
     lhs = 0
     for k in range(1, p):
-        inverse = pow(k, -1, mod)
+        inverse = context.inverses[k]
         central = central * 2 * (2 * k - 1) * inverse % mod
         lhs += central * inverse
-    rhs = -16 * pow(3, -1, mod) * p * p * bernoulli_invariant_mod(p)
+    rhs = -16 * pow(3, -1, mod) * p * p * context.invariant
     return lhs % mod, rhs % mod
 
 
@@ -248,8 +217,8 @@ def _closed_form_sides(a: int, p: int) -> tuple[int, int]:
     return binomial_power_sum(a, p).value, binomial_power_sum_closed_form(a, p).value
 
 
-def _expansion_sides(a: int, p: int) -> tuple[int, int]:
-    return binomial_power_sum_via_mhs(a, p).value, binomial_power_sum(a, p).value
+def _expansion_sides(a: int, terms: tuple, p: int) -> tuple[int, int]:
+    return _expansion_sum(terms, p, 6).value, binomial_power_sum(a, p).value
 
 
 def _anchor_sides(a: int, p: int) -> tuple[int, int]:
@@ -266,11 +235,13 @@ def _wolstenholme_sides(p: int) -> tuple[int, int]:
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
     """Direct vs closed form and expansion vs direct for each a, then the anchors."""
-    routes = [("", _closed_form_sides), ("-expansion", _expansion_sides)]
     claims = [
-        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, partial(sides, a))
+        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides)
         for a in range(amin, amax + 1)
-        for route, sides in routes
+        for route, sides in (
+            ("", partial(_closed_form_sides, a)),
+            ("-expansion", partial(_expansion_sides, a, _expansion_terms(a))),  # built once
+        )
     ]
     claims += [
         BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a))

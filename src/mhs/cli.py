@@ -157,6 +157,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("pmin must be > 5")
     if args.pmin > args.pmax:
         raise ValueError("pmin must not exceed pmax")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
 
     selection = registry.select(args.suite, args.claim, args)
     if args.list:

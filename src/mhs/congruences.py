@@ -11,9 +11,11 @@ them:
 
 Left sides are evaluated by streaming modular brute force, never through the
 symbolic engine, so a passing suite is an independent confirmation of the
-identities.  A separate symbolic cross-derivation re-obtains the weight <= 3
-sum rows by substituting the base congruences into the closed-form summation
-identities, with explicit error-term bookkeeping.
+identities.  Every residue value at a prime is read from one PrimeContext,
+which this thread keeps until the prime or the modulus changes.  A separate
+symbolic cross-derivation re-obtains the weight <= 3 sum rows by substituting
+the base congruences into the closed-form summation identities, with explicit
+error-term bookkeeping.
 """
 
 from __future__ import annotations
@@ -21,74 +23,125 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition, mhs_row
 from .report import CheckResult, ResidueClaim
-from .residues import PResidue, require_admissible
+from .residues import PResidue, batch_inverse, require_admissible
 
 __all__ = [
     "BASE_CLAIMS",
     "SUM_CLAIMS",
     "CongruenceClaim",
+    "PrimeContext",
     "base_congruence_suite",
     "cross_derivation_check",
     "homogeneous_product_sum_mod",
     "mhs_mod",
+    "prime_context",
     "sum_congruence_suite",
 ]
 
 
-# Residue rows of the current prime, kept modulo p^max(e, 6): every e <= 6
-# check at p reads the same rows through the ring map Z/p^6 -> Z/p^e.  One
-# modulus, hence one prime, is held at a time, so a sweep does not grow it.
-_TABLE_EXPONENT = 6
-_residue_table: dict = {"mod": None, "rows": {}}
-_residue_lock = threading.Lock()  # rows grow in place: one writer at a time
+class PrimeContext:
+    """The residue state of one prime p modulo mod = p^max(e, 6), each part built on first use.
+
+    Every check at p modulo p^e reads it through Z/mod -> Z/p^e, so the checks
+    at p share one batch inversion, the tables j^(-s), the rows H_k(s) for k < p,
+    X mod p^2, the signed binomial units, and each sum of products or powers.
+    """
+
+    def __init__(self, p: int, mod: int):
+        self.p, self.mod = p, mod
+        self.rows: dict = {}  # composition -> [H_0, ..., H_{p-1}], grown by mhs_row
+        self.powers: dict = {}  # s -> [0, 1^-s, ..., (p-1)^-s]
+        self.product_sums: dict = {}  # partition -> homogeneous_product_sum_mod
+        self.power_sums: dict = {}  # a -> sum_k u_k^a
+
+    @cached_property
+    def inverses(self) -> list:
+        """[0, 1/1, ..., 1/(p-1)], from one batch inversion."""
+        return [0] + batch_inverse(range(1, self.p), self.mod)
+
+    def inverse_powers(self, s: int) -> list:
+        """[0, 1^-s, ..., (p-1)^-s], the factors of the rows with part s."""
+        if s not in self.powers:
+            self.powers[s] = [pow(inverse, s, self.mod) for inverse in self.inverses]
+        return self.powers[s]
+
+    @cached_property
+    def invariant(self) -> int:
+        """X = bernoulli_invariant(p) modulo p^2."""
+        return bernoulli_invariant_mod(self.p)
+
+    @cached_property
+    def units(self) -> tuple[list, list]:
+        """(u, 1/u) for u_k = (-1)^k C(p-1, k) = prod_{j<=k} (1 - p/j), k < p."""
+        units = [1]
+        for inverse in self.inverses[1:]:
+            units.append(units[-1] * (1 - self.p * inverse) % self.mod)
+        return units, batch_inverse(units, self.mod)
+
+    def product_sum(self, lam: tuple[int, ...]) -> int:
+        """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), by brute force over the rows."""
+        if lam not in self.product_sums:
+            p, mod = self.p, self.mod
+            factors = [mhs_row((1,) * part, p - 1, self.rows, self) for part in lam]
+            total = 0
+            for k in range(1, p):
+                term = 1
+                for row in factors:
+                    term = term * row[k] % mod
+                total += term
+            self.product_sums[lam] = total % mod
+        return self.product_sums[lam]
+
+    def power_sum(self, a: int) -> int:
+        """sum_{k=0}^{p-1} u_k^a; negative a powers 1/u."""
+        if a not in self.power_sums:
+            units, inverses = self.units
+            bases, exponent, mod = inverses if a < 0 else units, abs(a), self.mod
+            self.power_sums[a] = sum(pow(b, exponent, mod) for b in bases) % mod
+        return self.power_sums[a]
 
 
-def _residue_row(comp: tuple, p: int, e: int) -> list:
-    """The row [H_0(comp), ..., H_{p-1}(comp)] mod p^max(e, 6), from the table."""
-    mod = p ** max(e, _TABLE_EXPONENT)
-    with _residue_lock:
-        if _residue_table["mod"] != mod:
-            _residue_table.update(mod=mod, rows={})
-        return mhs_row(comp, p - 1, _residue_table["rows"], mod)
+# One context per thread, replaced when p or the modulus changes: a
+# prime-major sweep builds each prime's state once and holds one prime's at
+# a time, and no thread reads another's, so nothing needs a lock.
+_local = threading.local()
+
+
+def prime_context(p: int, e: int = 6) -> PrimeContext:
+    """This thread's context of p modulo p^max(e, 6), new if p or the modulus changed."""
+    mod = p ** max(e, 6)
+    context = getattr(_local, "context", None)
+    if context is None or (context.p, context.mod) != (p, mod):
+        context = _local.context = PrimeContext(p, mod)
+    return context
 
 
 def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
     """H_{p-1}(s) in Z / p^e by streaming evaluation.
 
     All denominators are products of integers below p, hence units; the full
-    rational value is never materialized.  The row is read from the residue
-    table of p (modulo p^max(e, 6)), which every check at p shares.
+    rational value is never materialized.  The row is read from the context
+    of p (see :func:`prime_context`), which every check at p shares.
     """
-    comp = tuple(Composition(s))
-    return PResidue(_residue_row(comp, p, e)[p - 1], p, e)
+    context = prime_context(p, e)
+    return PResidue(mhs_row(tuple(Composition(s)), p - 1, context.rows, context)[p - 1], p, e)
 
 
-@lru_cache(maxsize=4096)
 def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
     """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i) in Z / p^e, by brute force.
 
-    The integer result is cached per (lam, p, e).  For e < 6 it is the
-    e = 6 value reduced mod p^e; the rows H_k({1}^j) come from the residue
-    table of p, so all partitions and exponents at p share them.
+    The sum is kept once per partition in the context of p and reduced mod
+    p^e; its rows H_k({1}^j) come from the same context, so all partitions
+    and exponents at p share them.
     """
-    mod = p**e
-    if e < _TABLE_EXPONENT:
-        return homogeneous_product_sum_mod(lam, p, _TABLE_EXPONENT) % mod
-    factors = [_residue_row((1,) * part, p, e) for part in lam]
-    total = 0
-    for k in range(1, p):
-        term = 1
-        for row in factors:
-            term = term * row[k] % mod
-        total += term
-    return total % mod
+    return prime_context(p, e).product_sum(lam) % p**e
 
 
 @dataclass(frozen=True)
@@ -109,7 +162,7 @@ class CongruenceClaim(ResidueClaim):
         """
         e = self.exponent
         mod = p**e
-        x = bernoulli_invariant_mod(p)
+        x = prime_context(p, e).invariant
         total = 0
         for (i, j), coeff in self.rhs_terms:
             if j and e - i > 2:

@@ -21,8 +21,6 @@ import threading
 from fractions import Fraction
 from typing import Iterable
 
-from .residues import batch_inverse
-
 __all__ = [
     "Composition",
     "CompositionError",
@@ -115,47 +113,23 @@ _exact_rows: dict[tuple, list] = {}
 _exact_lock = threading.Lock()  # growth appends in place: one writer at a time
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
-# Tables [0, 1^-k, 2^-k, ...] mod m keyed by (k, m), most recent last.  A
-# prime's rows need one table per distinct part k, so a few tables suffice.
-_POWER_LIMIT = 8
-_unit_powers_table: dict[tuple[int, int], list] = {}
-_unit_powers_lock = threading.Lock()
-
-
-def _unit_powers(exponent: int, n: int, mod: int) -> list:
-    """[0, 1^-exponent, ..., m^-exponent] mod ``mod``, m >= n, from the cache.
-
-    A table grows by one batch inversion of the missing powers, never in
-    place, so a list once returned does not change.  Raises ValueError when
-    some j <= n is not a unit mod ``mod``.
-    """
-    key = (exponent, mod)
-    with _unit_powers_lock:
-        table = _unit_powers_table.get(key, [0])
-        if len(table) <= n:
-            powers = [pow(j, exponent, mod) for j in range(len(table), n + 1)]
-            table = table + batch_inverse(powers, mod)
-        _unit_powers_table.pop(key, None)
-        _unit_powers_table[key] = table  # now the most recently used
-        if len(_unit_powers_table) > _POWER_LIMIT:
-            del _unit_powers_table[next(iter(_unit_powers_table))]
-    return table
-
-
-def mhs_row(s: tuple, n: int, rows: dict, mod: int | None = None) -> list:
+def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
     """The row [H_0(s), ..., H_m(s)], m >= n, kept in ``rows`` by composition.
 
     Grows the row of each prefix s[:d] in place, shortest first, by
     H_j(s[:d]) = H_{j-1}(s[:d]) + H_{j-1}(s[:d-1]) * j^(-s_d): O(depth * n)
-    steps over Q (``mod`` None) or Z / mod, with no recursion.  Over Z / mod
-    the factors j^(-s_d) come from one cached table per (s_d, mod), so a row
-    costs multiplications only; j <= n must be units.  The returned list is
-    the stored row, not a copy.  The call moves s to the end of ``rows`` and
-    drops the first row past _ROW_LIMIT.
+    steps over Q (``context`` None) or over Z / context.mod, with no
+    recursion.  A residue row reads the factors j^(-s_d), j < context.p,
+    from ``context.inverse_powers(s_d)`` (a congruences.PrimeContext), so
+    it costs multiplications only; n >= context.p raises ValueError.  The
+    returned list is the stored row, not a copy.  The call moves s to the
+    end of ``rows`` and drops the first row past _ROW_LIMIT.
     """
+    if context is not None and n >= context.p:
+        raise ValueError(f"H_{n} needs 1/{context.p}, not a unit mod {context.mod}")
     row = rows.get(s)
     if row is None or len(row) <= n:
-        one, zero = (_ONE, _ZERO) if mod is None else (1, 0)
+        one, zero = (_ONE, _ZERO) if context is None else (1, 0)
         depth = len(s)
         for d in range(depth + 1):
             key = s[:d]
@@ -167,12 +141,12 @@ def mhs_row(s: tuple, n: int, rows: dict, mod: int | None = None) -> list:
                     del rows[next(iter(rows))]
             if d == 0:
                 row.extend([one] * (top + 1 - len(row)))
-            elif mod is None:
+            elif context is None:
                 exponent = s[d - 1]
                 for j in range(len(row), top + 1):
                     row.append(row[j - 1] + prefix[j - 1] / j**exponent)
             elif len(row) <= top:
-                units = _unit_powers(s[d - 1], n, mod)
+                units, mod = context.inverse_powers(s[d - 1]), context.mod
                 for j in range(len(row), top + 1):
                     row.append((row[j - 1] + prefix[j - 1] * units[j]) % mod)
             prefix = row

@@ -182,6 +182,11 @@ def test_verify_parallel_jobs(capsys):
     checks = json.loads(out)
     assert len(checks) == 6
     assert all(c["pass"] for c in checks)
+    # every suite under a real pool, each worker building its own prime contexts
+    argv = ["verify", "--suite", "all", "--pmin", "7", "--pmax", "31"]
+    serial = run(capsys, *argv)
+    assert serial[0] == 0
+    assert run(capsys, *argv, "--jobs", "2") == serial
 
 
 @pytest.mark.parametrize(
@@ -341,6 +346,25 @@ def test_verify_runs_prime_major(monkeypatch, capsys):
     assert seen == sorted(seen)
 
 
+def test_verify_builds_expansion_terms_once_per_a(monkeypatch, capsys):
+    from mhs import binomial_sums
+
+    built = []
+
+    def counting_terms(a, real=binomial_sums._expansion_terms):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(binomial_sums, "_expansion_terms", counting_terms)
+    code, out, _ = run(
+        capsys, "verify", "--suite", "theorem", "--amin", "-40", "--amax", "40",
+        "--pmin", "7", "--pmax", "61",
+    )
+    assert code == 0
+    assert out.endswith("2505/2505 checks passed\n")  # 15 primes, 2 * 81 + 2 + 3 claims
+    assert built == list(range(-40, 41))
+
+
 def test_verify_all_fans_out_once(monkeypatch, capsys):
     from mhs import cli
 
@@ -361,6 +385,14 @@ def test_derive_refuses_check_below_one(capsys, n):
     assert code == 2
     assert out == ""
     assert err == "error: --check must be >= 1\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_refuses_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--suite", "corollary", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --jobs must be >= 1\n"
 
 
 def test_derive_long_trailing_ones_needs_no_deep_recursion():

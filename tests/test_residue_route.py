@@ -3,7 +3,7 @@
 Per-prime checks use X = bernoulli_invariant(p) only modulo p^2, read off
 power sums by Faulhaber's formula.  The exact Bernoulli numbers stay as the
 oracle; both routes are compared here for every prime 7 <= p <= 400.  The
-per-prime residue table of H_k(s) rows is checked against the exact rows.
+per-prime context's H_k(s) rows are checked against the exact rows.
 """
 
 import importlib
@@ -14,13 +14,14 @@ from math import comb
 
 import pytest
 
-from mhs import binomial_sums, cli, congruences, core
+from mhs import cli, congruences
 from mhs.bernoulli import bernoulli, bernoulli_invariant, bernoulli_invariant_mod
 from mhs.binomial_sums import (
     binomial_power_sum_closed_form,
     central_binomial_sum_exact,
     cai_granville_suite,
     central_binomial_sum_mod,
+    corollary_suite,
     theorem_suite,
 )
 from mhs.congruences import (
@@ -29,6 +30,7 @@ from mhs.congruences import (
     base_congruence_suite,
     homogeneous_product_sum_mod,
     mhs_mod,
+    prime_context,
     sum_congruence_suite,
 )
 from mhs.core import eval_mhs, mhs_prefix_values, mhs_row
@@ -133,8 +135,8 @@ def test_verify_never_builds_exact_bernoulli(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The per-prime residue table: rows H_k(s) mod p^max(e, 6), shared by every
-# check at p and read mod p^e, against the exact rows over Q.
+# The per-prime context: rows H_k(s) mod p^max(e, 6), shared by every check
+# at p and read mod p^e, against the exact rows over Q.
 # ---------------------------------------------------------------------------
 
 TABLE_PRIMES = [7, 11, 13, 31]
@@ -170,7 +172,7 @@ def _interleaved_schedule():
 def test_residue_table_matches_exact_interleaved():
     exact = {p: _exact_tables(p) for p in TABLE_PRIMES}
     for p, e in _interleaved_schedule():
-        homogeneous_product_sum_mod.cache_clear()  # recompute from the table
+        prime_context(p, e).product_sums.clear()  # recompute from the rows
         mhs, sums = exact[p]
         for s in SHAPES:
             assert mhs_mod(s, p, e) == reduce_mod(mhs[s], p, e), (s, p, e)
@@ -183,14 +185,15 @@ def test_residue_table_matches_exact_interleaved():
 def test_residue_row_refuses_index_divisible_by_p(e):
     p = 7
     mhs_mod((2, 1), p, e)  # the inverse-power tables now cover j < p
+    context = prime_context(p, e)
     for s, n in [((1,), p), ((2, 1), p + 3), ((3,), 2 * p)]:
         with pytest.raises(ValueError):
-            mhs_row(s, n, {}, p**e)
+            mhs_row(s, n, {}, context)
     assert mhs_mod((1,), p, e) == reduce_mod(eval_mhs(p - 1, (1,)), p, e)
 
 
 def test_threads_share_residue_table_safely():
-    """Threads switching primes and growing shared rows all read correct values."""
+    """Threads switching primes, each through its own context, all read correct values."""
     primes = [7, 11, 13, 17, 19]
     exact = {p: {s: eval_mhs(p - 1, s) for s in SHAPES} for p in primes}
     work = [(p, s, e) for p in primes for s in SHAPES for e in (1, 4, 6)]
@@ -202,7 +205,7 @@ def test_threads_share_residue_table_safely():
             p, s, e = work[(7 * i + offset) % len(work)]
             if mhs_mod(s, p, e) != reduce_mod(exact[p][s], p, e):
                 errors.append((s, p, e))
-            if homogeneous_product_sum_mod.__wrapped__((2, 1), p, 6) != sums[p]:
+            if homogeneous_product_sum_mod((2, 1), p, 6) != sums[p]:
                 errors.append(((2, 1), p, 6))
 
     old = sys.getswitchinterval()
@@ -220,35 +223,28 @@ def test_threads_share_residue_table_safely():
 
 
 def test_residue_work_happens_once_per_prime(monkeypatch):
-    """At one prime the three suites grow each row once and invert once per table."""
+    """At one prime the four suites grow each row once and make two batch inversions."""
     p = 101
-    homogeneous_product_sum_mod.cache_clear()
-    binomial_sums.binomial_power_sum.cache_clear()
-    monkeypatch.setattr(core, "_unit_powers_table", {})
-    monkeypatch.setattr(congruences, "_residue_table", {"mod": None, "rows": {}})
-    monkeypatch.setattr(binomial_sums, "_units_table", {"mod": None, "units": None})
-    inversions = {"core": [], "binomial_sums": []}
+    prime_context(97)  # a context of 101 from an earlier test is replaced
+    inversions = []
     grown = []
 
-    def counting_inverse(owner):
-        def batch(values, mod):
-            inversions[owner].append(mod)
-            return batch_inverse(values, mod)
+    def counting_inverse(values, mod):
+        inversions.append(mod)
+        return batch_inverse(values, mod)
 
-        return batch
+    def counting_inverse_powers(context, s, real=congruences.PrimeContext.inverse_powers):
+        grown.append(s)  # mhs_row asks once per prefix row it grows
+        return real(context, s)
 
-    def counting_unit_powers(exponent, n, mod, real=core._unit_powers):
-        grown.append(exponent)
-        return real(exponent, n, mod)
-
-    monkeypatch.setattr(core, "batch_inverse", counting_inverse("core"))
-    monkeypatch.setattr(binomial_sums, "batch_inverse", counting_inverse("binomial_sums"))
-    monkeypatch.setattr(core, "_unit_powers", counting_unit_powers)
+    monkeypatch.setattr(congruences, "batch_inverse", counting_inverse)
+    monkeypatch.setattr(congruences.PrimeContext, "inverse_powers", counting_inverse_powers)
     results = (
         sum_congruence_suite(p)
         + base_congruence_suite(p)
         + theorem_suite(p)
         + cai_granville_suite(p)
+        + corollary_suite(p)
     )
     assert results and all(r.passed for r in results)
 
@@ -257,6 +253,7 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     exponents = {part for s in compositions for part in s}
     # one row growth per prefix, one inverse-power table per distinct part
     assert len(grown) <= len(prefixes)
-    assert sorted(inversions["core"]) == [p**6] * len(exponents)
-    # the signed binomial units and their inverses, once, for e = 6 and e = 4
-    assert inversions["binomial_sums"] == [p**6, p**6]
+    assert sorted(prime_context(p).powers) == sorted(exponents)
+    # 1/j for the rows, the units and the central-binomial sum, then the
+    # units' inverses: once each for every e at p
+    assert inversions == [p**6, p**6]
