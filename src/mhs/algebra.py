@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from typing import Iterable, NamedTuple
 
 from .core import Composition, eval_mhs
@@ -47,8 +48,9 @@ class NPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        # Arithmetic passes Fractions already; only other input is coerced.
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
@@ -95,42 +97,39 @@ class NPolynomial:
         return hash(self.coeffs)
 
     def __neg__(self) -> "NPolynomial":
-        return NPolynomial(tuple(-c for c in self.coeffs))
+        return NPolynomial([-c for c in self.coeffs])
 
     def __add__(self, other) -> "NPolynomial":
         if isinstance(other, (int, Fraction)):
             other = NPolynomial((other,))
         if not isinstance(other, NPolynomial):
             return NotImplemented
-        length = max(len(self.coeffs), len(other.coeffs))
-        return NPolynomial(
-            tuple(self.coeff(i) + other.coeff(i) for i in range(length))
-        )
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return NPolynomial([x + y for x, y in pairs])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "NPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = NPolynomial((other,))
-        if not isinstance(other, NPolynomial):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, NPolynomial)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "NPolynomial":
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NPolynomial(tuple(c * other for c in self.coeffs))
+            return NPolynomial([c * other for c in self.coeffs])
         if isinstance(other, NPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return NPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+            a, b = self.coeffs, other.coeffs
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) <= 1:  # zero or a constant scales the other factor
+                return NPolynomial([c * a[0] for c in b] if a else [])
+            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
             return NPolynomial(out)
         return NotImplemented
 
@@ -214,6 +213,7 @@ class NPolynomial:
 N = NPolynomial.variable()
 
 
+# Unbounded but safe: a product adds only suffix pairs of its two factors.
 @cache
 def _stuffle(s: tuple, t: tuple) -> tuple[tuple[tuple, int], ...]:
     if not s:
@@ -244,6 +244,7 @@ def _factors_sort_key(t: tuple) -> tuple:
     return (sum(t), len(t), t)
 
 
+# Unbounded but safe: the entries are sub-products one expansion revisits.
 @cache
 def _linearize_factors(factors: tuple[tuple, ...]) -> tuple[tuple[tuple, int], ...]:
     """Expand a product of symbols into single symbols with multiplicities."""
@@ -261,10 +262,8 @@ def _linearize_factors(factors: tuple[tuple, ...]) -> tuple[tuple[tuple, int], .
 
 
 def _canonical_factors(factors: Iterable) -> tuple[Composition, ...]:
-    comps = [Composition(f) for f in factors]
-    comps = [c for c in comps if c]  # drop units H(()) = 1
-    comps.sort(key=Composition.sort_key)
-    return tuple(comps)
+    comps = (c for c in map(Composition, factors) if c)  # drop units H(()) = 1
+    return tuple(sorted(comps, key=Composition.sort_key))
 
 
 class MhsMonomial(NamedTuple):
@@ -275,34 +274,42 @@ class MhsMonomial(NamedTuple):
 
 
 def _term_order_key(factors: tuple[Composition, ...]) -> tuple:
-    return (
-        sum(c.weight for c in factors),
-        len(factors),
-        tuple(c.sort_key() for c in factors),
-    )
+    keys = tuple(c.sort_key() for c in factors)
+    return (sum(k[0] for k in keys), len(factors), keys)
+
+
+def _merged(pieces: Iterable) -> dict:
+    """Sum (key, coeff) pieces with canonical keys per key, dropping zero sums."""
+    acc: dict = {}
+    for key, coeff in pieces:
+        prev = acc.get(key)
+        acc[key] = coeff if prev is None else prev + coeff
+    return {k: v for k, v in acc.items() if v}
 
 
 class MhsExpression:
     """Formal rational-polynomial combination of products of MHS symbols.
 
-    Terms are merged on construction: no two terms share a factor multiset and
-    no term has a zero coefficient, so structural equality (``==``) compares
-    canonical forms.  Mathematical equality is decided by :func:`expr_equal`.
+    Input is canonicalized on construction: factors sorted, units dropped,
+    terms sharing a factor multiset merged, zero coefficients removed.  So
+    structural equality (``==``) compares canonical forms.  Ring operations
+    merge the already-canonical term dicts and never canonicalize again.
+    Mathematical equality is decided by :func:`expr_equal`.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        acc: dict[tuple[Composition, ...], NPolynomial] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for factors, coeff in items:
-            key = _canonical_factors(factors)
-            poly = NPolynomial.coerce(coeff)
-            if key in acc:
-                acc[key] = acc[key] + poly
-            else:
-                acc[key] = poly
-        self._terms = {k: v for k, v in acc.items() if v}
+        canonical = ((_canonical_factors(f), NPolynomial.coerce(c)) for f, c in items)
+        self._terms = _merged(canonical)
+
+    @classmethod
+    def _from_canonical(cls, pieces: Iterable) -> "MhsExpression":
+        """Build from (key, coeff) pieces whose keys are already canonical."""
+        expr = object.__new__(cls)
+        expr._terms = _merged(pieces)
+        return expr
 
     # -- constructors ------------------------------------------------------
 
@@ -346,9 +353,7 @@ class MhsExpression:
         return max((p.degree for p in self._terms.values()), default=0)
 
     def total_weight(self) -> int:
-        return max(
-            (sum(c.weight for c in fs) for fs in self._terms), default=0
-        )
+        return max((sum(c.weight for c in fs) for fs in self._terms), default=0)
 
     # -- ring operations ----------------------------------------------------
 
@@ -364,36 +369,35 @@ class MhsExpression:
             other = MhsExpression.constant(other)
         if not isinstance(other, MhsExpression):
             return NotImplemented
-        return MhsExpression(
-            list(self._terms.items()) + list(other._terms.items())
-        )
+        return _combine(((None, self), (None, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MhsExpression":
-        return MhsExpression([(k, -v) for k, v in self._terms.items()])
+        return _combine(((-1, self),))
 
     def __sub__(self, other) -> "MhsExpression":
         if isinstance(other, (int, Fraction, NPolynomial)):
             other = MhsExpression.constant(other)
         if not isinstance(other, MhsExpression):
             return NotImplemented
-        return self + (-other)
+        return _combine(((None, self), (-1, other)))
 
     def __rsub__(self, other) -> "MhsExpression":
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, NPolynomial)):
-            poly = NPolynomial.coerce(other)
-            return MhsExpression([(k, v * poly) for k, v in self._terms.items()])
+            return _combine(((other, self),))
         if isinstance(other, MhsExpression):
             # Formal product: factor multisets union, coefficients multiply.
-            out = []
-            for f1, c1 in self._terms.items():
-                for f2, c2 in other._terms.items():
-                    out.append((f1 + f2, c1 * c2))
-            return MhsExpression(out)
+            # Both keys are canonical, so their union needs only a sort.
+            products = (
+                (tuple(sorted(f1 + f2, key=Composition.sort_key)), c1 * c2)
+                for f1, c1 in self._terms.items()
+                for f2, c2 in other._terms.items()
+            )
+            return MhsExpression._from_canonical(products)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -418,13 +422,12 @@ class MhsExpression:
 
         Idempotent; the result is the canonical linear form.
         """
-        out = []
-        for factors, coeff in self._terms.items():
-            raw = tuple(tuple(c) for c in factors)
-            for comp, mult in _linearize_factors(raw):
-                key = (comp,) if comp else ()
-                out.append((key, coeff * mult))
-        return MhsExpression(out)
+        pieces = (
+            ((Composition(comp),) if comp else (), coeff * mult)
+            for factors, coeff in self._terms.items()
+            for comp, mult in _linearize_factors(tuple(tuple(c) for c in factors))
+        )
+        return MhsExpression._from_canonical(pieces)
 
     def eval(self, n: int) -> Fraction:
         """Exact numeric value at a concrete n."""
@@ -449,51 +452,34 @@ class MhsExpression:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "MhsExpression":
-        terms = []
-        for entry in data:
-            factors = tuple(Composition.parse(s) for s in entry["factors"])
-            terms.append((factors, NPolynomial.from_json(entry["coeff"])))
-        return cls(terms)
+        return cls(
+            (map(Composition.parse, entry["factors"]), NPolynomial.from_json(entry["coeff"]))
+            for entry in data
+        )
 
     # -- rendering ------------------------------------------------------------
 
-    def __str__(self) -> str:
-        return self.render()
+    def _joined(self, latex: bool, minus: str, plus: str) -> str:
+        if not self._terms:
+            return "0"
+        parts = [_format_term(m.coeff, m.factors, latex=latex) for m in self.terms()]
+        rest = (minus + p[1:] if p.startswith("-") else plus + p for p in parts[1:])
+        return parts[0] + "".join(rest)
 
     def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [_format_term(mono.coeff, mono.factors) for mono in self.terms()]
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return self._joined(False, " - ", " + ")
+
+    __str__ = render
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [
-            _format_term(mono.coeff, mono.factors, latex=True) for mono in self.terms()
-        ]
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += "-" + part[1:]
-            else:
-                out += "+" + part
-        return out
+        return self._joined(True, "-", "+")
 
     def __repr__(self) -> str:
         return f"MhsExpression({self.render()!r})"
 
 
 def _format_factors(factors: tuple[Composition, ...], latex: bool = False) -> str:
-    grouped: dict[Composition, int] = {}
-    for c in factors:
-        grouped[c] = grouped.get(c, 0) + 1
+    grouped = Counter(factors)
     pieces = []
     for comp in sorted(grouped, key=Composition.sort_key):
         mult = grouped[comp]
@@ -529,6 +515,19 @@ def _format_term(coeff: NPolynomial, factors: tuple[Composition, ...], latex: bo
         inner = (-coeff).latex() if latex else str(-coeff)
         return f"-({inner}){times}{body}"
     return f"({poly_str}){times}{body}"
+
+
+def _combine(pairs: Iterable[tuple[object, MhsExpression]]) -> MhsExpression:
+    """Sum of scale * expr over (scale, expr) pairs; a scale of None means 1.
+
+    The accumulator for every ``total = total + c * e`` loop: each input term
+    is merged once into one fresh dict, and no input dict is written to.
+    """
+    return MhsExpression._from_canonical(
+        (key, coeff if scale is None else coeff * scale)
+        for scale, expr in pairs
+        for key, coeff in expr._terms.items()
+    )
 
 
 def H(*parts: int) -> MhsExpression:

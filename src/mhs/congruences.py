@@ -161,16 +161,14 @@ class CongruenceClaim(ResidueClaim):
         term must have e - i <= 2; a claim that breaks this is refused.
         """
         e = self.exponent
-        mod = p**e
-        x = prime_context(p, e).invariant
-        total = 0
-        for (i, j), coeff in self.rhs_terms:
+        for (i, j), _ in self.rhs_terms:
             if j and e - i > 2:
                 raise ArithmeticError(
                     f"{self.claim_id}: p^{i}*X^{j} mod p^{e} needs X beyond mod p^2"
                 )
-            total += coeff * p**i * pow(x, j, mod)
-        return total % mod
+        mod = p**e
+        x = prime_context(p, e).invariant
+        return sum(coeff * p**i * pow(x, j, mod) for (i, j), coeff in self.rhs_terms) % mod
 
     def sides(self, p: int) -> tuple[int, int]:
         if self.kind == "mhs":

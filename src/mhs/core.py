@@ -70,7 +70,7 @@ class Composition(tuple):
 
     def sort_key(self) -> tuple:
         """Canonical ordering key: weight, then depth, then parts."""
-        return (self.weight, self.depth, tuple(self))
+        return (sum(self), len(self), tuple(self))
 
     @classmethod
     def parse(cls, text: str) -> "Composition":

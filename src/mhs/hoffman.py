@@ -16,20 +16,21 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .algebra import H, MhsExpression
+from .algebra import H, MhsExpression, _combine
 from .partitions import partitions_of
 
 __all__ = ["hoffman_reduce", "partition_coefficients"]
 
 
+# Unbounded but safe: d + 1 entries, each one the recurrence reads again.
 @cache
 def _elementary(d: int) -> MhsExpression:
     if d == 0:
         return MhsExpression.constant(1)
-    total = MhsExpression.zero()
-    for m in range(1, d + 1):
-        total = total + Fraction((-1) ** (m - 1)) * H(m) * _elementary(d - m)
-    return total / d
+    return _combine(
+        (None, Fraction((-1) ** (m - 1), d) * H(m) * _elementary(d - m))
+        for m in range(1, d + 1)
+    )
 
 
 def hoffman_reduce(d: int) -> MhsExpression:

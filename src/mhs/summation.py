@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .algebra import H, MhsExpression, N, NPolynomial
+from .algebra import H, MhsExpression, N, NPolynomial, _combine
 from .core import Composition, mhs_prefix_values
 
 __all__ = [
@@ -36,34 +36,32 @@ def sum_single(s: Composition) -> MhsExpression:
 
     Every symbol in the output has weight at most |s|.  The trailing-exponent
     rule leaves a correction sum_{j<=n} H_{j-1}(s') / j^{sd-1}: for sd > 1 that
-    is H_n(s', sd - 1); for sd = 1 it is sum_{k=0}^{n-1} H_k(s'), handled
-    recursively (the k = 0 term matters only when s' is empty).  That
-    recursion runs once per trailing 1, so the shorter prefixes are filled
-    into the cache first, in ascending order, and no call goes deeper than
-    one level.
+    is H_n(s', sd - 1); for sd = 1 it is sum_{k=0}^{n-1} H_k(s'), which is the
+    sum for s' less H_n(s') (plus 1 when s' is empty).  So each trailing 1
+    gives S(t, 1) = (n+1) H_n(t, 1) + H_n(t) - S(t), the H_n(t) - 1 = 0 of an
+    empty t dropped, and the chain is unrolled into one alternating sum.
     """
-    s = Composition(s)
-    start = len(s)
-    while start > 0 and s[start - 1] == 1:
-        start -= 1
-    for cut in range(start, len(s)):
-        _sum_single(Composition(s[:cut]))
-    return _sum_single(s)
+    return _sum_single(Composition(s))
 
 
+# Unbounded but small: one entry per composition summed, of O(depth) terms.
 @cache
 def _sum_single(s: Composition) -> MhsExpression:
-    if not s:
-        return MhsExpression.constant(N)  # sum of 1 over k = 1..n
-    head = Composition(s[:-1])
-    last = s[-1]
-    leading = (N + 1) * MhsExpression.symbol(s)
-    if last > 1:
-        return leading - MhsExpression.symbol(Composition(tuple(head) + (last - 1,)))
-    correction = _sum_single(head) - MhsExpression.symbol(head)
-    if head.depth == 0:
-        correction = correction + 1  # H_0 of the empty composition is 1
-    return leading - correction
+    base = len(s)
+    while base and s[base - 1] == 1:
+        base -= 1
+    sign = (-1) ** (len(s) - base)
+    if base:  # s[:base] ends in an exponent > 1: no correction sum
+        head = s[:base]
+        pairs = [(sign * (N + 1), H(*head)), (-sign, H(*head[:-1], head[-1] - 1))]
+    else:
+        pairs = [(sign, MhsExpression.constant(N))]  # sum of 1 over k = 1..n
+    for cut in range(base + 1, len(s) + 1):
+        sign = -sign
+        pairs.append((sign * (N + 1), H(*s[:cut])))
+        if cut > 1:
+            pairs.append((sign, H(*s[: cut - 1])))
+    return _combine(pairs)
 
 
 def sum_product(factors: Iterable) -> MhsExpression:
@@ -78,11 +76,10 @@ def sum_product(factors: Iterable) -> MhsExpression:
     if not comps:
         return MhsExpression.constant(N)
     linear = MhsExpression.monomial(1, comps).linearize()
-    total = MhsExpression.zero()
-    for mono in linear.terms():
-        comp = mono.factors[0] if mono.factors else Composition()
-        total = total + mono.coeff * sum_single(comp)
-    return total
+    return _combine(
+        (mono.coeff, sum_single(mono.factors[0] if mono.factors else Composition()))
+        for mono in linear.terms()
+    )
 
 
 def partial_sum_oracle(factors: Iterable, closed: MhsExpression, nmax: int) -> bool:
@@ -205,9 +202,7 @@ def rebase(
         NPolynomial(tuple(solution[i * (max_degree + 1) + t] for t in range(max_degree + 1)))
         for i in range(len(basis))
     ]
-    combination = MhsExpression.zero()
-    for poly, b in zip(coeffs, basis):
-        combination = combination + poly * b
+    combination = _combine(zip(coeffs, basis))
     if not consistent:
         residual = (e - combination).linearize()
         raise RebaseError(

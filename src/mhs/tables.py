@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .algebra import H, MhsExpression, N, NPolynomial, _format_factors
+from .algebra import H, MhsExpression, N, NPolynomial, _combine, _format_factors
 from .core import Composition
 from .summation import partial_sum_oracle, rebase, sum_product
 
@@ -46,10 +46,9 @@ class TableRow:
 
 
 def _alternating_exp_row(kmax: int) -> MhsExpression:
-    expr = MhsExpression.zero()
-    for k in range(1, kmax + 1):
-        expr = expr + Fraction((-1) ** (k - 1), factorial(k)) * H(1) ** k
-    return expr
+    return _combine(
+        (Fraction((-1) ** (k - 1), factorial(k)), H(1) ** k) for k in range(1, kmax + 1)
+    )
 
 
 def row_basis(weight: int) -> list[TableRow]:
@@ -300,9 +299,7 @@ def derive_table(weight: int) -> DerivedTable:
             cells[i][j] = cell
             printed = reference[i][j]
             if cell != NPolynomial((printed[0], printed[1])):
-                closed = (N + 1) * product
-                for q, b in zip(column_cells, basis):
-                    closed = closed + q * b
+                closed = _combine([(N + 1, product), *zip(column_cells, basis)])
                 table.errata.append(
                     Erratum(
                         weight=weight,

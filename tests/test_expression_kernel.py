@@ -1,0 +1,150 @@
+"""The canonical-once expression kernel.
+
+Ring operations merge already-canonical term dicts instead of rebuilding each
+expression through the canonicalizing constructor.  These tests pin the fast
+path to the constructor, check that no accumulator writes into a cached
+expression, and bound the canonicalization work of a cold ``sum_product``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mhs import algebra, hoffman, summation
+from mhs.algebra import H, MhsExpression, N, NPolynomial
+from mhs.core import Composition
+from mhs.hoffman import hoffman_reduce
+from mhs.summation import partial_sum_oracle, sum_product, sum_single
+from mhs.tables import derive_table
+
+# Small pools, so that raw input repeats factors and keys and carries units.
+parts = st.lists(st.integers(1, 2), max_size=2)
+factor_lists = st.lists(parts, max_size=3)
+fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+polynomials = st.lists(fractions, max_size=3).map(NPolynomial)
+raw_terms = st.lists(st.tuples(factor_lists, polynomials), max_size=6)
+scalars = st.one_of(st.integers(-3, 3), fractions, polynomials)
+
+
+def canonical(items) -> dict:
+    """Terms of the canonicalizing constructor on raw (factors, coeff) items."""
+    return MhsExpression(items)._terms
+
+
+def assert_canonical(e: MhsExpression) -> None:
+    for key, coeff in e._terms.items():
+        assert all(type(c) is Composition and c for c in key)
+        assert list(key) == sorted(key, key=Composition.sort_key)
+        assert coeff and all(type(x) is Fraction for x in coeff.coeffs)
+        assert coeff.coeffs[-1] != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_terms, raw_terms, scalars)
+def test_ring_operations_match_the_constructor(ta, tb, c):
+    a, b = MhsExpression(ta), MhsExpression(tb)
+    negated_b = [(f, -p) for f, p in tb]
+    assert (a + b)._terms == canonical(ta + tb)
+    assert (a - b)._terms == canonical(ta + negated_b)
+    assert (-a)._terms == canonical([(f, -p) for f, p in ta])
+    assert (c * a)._terms == canonical([(f, p * c) for f, p in ta])
+    assert (a * b)._terms == canonical([(fa + fb, pa * pb) for fa, pa in ta for fb, pb in tb])
+    for e in (a, a + b, a - b, -a, c * a, a * b, a.linearize()):
+        assert_canonical(e)
+
+
+@settings(max_examples=50, deadline=None)
+@given(raw_terms, scalars)
+def test_cancellation_leaves_no_zero_terms(ta, c):
+    a = MhsExpression(ta)
+    assert (a - a)._terms == {}
+    assert (a + (-a))._terms == {}
+    assert (0 * a)._terms == {}
+    assert (c * a - a * c)._terms == {}
+
+
+@settings(max_examples=50, deadline=None)
+@given(raw_terms)
+def test_constructor_canonicalizes_unsorted_input(ta):
+    shuffled = [(list(reversed(f)) + [()], p) for f, p in ta]
+    assert canonical(shuffled) == canonical(ta)
+    assert_canonical(MhsExpression(shuffled))
+
+
+def test_constructor_example():
+    raw = [([(1, 2), (), (3,)], 1), ([(3,), (1, 2)], 2), ([(), ()], Fraction(1, 2))]
+    expr = MhsExpression(raw)
+    assert expr._terms == {
+        (Composition((3,)), Composition((1, 2))): NPolynomial((3,)),
+        (): NPolynomial((Fraction(1, 2),)),
+    }
+    assert (H() + H(3) * H(1, 2) - H(1, 2) * H(3) - 1)._terms == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials, st.integers(-3, 3))
+def test_npolynomial_operations_stay_canonical(p, q, x):
+    for r in (p + q, p - q, -p, p * q, p * x):
+        assert all(type(c) is Fraction for c in r.coeffs)
+        assert not r.coeffs or r.coeffs[-1] != 0
+    assert (p * q).eval(x) == p.eval(x) * q.eval(x)
+    assert (p + q).eval(x) == p.eval(x) + q.eval(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=6).map(Composition))
+def test_sum_single_unrolls_the_trailing_one_recursion(s):
+    # S(s, 1) = (n+1) H(s, 1) + H(s) - S(s), less 1 for the empty s.
+    t = Composition(tuple(s) + (1,))
+    expected = (N + 1) * H(*t) + H(*s) - sum_single(s) - (0 if s else 1)
+    assert sum_single(t) == expected
+    assert partial_sum_oracle([t], sum_single(t), 8)
+
+
+def test_accumulators_leave_cached_expressions_alone():
+    product = [Composition.parse(x) for x in "2,1;1,2;1;1".split(";")]
+    ordered = sorted(product, key=Composition.sort_key)
+    linear = MhsExpression.monomial(1, ordered).linearize()
+    comps = [m.factors[0] if m.factors else Composition() for m in linear.terms()]
+    singles = {c: summation._sum_single(c) for c in comps}
+    elementary = {d: hoffman._elementary(d) for d in range(7)}
+    single_terms = {c: dict(e._terms) for c, e in singles.items()}
+    elementary_terms = {d: dict(e._terms) for d, e in elementary.items()}
+
+    first = sum_product(product)
+    first_terms = dict(first._terms)
+    hoffman_reduce(6)
+    derive_table(4)
+    second = sum_product(product)
+
+    assert second == first
+    assert first._terms == first_terms
+    for c, e in singles.items():
+        assert summation._sum_single(c) is e
+        assert e._terms == single_terms[c]
+    for d, e in elementary.items():
+        assert hoffman._elementary(d) is e
+        assert e._terms == elementary_terms[d]
+
+
+def test_cold_sum_product_canonicalizes_linearly(monkeypatch):
+    # A five-factor product with 675 linearized terms.
+    product = [Composition.parse(x) for x in "2,1;1,2;1;1;3".split(";")]
+    calls = 0
+    real = algebra._canonical_factors
+
+    def counting(factors):
+        nonlocal calls
+        calls += 1
+        return real(factors)
+
+    for cached in (algebra._stuffle, algebra._linearize_factors, summation._sum_single):
+        cached.cache_clear()
+    monkeypatch.setattr(algebra, "_canonical_factors", counting)
+    closed = sum_product(product)
+    terms = len(MhsExpression.monomial(1, product).linearize().terms())
+    assert terms == 675
+    # Rebuilding on every + made about 800 calls per term; merging makes ~3.
+    assert calls <= 5 * terms, calls
+    assert partial_sum_oracle(product, closed, 6)
