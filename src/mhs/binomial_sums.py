@@ -287,7 +287,3 @@ def cai_granville_suite(p: int) -> list[CheckResult]:
 
 def corollary_suite(p: int) -> list[CheckResult]:
     return [claim.check(p) for claim in COROLLARY_CLAIMS]
-
-
-def staver_suite(nmax: int) -> list[CheckResult]:
-    return [StaverClaim(n).check() for n in range(1, nmax + 1)]

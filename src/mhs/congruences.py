@@ -337,12 +337,7 @@ def _poly_at_p_minus_1(poly: NPolynomial) -> PadicForm:
 
 def _symbol_congruences() -> dict[Composition, PadicForm]:
     table = {
-        Composition((1,)): PadicForm({(2, 1): 2}, err=4),
-        Composition((2,)): PadicForm({(1, 1): -4}, err=3),
-        Composition((3,)): PadicForm({}, err=2),
-        Composition((1, 1)): PadicForm({(1, 1): 2}, err=3),
-        Composition((1, 1, 1)): PadicForm({}, err=2),
-        Composition((1, 2)): PadicForm({(0, 1): -6}, err=2),
+        Composition(c.target): PadicForm(dict(c.rhs_terms), err=c.exponent) for c in BASE_CLAIMS
     }
     # H(2,1) follows from the stuffle relation H(1)H(2) = H(1,2)+H(2,1)+H(3).
     table[Composition((2, 1))] = (

@@ -106,11 +106,9 @@ def composition_parse(text: str) -> Composition:
     return Composition.parse(text)
 
 
-# Exact rows [H_0(s), H_1(s), ...] keyed by composition.  The bound is on the
-# number of compositions, not on n: a row only ever grows.
-_ROW_LIMIT = 1024
-_exact_rows: dict[tuple, list] = {}
-_exact_lock = threading.Lock()  # growth appends in place: one writer at a time
+# Exact rows [H_0(s), H_1(s), ...] by composition, one unlocked table per thread:
+# a row only grows, holds only the entries asked for, and lives as long as its thread.
+_local = threading.local()
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
@@ -122,8 +120,7 @@ def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
     recursion.  A residue row reads the factors j^(-s_d), j < context.p,
     from ``context.inverse_powers(s_d)`` (a congruences.PrimeContext), so
     it costs multiplications only; n >= context.p raises ValueError.  The
-    returned list is the stored row, not a copy.  The call moves s to the
-    end of ``rows`` and drops the first row past _ROW_LIMIT.
+    returned list is the stored row, not a copy.
     """
     if context is not None and n >= context.p:
         raise ValueError(f"H_{n} needs 1/{context.p}, not a unit mod {context.mod}")
@@ -137,8 +134,6 @@ def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
             row = rows.get(key)
             if row is None:
                 row = rows[key] = [zero if d else one]
-                if len(rows) > _ROW_LIMIT:
-                    del rows[next(iter(rows))]
             if d == 0:
                 row.extend([one] * (top + 1 - len(row)))
             elif context is None:
@@ -150,16 +145,16 @@ def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
                 for j in range(len(row), top + 1):
                     row.append((row[j - 1] + prefix[j - 1] * units[j]) % mod)
             prefix = row
-    rows[s] = rows.pop(s, row)  # now the most recently used
     return row
 
 
 def _exact_row(n: int, s: Iterable[int]) -> list:
     if n < 0:
         raise ValueError("n must be >= 0")
-    comp = tuple(Composition(s))
-    with _exact_lock:
-        return mhs_row(comp, n, _exact_rows)
+    rows = getattr(_local, "rows", None)
+    if rows is None:
+        rows = _local.rows = {}
+    return mhs_row(tuple(Composition(s)), n, rows)
 
 
 def eval_mhs(n: int, s: Iterable[int] = ()) -> Fraction:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhs import core
+from mhs.algebra import MhsExpression
 from mhs.core import (
     Composition,
     CompositionError,
@@ -129,11 +130,28 @@ def test_prefix_values_returns_a_copy():
     assert eval_mhs(11, (1, 2)) == eval_mhs_direct(11, (1, 2))
 
 
-def test_exact_row_table_is_bounded():
-    for d in range(1, 1200):
-        eval_mhs(2, (d,))
-    assert len(core._exact_rows) <= core._ROW_LIMIT
-    assert eval_mhs(3, (1,)) == Fraction(11, 6)
+def test_exact_rows_only_grow(monkeypatch):
+    """Sweeping n over many symbols appends each entry of each row once."""
+    appended = 0
+    real = core.mhs_row
+
+    def counting(s, n, rows, context=None):
+        nonlocal appended
+        before = len(rows.get(s, ()))
+        row = real(s, n, rows, context)
+        appended += len(row) - before
+        return row
+
+    monkeypatch.setattr(core, "mhs_row", counting)
+    symbols = 1100
+    expr = MhsExpression([(((d,),), 1) for d in range(1, symbols + 1)])
+    assert [expr.eval(n) for n in range(1, 3)] == [
+        symbols,
+        sum(1 + Fraction(1, 2**d) for d in range(1, symbols + 1)),
+    ]
+    for n in range(3, 7):
+        expr.eval(n)
+    assert appended <= symbols * 7  # rows H_0..H_6, each entry grown once
 
 
 def test_threads_share_exact_rows_safely():

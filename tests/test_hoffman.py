@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -41,6 +42,19 @@ def test_partition_coefficients_examples():
     assert partition_coefficients(2) == {(2,): -1, (1, 1): 1}
     assert partition_coefficients(1) == {(1,): 1}
     assert partition_coefficients(4)[(3, 1)] == 8
+
+
+def test_partition_coefficients_follow_newtons_recurrence():
+    # e_d = (1/d) sum_m (-1)^(m-1) p_m e_{d-m}, over {partition: Fraction}.
+    elementary = [{(): Fraction(1)}]
+    for d in range(1, 17):
+        e_d = {}
+        for m in range(1, d + 1):
+            for lam, c in elementary[d - m].items():
+                key = tuple(sorted(lam + (m,), reverse=True))
+                e_d[key] = e_d.get(key, 0) + Fraction((-1) ** (m - 1), d) * c
+        elementary.append(e_d)
+        assert {lam: c * factorial(d) for lam, c in e_d.items()} == partition_coefficients(d)
 
 
 def test_partition_coefficients_keys_complete():
