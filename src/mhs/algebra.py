@@ -7,9 +7,10 @@ integer combination of single symbols of added weight:
 
     H(s) * H(t) = sum of H(r) over the quasi-shuffle expansion of s and t
 
-computed by the first-entry recursion with three branches (take s1, take t1,
-or merge the two heads into s1 + t1).  `linearize` applies
-this until every monomial carries at most one symbol; that linear form is the
+computed by the first-entry rule with three branches (take s1, take t1, or
+merge the two heads into s1 + t1), bottom-up over suffix pairs, with no
+recursion and no memo.  `linearize` folds this over the factors of each
+monomial until it carries at most one symbol; that linear form is the
 canonical representative used to decide equality.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from itertools import zip_longest
 from typing import Iterable, NamedTuple
 
@@ -213,21 +213,26 @@ class NPolynomial:
 N = NPolynomial.variable()
 
 
-# Unbounded but safe: a product adds only suffix pairs of its two factors.
-@cache
-def _stuffle(s: tuple, t: tuple) -> tuple[tuple[tuple, int], ...]:
-    if not s:
-        return ((t, 1),)
-    if not t:
-        return ((s, 1),)
-    acc: Counter = Counter()
-    for r, m in _stuffle(s[1:], t):
-        acc[(s[0],) + r] += m
-    for r, m in _stuffle(s, t[1:]):
-        acc[(t[0],) + r] += m
-    for r, m in _stuffle(s[1:], t[1:]):
-        acc[(s[0] + t[0],) + r] += m
-    return tuple(sorted(acc.items()))
+def _stuffle(s: tuple, t: tuple) -> dict[tuple, int]:
+    """The quasi-shuffle of s and t as {composition: multiplicity}, bottom-up.
+
+    row[j] holds the expansion of s[i:] * t[j:]; each row i is built from row
+    i + 1 by the first-entry rule, and only those two rows are kept.
+    """
+    below = [{t[j:]: 1} for j in range(len(t) + 1)]  # s[len(s):] is the unit
+    for i in range(len(s) - 1, -1, -1):
+        a = s[i]
+        row = [None] * len(t) + [{s[i:]: 1}]
+        for j in range(len(t) - 1, -1, -1):
+            b = t[j]
+            acc = {(a,) + r: m for r, m in below[j].items()}
+            for head, branch in ((b, row[j + 1]), (a + b, below[j + 1])):
+                for r, m in branch.items():
+                    key = (head,) + r
+                    acc[key] = acc.get(key, 0) + m
+            row[j] = acc
+        below = row
+    return below[0]
 
 
 def stuffle(s: Iterable[int], t: Iterable[int]) -> Counter:
@@ -236,29 +241,23 @@ def stuffle(s: Iterable[int], t: Iterable[int]) -> Counter:
     Every output composition has weight |s| + |t|, and the multiplicities sum
     to the Delannoy number D(depth s, depth t).
     """
-    pairs = _stuffle(tuple(Composition(s)), tuple(Composition(t)))
-    return Counter({Composition(r): m for r, m in pairs})
+    expansion = _stuffle(Composition(s), Composition(t))
+    return Counter({Composition(r): m for r, m in expansion.items()})
 
 
-def _factors_sort_key(t: tuple) -> tuple:
-    return (sum(t), len(t), t)
+def _linearize_factors(factors: tuple) -> dict[tuple, int]:
+    """Expand a product of symbols into single symbols with multiplicities.
 
-
-# Unbounded but safe: the entries are sub-products one expansion revisits.
-@cache
-def _linearize_factors(factors: tuple[tuple, ...]) -> tuple[tuple[tuple, int], ...]:
-    """Expand a product of symbols into single symbols with multiplicities."""
-    if not factors:
-        return (((), 1),)
-    if len(factors) == 1:
-        return ((factors[0], 1),)
-    first, second, rest = factors[0], factors[1], factors[2:]
-    acc: dict[tuple, int] = {}
-    for comp, mult in _stuffle(first, second):
-        remaining = tuple(sorted((comp,) + rest, key=_factors_sort_key))
-        for comp2, mult2 in _linearize_factors(remaining):
-            acc[comp2] = acc.get(comp2, 0) + mult * mult2
-    return tuple(sorted(acc.items()))
+    A left fold: each accumulated composition is stuffled with the next factor.
+    """
+    acc: dict[tuple, int] = {(): 1}
+    for factor in factors:
+        step: dict[tuple, int] = {}
+        for comp, mult in acc.items():
+            for r, m in _stuffle(comp, factor).items():
+                step[r] = step.get(r, 0) + mult * m
+        acc = step
+    return acc
 
 
 def _canonical_factors(factors: Iterable) -> tuple[Composition, ...]:
@@ -425,7 +424,7 @@ class MhsExpression:
         pieces = (
             ((Composition(comp),) if comp else (), coeff * mult)
             for factors, coeff in self._terms.items()
-            for comp, mult in _linearize_factors(tuple(tuple(c) for c in factors))
+            for comp, mult in _linearize_factors(factors).items()
         )
         return MhsExpression._from_canonical(pieces)
 

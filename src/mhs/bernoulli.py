@@ -22,8 +22,8 @@ from .residues import NonPIntegralError, require_admissible
 
 __all__ = ["bernoulli", "bernoulli_invariant", "bernoulli_invariant_mod"]
 
-_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_lock = threading.Lock()
+# [B_0, B_1, ...] in one unlocked table per thread, grown geometrically.
+_local = threading.local()
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -42,22 +42,21 @@ def bernoulli(m: int) -> Fraction:
     """The m-th Bernoulli number, exact and cached."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m >= len(_cache):
-        with _lock:
-            start = len(_cache)
-            if m >= start:
-                top = max(m, 2 * start)  # ascending calls then cost O(the last one)
-                t = _tangent_numbers(top // 2)
-                fresh = []
-                for k in range(start, top + 1):
-                    if k % 2:
-                        fresh.append(Fraction(0))
-                        continue
-                    n = k // 2
-                    sign = 1 if n % 2 else -1
-                    fresh.append(Fraction(sign * k * t[n], 4**n * (4**n - 1)))
-                _cache.extend(fresh)
-    return _cache[m]
+    table = getattr(_local, "table", None)
+    if table is None:
+        table = _local.table = [Fraction(1), Fraction(-1, 2)]
+    start = len(table)
+    if m >= start:
+        top = max(m, 2 * start)  # ascending calls then cost O(the last one)
+        t = _tangent_numbers(top // 2)
+        for k in range(start, top + 1):
+            if k % 2:
+                table.append(Fraction(0))
+                continue
+            n = k // 2
+            sign = 1 if n % 2 else -1
+            table.append(Fraction(sign * k * t[n], 4**n * (4**n - 1)))
+    return table[m]
 
 
 def bernoulli_invariant(p: int) -> Fraction:

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from math import factorial
 
 from . import registry
 from .algebra import MhsExpression, N, stuffle
@@ -15,6 +16,9 @@ from .core import Composition, CompositionError
 from .hoffman import hoffman_reduce
 from .summation import RebaseError, partial_sum_oracle, rebase, sum_product
 from .tables import derive_table, row_basis
+
+# Built-in bases for --basis: the table row basis of each weight.
+_TABLE_BASES = {"w4": 4, "weight4": 4, "w5": 5, "weight5": 5}
 
 
 def _render_multiset(counter) -> str:
@@ -55,10 +59,8 @@ def _parse_product(text: str) -> tuple[Composition, ...]:
 
 
 def _load_basis(source: str) -> list[MhsExpression]:
-    if source in ("w4", "weight4"):
-        return [row.basis for row in row_basis(4)]
-    if source in ("w5", "weight5"):
-        return [row.basis for row in row_basis(5)]
+    if source in _TABLE_BASES:
+        return [row.basis for row in row_basis(_TABLE_BASES[source])]
     with open(source, encoding="utf-8") as handle:
         data = json.load(handle)
     if isinstance(data, list):
@@ -79,7 +81,7 @@ def _cmd_derive(args) -> int:
     if args.basis is not None:
         basis = _load_basis(args.basis)
         target = closed
-        if args.basis in ("w4", "weight4", "w5", "weight5"):
+        if args.basis in _TABLE_BASES:
             # The table bases span sum f_k - (n+1) f_n, so rebase that form.
             target = closed - (N + 1) * MhsExpression.monomial(1, factors)
         try:
@@ -129,18 +131,13 @@ def _cmd_tables(args) -> int:
 def _cmd_reduce(args) -> int:
     expr = hoffman_reduce(args.d)
     lhs = MhsExpression.monomial(1, (Composition((1,) * args.d),))
-    from math import factorial
-
+    scale = factorial(args.d)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"d": args.d, "lhs": (factorial(args.d) * lhs).to_json(), "rhs": expr.to_json()}
-            )
-        )
+        print(json.dumps({"d": args.d, "lhs": (scale * lhs).to_json(), "rhs": expr.to_json()}))
     elif args.format == "latex":
-        print(f"{factorial(args.d)}{lhs.latex()}={expr.latex()}")
+        print(f"{scale}{lhs.latex()}={expr.latex()}")
     else:
-        print(f"{factorial(args.d)}*{lhs} = {expr}")
+        print(f"{scale}*{lhs} = {expr}")
     return 0
 
 

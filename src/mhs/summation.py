@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Sequence
 
 from .algebra import H, MhsExpression, N, NPolynomial, _combine
@@ -41,12 +40,7 @@ def sum_single(s: Composition) -> MhsExpression:
     gives S(t, 1) = (n+1) H_n(t, 1) + H_n(t) - S(t), the H_n(t) - 1 = 0 of an
     empty t dropped, and the chain is unrolled into one alternating sum.
     """
-    return _sum_single(Composition(s))
-
-
-# Unbounded but small: one entry per composition summed, of O(depth) terms.
-@cache
-def _sum_single(s: Composition) -> MhsExpression:
+    s = Composition(s)
     base = len(s)
     while base and s[base - 1] == 1:
         base -= 1

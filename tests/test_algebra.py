@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +84,34 @@ def test_stuffle_eval_consistency(s, t, n):
     expansion = stuffle(s, t)
     expanded = sum(m * eval_mhs(n, r) for r, m in expansion.items())
     assert eval_mhs(n, s) * eval_mhs(n, t) == expanded
+
+
+@given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=2), min_size=3, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_linearize_folds_three_or_more_factors_exactly(factors):
+    linear = linearize(prod(H(*f) for f in factors))
+    assert all(len(mono.factors) <= 1 for mono in linear.terms())
+    for n in range(9):
+        assert linear.eval(n) == prod(eval_mhs(n, f) for f in factors), n
+
+
+def test_stuffle_and_linearize_need_no_recursion():
+    # Both once recursed per part; under a recursion limit far below the
+    # depth of a factor, they must still answer.
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "from mhs.algebra import H\n"
+        "from mhs.cli import main\n"
+        "assert main(['stuffle', '1^120', '2']) == 0\n"
+        "assert len((H(*(1,) * 120) * H(2)).linearize().terms()) == 241\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.count("(") == 241  # Delannoy D(120, 1) = 241 distinct terms
 
 
 def test_expr_mul_is_formal():

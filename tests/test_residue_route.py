@@ -7,6 +7,8 @@ per-prime context's H_k(s) rows are checked against the exact rows.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -66,12 +68,42 @@ def test_bernoulli_grows_its_table_geometrically(monkeypatch):
         sizes.append(n)
         return real(n)
 
-    monkeypatch.setattr(module, "_cache", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(module._local, "table", [Fraction(1), Fraction(-1, 2)])
     monkeypatch.setattr(module, "_tangent_numbers", recording)
     for m in range(2, 801, 2):
         assert bernoulli(m) == expected[m], m
     # one table per call would cost sum_{n<=400} n^2, about 133 * 400^2
     assert sum(n * n for n in sizes) <= 8 * 400**2, sizes
+
+
+def test_bernoulli_threads_match_one_thread():
+    """Four threads asking for interleaved ascending B_m read one thread's values."""
+    # A fresh process, so that no table is filled before the threads start.
+    script = (
+        "import sys, threading\n"
+        "from mhs.bernoulli import bernoulli\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "seen = [None] * 4\n"
+        "def worker(i):\n"
+        "    seen[i] = [(m, bernoulli(m)) for m in range(i, 600, 4)]\n"
+        "threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+        "for values in seen:\n"
+        "    for m, b in values:\n"
+        "        print(m, b)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    values = dict(line.split() for line in done.stdout.splitlines())
+    assert len(values) == 600
+    for m, b in values.items():
+        assert Fraction(b) == bernoulli(int(m)), m
 
 
 def test_invariant_mod_matches_exact():
