@@ -172,7 +172,7 @@ class NPolynomial:
     def from_json(cls, data: Iterable[str]) -> "NPolynomial":
         return cls(tuple(Fraction(s) for s in data))
 
-    def _format(self, times: str, power: str, frac=str) -> str:
+    def _format(self, times: str, frac=str) -> str:
         if not self.coeffs:
             return "0"
         pieces: list[tuple[str, str]] = []
@@ -185,7 +185,7 @@ class NPolynomial:
             if i == 0:
                 body = frac(mag)
             else:
-                var = "n" if i == 1 else f"n{power}{i}"
+                var = "n" if i == 1 else f"n^{i}"
                 body = var if mag == 1 else f"{frac(mag)}{times}{var}"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
@@ -195,7 +195,7 @@ class NPolynomial:
         return out
 
     def __str__(self) -> str:
-        return self._format(times="*", power="^")
+        return self._format(times="*")
 
     def latex(self) -> str:
         def frac(x: Fraction) -> str:
@@ -203,7 +203,7 @@ class NPolynomial:
                 return str(x.numerator)
             return rf"\frac{{{x.numerator}}}{{{x.denominator}}}"
 
-        return self._format(times="", power="^", frac=frac).replace(" ", "")
+        return self._format(times="", frac=frac).replace(" ", "")
 
     def __repr__(self) -> str:
         return f"NPolynomial({self.coeffs!r})"
@@ -497,23 +497,20 @@ def _format_factors(factors: tuple[Composition, ...], latex: bool = False) -> st
 
 
 def _format_term(coeff: NPolynomial, factors: tuple[Composition, ...], latex: bool = False) -> str:
-    poly_str = coeff.latex() if latex else str(coeff)
+    fmt = NPolynomial.latex if latex else str
     if not factors:
-        return poly_str
+        return fmt(coeff)
     body = _format_factors(factors, latex=latex)
     times = "" if latex else "*"
-    nonzero = [c for c in coeff.coeffs if c != 0]
-    if len(nonzero) == 1:
-        if coeff == NPolynomial.one():
-            return body
-        if coeff == -NPolynomial.one():
-            return "-" + body
-        return f"{poly_str}{times}{body}"
-    lead = coeff.coeffs[-1]
-    if lead < 0:
-        inner = (-coeff).latex() if latex else str(-coeff)
-        return f"-({inner}){times}{body}"
-    return f"({poly_str}){times}{body}"
+    if coeff.coeffs == (1,):
+        return body
+    if coeff.coeffs == (-1,):
+        return "-" + body
+    if sum(1 for c in coeff.coeffs if c) == 1:
+        return f"{fmt(coeff)}{times}{body}"
+    if coeff.coeffs[-1] < 0:
+        return f"-({fmt(-coeff)}){times}{body}"
+    return f"({fmt(coeff)}){times}{body}"
 
 
 def _combine(pairs: Iterable[tuple[object, MhsExpression]]) -> MhsExpression:

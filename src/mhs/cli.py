@@ -76,7 +76,6 @@ def _cmd_derive(args) -> int:
         raise ValueError("--check must be >= 1")
     factors = _parse_product(args.product)
     closed = sum_product(factors)
-    payload: dict = {"product": [str(c) for c in factors], "closed_form": closed.to_json()}
 
     if args.basis is not None:
         basis = _load_basis(args.basis)
@@ -89,14 +88,17 @@ def _cmd_derive(args) -> int:
         except RebaseError as exc:
             print(f"rebase failed: residual {exc.residual}", file=sys.stderr)
             return 1
-        payload["basis_coefficients"] = [poly.to_json() for poly in coeffs]
 
     verified = None
     if args.check is not None:
         verified = partial_sum_oracle(factors, closed, args.check)
-        payload["verified"] = verified
 
     if args.format == "json":
+        payload: dict = {"product": [str(c) for c in factors], "closed_form": closed.to_json()}
+        if args.basis is not None:
+            payload["basis_coefficients"] = [poly.to_json() for poly in coeffs]
+        if verified is not None:
+            payload["verified"] = verified
         print(json.dumps(payload))
     elif args.format == "latex":
         print(closed.latex())

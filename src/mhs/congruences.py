@@ -362,13 +362,9 @@ def cross_derivation_check(lam: tuple[int, ...]) -> bool:
         raise ValueError("cross-derivation table only covers weight <= 3")
     symbols = _symbol_congruences()
     blocks = [Composition((1,) * part) for part in lam]
-    linear = sum_product(blocks).linearize()
     total = PadicForm({})
-    for mono in linear.terms():
-        coeff = _poly_at_p_minus_1(mono.coeff)
-        if mono.factors:
-            total = total + coeff * symbols[mono.factors[0]]
-        else:
-            total = total + coeff
+    for key, poly in sum_product(blocks)._terms.items():  # already linear
+        coeff = _poly_at_p_minus_1(poly)
+        total = total + (coeff * symbols[key[0]] if key else coeff)
     rhs = PadicForm({key: coeff for key, coeff in claim.rhs_terms})
     return total.congruent_to(rhs, claim.exponent)

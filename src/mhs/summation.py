@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import H, MhsExpression, N, NPolynomial, _combine
+from .algebra import _canonical_factors, _linearize_factors
 from .core import Composition, mhs_prefix_values
 
 __all__ = [
@@ -29,9 +30,12 @@ __all__ = [
     "sum_single",
 ]
 
+_ONE = NPolynomial.one()
+_N_PLUS_1 = N + 1
 
-def sum_single(s: Composition) -> MhsExpression:
-    """Closed form of sum_{k=1}^n H_k(s), in harmonic sums at n.
+
+def _telescoped(s: Composition) -> Iterator[tuple[tuple, NPolynomial]]:
+    """Canonical (key, coeff) pieces of sum_{k=1}^n H_k(s), in harmonic sums at n.
 
     Every symbol in the output has weight at most |s|.  The trailing-exponent
     rule leaves a correction sum_{j<=n} H_{j-1}(s') / j^{sd-1}: for sd > 1 that
@@ -40,39 +44,40 @@ def sum_single(s: Composition) -> MhsExpression:
     gives S(t, 1) = (n+1) H_n(t, 1) + H_n(t) - S(t), the H_n(t) - 1 = 0 of an
     empty t dropped, and the chain is unrolled into one alternating sum.
     """
-    s = Composition(s)
     base = len(s)
     while base and s[base - 1] == 1:
         base -= 1
     sign = (-1) ** (len(s) - base)
     if base:  # s[:base] ends in an exponent > 1: no correction sum
-        head = s[:base]
-        pairs = [(sign * (N + 1), H(*head)), (-sign, H(*head[:-1], head[-1] - 1))]
+        yield (Composition(s[:base]),), sign * _N_PLUS_1
+        yield (Composition(s[: base - 1] + (s[base - 1] - 1,)),), -sign * _ONE
     else:
-        pairs = [(sign, MhsExpression.constant(N))]  # sum of 1 over k = 1..n
+        yield (), sign * N  # sum of 1 over k = 1..n
     for cut in range(base + 1, len(s) + 1):
         sign = -sign
-        pairs.append((sign * (N + 1), H(*s[:cut])))
+        yield (Composition(s[:cut]),), sign * _N_PLUS_1
         if cut > 1:
-            pairs.append((sign, H(*s[: cut - 1])))
-    return _combine(pairs)
+            yield (Composition(s[: cut - 1]),), sign * _ONE
+
+
+def sum_single(s: Composition) -> MhsExpression:
+    """Closed form of sum_{k=1}^n H_k(s), in harmonic sums at n (see _telescoped)."""
+    return MhsExpression._from_canonical(_telescoped(Composition(s)))
 
 
 def sum_product(factors: Iterable) -> MhsExpression:
     """Closed form of sum_{k=1}^n of the product of H_k(s) over ``factors``.
 
-    Linearizes the product by stuffle, then telescopes term by term.  The
-    result is the canonical linear form; rebase it for a product-shaped
-    presentation.
+    Linearizes the product by stuffle and telescopes each composition of the
+    expansion, scaled by its multiplicity, into one dict; the empty product
+    telescopes to n.  The result is the canonical linear form; rebase it for
+    a product-shaped presentation.
     """
-    comps = tuple(sorted((Composition(f) for f in factors), key=Composition.sort_key))
-    comps = tuple(c for c in comps if c)
-    if not comps:
-        return MhsExpression.constant(N)
-    linear = MhsExpression.monomial(1, comps).linearize()
-    return _combine(
-        (mono.coeff, sum_single(mono.factors[0] if mono.factors else Composition()))
-        for mono in linear.terms()
+    expansion = _linearize_factors(_canonical_factors(factors))
+    return MhsExpression._from_canonical(
+        (key, coeff * mult)
+        for comp, mult in expansion.items()
+        for key, coeff in _telescoped(Composition(comp))
     )
 
 
@@ -103,11 +108,8 @@ class RebaseError(ValueError):
 
 
 def _linear_coefficients(e: MhsExpression) -> dict[Composition, NPolynomial]:
-    out: dict[Composition, NPolynomial] = {}
-    for mono in e.linearize().terms():
-        key = mono.factors[0] if mono.factors else Composition()
-        out[key] = mono.coeff
-    return out
+    linear = e.linearize()._terms
+    return {key[0] if key else Composition(): coeff for key, coeff in linear.items()}
 
 
 def _solve_exact(

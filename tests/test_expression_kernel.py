@@ -3,15 +3,16 @@
 Ring operations merge already-canonical term dicts instead of rebuilding each
 expression through the canonicalizing constructor.  These tests pin the fast
 path to the constructor, check that no accumulator writes into an expression
-it was given, and bound the canonicalization work of a cold ``sum_product``.
+it was given, and count the canonicalization work of a cold ``sum_product``.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhs import algebra
+from mhs import algebra, summation
 from mhs.algebra import H, MhsExpression, N, NPolynomial
 from mhs.core import Composition
 from mhs.hoffman import hoffman_reduce
@@ -124,20 +125,69 @@ def test_accumulators_leave_cached_expressions_alone():
 
 
 def test_cold_sum_product_canonicalizes_linearly(monkeypatch):
-    # A five-factor product with 675 linearized terms.
+    # A five-factor product with 675 linearized terms.  Every telescoped piece
+    # goes straight into one dict: no canonicalizing construction, one merge,
+    # and one canonical sort of the factor list, looked up where summation
+    # calls it.
     product = [Composition.parse(x) for x in "2,1;1,2;1;1;3".split(";")]
-    calls = 0
-    real = algebra._canonical_factors
+    assert len(algebra._linearize_factors(algebra._canonical_factors(product))) == 675
+    calls = Counter()
 
-    def counting(factors):
-        nonlocal calls
-        calls += 1
-        return real(factors)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(algebra, "_canonical_factors", counting)
+        return wrapper
+
+    merge = classmethod(counting("merge", MhsExpression._from_canonical.__func__))
+    monkeypatch.setattr(MhsExpression, "__init__", counting("init", MhsExpression.__init__))
+    monkeypatch.setattr(MhsExpression, "_from_canonical", merge)
+    monkeypatch.setattr(
+        summation, "_canonical_factors", counting("sort", summation._canonical_factors)
+    )
     closed = sum_product(product)
-    terms = len(MhsExpression.monomial(1, product).linearize().terms())
-    assert terms == 675
-    # Rebuilding on every + made about 800 calls per term; merging makes ~3.
-    assert calls <= 5 * terms, calls
+    monkeypatch.undo()
+    assert calls == {"merge": 1, "sort": 1}, calls
     assert partial_sum_oracle(product, closed, 6)
+
+
+# Factor lists of 0-4 compositions, each of depth <= 3 with parts <= 3; the
+# empty composition (the unit) is allowed.  A total depth of 7 bounds the
+# expansion to about 1,500 symbols: four depth-3 factors reach tens to
+# hundreds of thousands, and seconds and gigabytes apiece.
+compositions = st.lists(st.integers(1, 3), max_size=3).map(Composition)
+products = st.lists(compositions, max_size=4).filter(lambda fs: sum(map(len, fs)) <= 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(products)
+def test_sum_product_telescopes_the_linearized_product(fs):
+    # The composition written out: linearize the product, then sum the
+    # closed form of each single symbol scaled by its coefficient.
+    if any(fs):
+        linear = MhsExpression.monomial(1, fs).linearize().terms()
+        expected = algebra._combine(
+            (mono.coeff, sum_single(mono.factors[0])) for mono in linear
+        )
+    else:
+        expected = MhsExpression.constant(N)
+    closed = sum_product(fs)
+    assert closed == expected
+    assert_canonical(closed)
+    assert partial_sum_oracle(fs, closed, 4)
+
+
+def test_format_term_branches():
+    # Each branch of _format_term, in text and LaTeX, as a whole expression.
+    cases = [
+        (3 * N * H(1), "3*n*H(1)", "3nH_n(1)"),
+        (-Fraction(1, 2) * N**2 * H(1), "-1/2*n^2*H(1)", r"-\frac{1}{2}n^2H_n(1)"),
+        ((3 * N + 1) * H(1), "(3*n + 1)*H(1)", "(3n+1)H_n(1)"),
+        (-(3 * N + 1) * H(1), "-(3*n + 1)*H(1)", "-(3n+1)H_n(1)"),
+        (H(1) - H(2), "-H(2) + H(1)", "-H_n(2)+H_n(1)"),
+        (MhsExpression.constant(3 * N + 1), "3*n + 1", "3n+1"),
+    ]
+    for expr, text, latex in cases:
+        assert str(expr) == text
+        assert expr.latex() == latex
