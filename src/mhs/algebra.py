@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+def _json_strings(data) -> list[str]:
+    """data itself if it is a list of strings, the form every to_json writes."""
+    if isinstance(data, list) and all(isinstance(s, str) for s in data):
+        return data
+    raise TypeError(f"expected a JSON list of strings, got {data!r}")
+
+
 class NPolynomial:
     """Dense univariate polynomial in n over exact rationals.
 
@@ -169,8 +176,8 @@ class NPolynomial:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Iterable[str]) -> "NPolynomial":
-        return cls(tuple(Fraction(s) for s in data))
+    def from_json(cls, data: list[str]) -> "NPolynomial":
+        return cls(tuple(Fraction(s) for s in _json_strings(data)))
 
     def _format(self, times: str, frac=str) -> str:
         if not self.coeffs:
@@ -341,18 +348,12 @@ class MhsExpression:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coefficient(self, factors: Iterable) -> NPolynomial:
-        return self._terms.get(_canonical_factors(factors), NPolynomial.zero())
-
     def single_symbols(self) -> set[Composition]:
         """Compositions appearing as lone factors (meaningful after linearize)."""
         return {fs[0] for fs in self._terms if len(fs) == 1}
 
     def max_coeff_degree(self) -> int:
         return max((p.degree for p in self._terms.values()), default=0)
-
-    def total_weight(self) -> int:
-        return max((sum(c.weight for c in fs) for fs in self._terms), default=0)
 
     # -- ring operations ----------------------------------------------------
 
@@ -452,7 +453,10 @@ class MhsExpression:
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "MhsExpression":
         return cls(
-            (map(Composition.parse, entry["factors"]), NPolynomial.from_json(entry["coeff"]))
+            (
+                map(Composition.parse, _json_strings(entry["factors"])),
+                NPolynomial.from_json(entry["coeff"]),
+            )
             for entry in data
         )
 

@@ -159,7 +159,8 @@ def wolstenholme_holds(p: int) -> bool:
     """C(2p-1, p-1) = 1 modulo p^3 for primes p > 3."""
     if p <= 3 or not is_prime(p):
         raise ValueError(f"p must be a prime > 3, got {p}")
-    return comb(2 * p - 1, p - 1) % p**3 == 1
+    lhs, rhs = _wolstenholme_sides(p)
+    return lhs == rhs
 
 
 def central_binomial_sum_exact(p: int) -> tuple[Fraction, Fraction]:

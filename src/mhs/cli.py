@@ -21,31 +21,18 @@ from .tables import derive_table, row_basis
 _TABLE_BASES = {"w4": 4, "weight4": 4, "w5": 5, "weight5": 5}
 
 
-def _render_multiset(counter) -> str:
-    parts = []
-    for comp in sorted(counter, key=Composition.sort_key, reverse=True):
-        mult = counter[comp]
-        body = f"({comp})"
-        parts.append(body if mult == 1 else f"{mult}·{body}")
-    return " + ".join(parts) if parts else "0"
-
-
 def _cmd_stuffle(args) -> int:
-    s = Composition.parse(args.s)
-    t = Composition.parse(args.t)
-    expansion = stuffle(s, t)
+    expansion = stuffle(Composition.parse(args.s), Composition.parse(args.t))
+    ordered = [
+        (c, expansion[c]) for c in sorted(expansion, key=Composition.sort_key, reverse=True)
+    ]
     if args.format == "json":
-        ordered = sorted(expansion, key=Composition.sort_key, reverse=True)
-        print(json.dumps({str(c): expansion[c] for c in ordered}))
+        print(json.dumps({str(c): mult for c, mult in ordered}))
     elif args.format == "latex":
-        pieces = []
-        for comp in sorted(expansion, key=Composition.sort_key, reverse=True):
-            mult = expansion[comp]
-            head = "" if mult == 1 else str(mult)
-            pieces.append(f"{head}H_n({comp})")
-        print("+".join(pieces))
+        print("+".join(f"{'' if mult == 1 else mult}H_n({c})" for c, mult in ordered))
     else:
-        print(_render_multiset(expansion))
+        terms = (f"({c})" if mult == 1 else f"{mult}·({c})" for c, mult in ordered)
+        print(" + ".join(terms) or "0")
     return 0
 
 
@@ -66,7 +53,7 @@ def _load_basis(source: str) -> list[MhsExpression]:
     if isinstance(data, list):
         try:
             return [MhsExpression.from_json(entry) for entry in data]
-        except (AttributeError, KeyError, TypeError):
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"basis file {source!r} is not a JSON list of expressions")
 

@@ -24,6 +24,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 from typing import Iterable
 
 from .algebra import NPolynomial
@@ -176,22 +177,11 @@ class CongruenceClaim(ResidueClaim):
         return homogeneous_product_sum_mod(self.target, p, self.exponent), self.rhs_value(p)
 
 
-def _mhs_claim(parts: tuple[int, ...], rhs: dict, e: int) -> CongruenceClaim:
-    comp = Composition(parts)
+def _claim(kind: str, target: tuple[int, ...], rhs: dict, e: int) -> CongruenceClaim:
     return CongruenceClaim(
-        claim_id=f"H:{comp}",
-        kind="mhs",
-        target=tuple(comp),
-        rhs_terms=tuple(sorted(rhs.items())),
-        exponent=e,
-    )
-
-
-def _sum_claim(lam: tuple[int, ...], rhs: dict, e: int) -> CongruenceClaim:
-    return CongruenceClaim(
-        claim_id="S:" + ",".join(str(x) for x in lam),
-        kind="sum",
-        target=lam,
+        claim_id=f"{'H' if kind == 'mhs' else 'S'}:{Composition(target)}",
+        kind=kind,
+        target=target,
         rhs_terms=tuple(sorted(rhs.items())),
         exponent=e,
     )
@@ -200,39 +190,39 @@ def _sum_claim(lam: tuple[int, ...], rhs: dict, e: int) -> CongruenceClaim:
 # H_{p-1}(s) block: the eight stated congruences plus the homogeneous forms
 # that follow from the Hoffman reductions.
 BASE_CLAIMS: tuple[CongruenceClaim, ...] = (
-    _mhs_claim((1,), {(2, 1): 2}, 4),
-    _mhs_claim((2,), {(1, 1): -4}, 3),
-    _mhs_claim((3,), {}, 2),
-    _mhs_claim((1, 2), {(0, 1): -6}, 2),
-    _mhs_claim((4,), {}, 1),
-    _mhs_claim((1, 1, 2), {}, 1),
-    _mhs_claim((1, 3), {}, 1),
-    _mhs_claim((1, 1), {(1, 1): 2}, 3),
-    _mhs_claim((1, 1, 1), {}, 2),
-    _mhs_claim((1, 1, 1, 1), {}, 1),
+    _claim("mhs", (1,), {(2, 1): 2}, 4),
+    _claim("mhs", (2,), {(1, 1): -4}, 3),
+    _claim("mhs", (3,), {}, 2),
+    _claim("mhs", (1, 2), {(0, 1): -6}, 2),
+    _claim("mhs", (4,), {}, 1),
+    _claim("mhs", (1, 1, 2), {}, 1),
+    _claim("mhs", (1, 3), {}, 1),
+    _claim("mhs", (1, 1), {(1, 1): 2}, 3),
+    _claim("mhs", (1, 1, 1), {}, 2),
+    _claim("mhs", (1, 1, 1, 1), {}, 1),
 )
 
 # Sum block: one row per partition of the weight, weights 1 through 5,
 # at moduli p^5 down to p.
 SUM_CLAIMS: tuple[CongruenceClaim, ...] = (
-    _sum_claim((1,), {(0, 0): 1, (1, 0): -1, (3, 1): 2}, 5),
-    _sum_claim((2,), {(0, 0): -1, (1, 0): 1, (2, 1): 4, (3, 1): -2}, 4),
-    _sum_claim((1, 1), {(0, 0): -2, (1, 0): 2, (2, 1): 2, (3, 1): -4}, 4),
-    _sum_claim((3,), {(0, 0): 1, (1, 0): -1, (1, 1): 2, (2, 1): -4}, 3),
-    _sum_claim((2, 1), {(0, 0): 3, (1, 0): -3, (2, 1): -6}, 3),
-    _sum_claim((1, 1, 1), {(0, 0): 6, (1, 0): -6, (1, 1): -2, (2, 1): -6}, 3),
-    _sum_claim((4,), {(0, 0): -1, (1, 0): 1, (1, 1): -2}, 2),
-    _sum_claim((2, 2), {(0, 0): -6, (1, 0): 6, (0, 1): -6}, 2),
-    _sum_claim((3, 1), {(0, 0): -4, (1, 0): 4, (1, 1): -2}, 2),
-    _sum_claim((2, 1, 1), {(0, 0): -12, (1, 0): 12, (0, 1): -6, (1, 1): 2}, 2),
-    _sum_claim((1, 1, 1, 1), {(0, 0): -24, (1, 0): 24, (0, 1): -12, (1, 1): 8}, 2),
-    _sum_claim((5,), {(0, 0): 1}, 1),
-    _sum_claim((4, 1), {(0, 0): 5}, 1),
-    _sum_claim((3, 2), {(0, 0): 10, (0, 1): 6}, 1),
-    _sum_claim((3, 1, 1), {(0, 0): 20, (0, 1): 6}, 1),
-    _sum_claim((2, 2, 1), {(0, 0): 30, (0, 1): 18}, 1),
-    _sum_claim((2, 1, 1, 1), {(0, 0): 60, (0, 1): 30}, 1),
-    _sum_claim((1, 1, 1, 1, 1), {(0, 0): 120, (0, 1): 60}, 1),
+    _claim("sum", (1,), {(0, 0): 1, (1, 0): -1, (3, 1): 2}, 5),
+    _claim("sum", (2,), {(0, 0): -1, (1, 0): 1, (2, 1): 4, (3, 1): -2}, 4),
+    _claim("sum", (1, 1), {(0, 0): -2, (1, 0): 2, (2, 1): 2, (3, 1): -4}, 4),
+    _claim("sum", (3,), {(0, 0): 1, (1, 0): -1, (1, 1): 2, (2, 1): -4}, 3),
+    _claim("sum", (2, 1), {(0, 0): 3, (1, 0): -3, (2, 1): -6}, 3),
+    _claim("sum", (1, 1, 1), {(0, 0): 6, (1, 0): -6, (1, 1): -2, (2, 1): -6}, 3),
+    _claim("sum", (4,), {(0, 0): -1, (1, 0): 1, (1, 1): -2}, 2),
+    _claim("sum", (2, 2), {(0, 0): -6, (1, 0): 6, (0, 1): -6}, 2),
+    _claim("sum", (3, 1), {(0, 0): -4, (1, 0): 4, (1, 1): -2}, 2),
+    _claim("sum", (2, 1, 1), {(0, 0): -12, (1, 0): 12, (0, 1): -6, (1, 1): 2}, 2),
+    _claim("sum", (1, 1, 1, 1), {(0, 0): -24, (1, 0): 24, (0, 1): -12, (1, 1): 8}, 2),
+    _claim("sum", (5,), {(0, 0): 1}, 1),
+    _claim("sum", (4, 1), {(0, 0): 5}, 1),
+    _claim("sum", (3, 2), {(0, 0): 10, (0, 1): 6}, 1),
+    _claim("sum", (3, 1, 1), {(0, 0): 20, (0, 1): 6}, 1),
+    _claim("sum", (2, 2, 1), {(0, 0): 30, (0, 1): 18}, 1),
+    _claim("sum", (2, 1, 1, 1), {(0, 0): 60, (0, 1): 30}, 1),
+    _claim("sum", (1, 1, 1, 1, 1), {(0, 0): 120, (0, 1): 60}, 1),
 )
 
 
@@ -254,45 +244,30 @@ def sum_congruence_suite(p: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _min_opt(*values: int | None) -> int | None:
-    present = [v for v in values if v is not None]
-    return min(present) if present else None
-
-
 class PadicForm:
     """A value known as a polynomial in p and X up to an O(p^err) error.
 
     ``terms`` maps (p_exponent, x_exponent) to a rational coefficient;
-    ``err = None`` means the value is exact.  X itself is p-integral, so a
-    term's guaranteed valuation is its p exponent.
+    ``err = inf``, the default, means the value is exact.  X itself is
+    p-integral, so a term's guaranteed valuation is its p exponent.
     """
 
     __slots__ = ("terms", "err")
 
-    def __init__(self, terms: dict | None = None, err: int | None = None):
-        cleaned = {}
-        for key, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if err is not None and key[0] >= err:
-                continue  # absorbed by the error term
-            cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
-        self.terms = {k: v for k, v in cleaned.items() if v}
+    def __init__(self, terms: dict | None = None, err: float = inf):
+        # Terms at or above p^err are absorbed by the error term.
+        self.terms = {key: Fraction(c) for key, c in (terms or {}).items() if c and key[0] < err}
         self.err = err
 
-    def _term_valuation(self) -> int | None:
-        return min((i for i, _ in self.terms), default=None)
-
-    def valuation(self) -> int | None:
-        """Guaranteed minimal p-valuation of the value; None is +infinity."""
-        return _min_opt(self._term_valuation(), self.err)
+    def valuation(self) -> float:
+        """Guaranteed minimal p-valuation of the value; inf for an exact zero."""
+        return min((i for i, _ in self.terms), default=self.err)  # every term lies below err
 
     def __add__(self, other: "PadicForm") -> "PadicForm":
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             terms[key] = terms.get(key, Fraction(0)) + coeff
-        return PadicForm(terms, _min_opt(self.err, other.err))
+        return PadicForm(terms, min(self.err, other.err))
 
     def __mul__(self, other: "PadicForm") -> "PadicForm":
         terms: dict = {}
@@ -300,15 +275,7 @@ class PadicForm:
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
                 terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        candidates = []
-        if self.err is not None:
-            v = _min_opt(other._term_valuation(), other.err)
-            candidates.append(None if v is None else self.err + v)
-        if other.err is not None:
-            v = _min_opt(self._term_valuation(), self.err)
-            candidates.append(None if v is None else other.err + v)
-        err = _min_opt(*candidates) if candidates else None
-        return PadicForm(terms, err)
+        return PadicForm(terms, min(self.err + other.valuation(), other.err + self.valuation()))
 
     def __sub__(self, other: "PadicForm") -> "PadicForm":
         negated = PadicForm({k: -v for k, v in other.terms.items()}, other.err)
@@ -316,16 +283,13 @@ class PadicForm:
 
     def congruent_to(self, other: "PadicForm", e: int) -> bool:
         """Whether both values agree modulo p^e, for every admissible p."""
-        diff = self - other
-        if diff.err is not None and diff.err < e:
-            return False  # not determined to that precision
-        return all(i >= e for i, _ in diff.terms)
+        return (self - other).valuation() >= e  # an error below p^e leaves it undetermined
 
     def __repr__(self) -> str:
         body = " + ".join(
             f"{coeff}*p^{i}*X^{j}" for (i, j), coeff in sorted(self.terms.items())
         )
-        tail = "" if self.err is None else f" + O(p^{self.err})"
+        tail = "" if self.err == inf else f" + O(p^{self.err})"
         return f"PadicForm({body or '0'}{tail})"
 
 

@@ -207,7 +207,22 @@ def test_verify_refuses_vacuous_runs(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("content", [None, "dir", '[{"x": 1}]', '{"a": 1}', "{}", "5"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "dir",
+        '[{"x": 1}]',
+        '{"a": 1}',
+        "{}",
+        "5",
+        # only lists of strings, as to_json writes them, are read
+        '[[{"coeff": ["1/0"], "factors": ["1"]}]]',
+        '[[{"coeff": "12", "factors": ["1"]}]]',
+        '[[{"coeff": ["1"], "factors": "12"}]]',
+        '[[{"coeff": [0.1], "factors": ["1"]}]]',
+    ],
+)
 def test_derive_bad_basis_file(capsys, tmp_path, content):
     basis_file = tmp_path / "basis.json"
     if content == "dir":

@@ -1,11 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from mhs import congruences
 from mhs.bernoulli import bernoulli, bernoulli_invariant
 from mhs.congruences import (
     BASE_CLAIMS,
     SUM_CLAIMS,
+    PadicForm,
     base_congruence_suite,
     cross_derivation_check,
     homogeneous_product_sum_mod,
@@ -139,6 +142,62 @@ def test_cross_derivation_weight_le_3():
         assert cross_derivation_check(lam), lam
     with pytest.raises(ValueError):
         cross_derivation_check((4,))
+
+
+# Every right-side coefficient of the weight <= 3 sum rows, one case each.
+_PERTURBATIONS = [
+    pytest.param(claim, k, id=f"{claim.claim_id}-p^{i}X^{j}")
+    for claim in SUM_CLAIMS
+    if sum(claim.target) <= 3
+    for k, ((i, j), _) in enumerate(claim.rhs_terms)
+]
+
+
+@pytest.mark.parametrize("claim, k", _PERTURBATIONS)
+def test_cross_derivation_refuses_a_perturbed_row(monkeypatch, claim, k):
+    terms = list(claim.rhs_terms)
+    key, coeff = terms[k]
+    terms[k] = (key, coeff + 1)
+    wrong = dataclasses.replace(claim, rhs_terms=tuple(terms))
+    rows = tuple(wrong if c is claim else c for c in SUM_CLAIMS)
+    monkeypatch.setattr(congruences, "SUM_CLAIMS", rows)
+    assert not cross_derivation_check(claim.target)
+
+
+def test_perturbations_cover_all_22_coefficients():
+    assert len(_PERTURBATIONS) == 22
+
+
+def test_padic_form_error_propagation():
+    a = PadicForm({(0, 0): 1}, err=2)
+    b = PadicForm({(1, 0): 1}, err=3)
+    assert repr(a * b) == "PadicForm(1*p^1*X^0 + O(p^3))"
+    assert repr(b * b) == "PadicForm(1*p^2*X^0 + O(p^4))"
+    assert repr(a + b) == "PadicForm(1*p^0*X^0 + 1*p^1*X^0 + O(p^2))"
+    assert repr(a - a) == "PadicForm(0 + O(p^2))"
+    assert repr(a * a * a - PadicForm({(0, 0): 1})) == "PadicForm(0 + O(p^2))"
+    c = PadicForm({(0, 0): Fraction(1, 2), (2, 1): 3, (5, 0): 7}, err=4)  # p^5 is absorbed
+    assert repr(c) == "PadicForm(1/2*p^0*X^0 + 3*p^2*X^1 + O(p^4))"
+    assert repr(c * c) == "PadicForm(1/4*p^0*X^0 + 3*p^2*X^1 + O(p^4))"
+    assert (a * b).valuation() == 1
+    assert (a - a).valuation() == 2
+
+
+def test_padic_form_exact_zero():
+    zero, a = PadicForm(), PadicForm({(0, 0): 1}, err=2)
+    assert repr(zero) == repr(PadicForm({(0, 0): 0})) == "PadicForm(0)"
+    assert repr(zero * a) == repr(a * zero) == "PadicForm(0)"  # 0 * (1 + O(p^2)) is exactly 0
+    assert repr(PadicForm({(0, 0): 1})) == "PadicForm(1*p^0*X^0)"
+    assert zero.congruent_to(PadicForm(), 10**9)
+
+
+def test_padic_form_congruent_to_needs_the_error_at_the_modulus():
+    one, a = PadicForm({(0, 0): 1}), PadicForm({(0, 0): 1}, err=2)
+    assert a.congruent_to(one, 2)
+    assert not a.congruent_to(one, 3)  # 1 + O(p^2) - 1 is undetermined modulo p^3
+    assert not one.congruent_to(PadicForm({(0, 0): 1}, err=1), 2)
+    assert not PadicForm({(2, 1): 1}).congruent_to(PadicForm(), 3)
+    assert PadicForm({(3, 1): 1}).congruent_to(PadicForm(), 3)
 
 
 def test_report_json_keys():
