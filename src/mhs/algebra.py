@@ -11,15 +11,18 @@ computed by the first-entry rule with three branches (take s1, take t1, or
 merge the two heads into s1 + t1), bottom-up over suffix pairs, with no
 recursion and no memo.  `linearize` folds this over the factors of each
 monomial until it carries at most one symbol; that linear form is the
-canonical representative used to decide equality.
+canonical representative used to decide equality.  The numeric checks
+evaluate expressions on one exact integer scale (`_scaled_values`), not over
+Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Composition, eval_mhs
 
@@ -554,21 +557,91 @@ class ExpressionConsistencyError(AssertionError):
     """Symbolic and numeric equality tests disagreed; indicates a bug."""
 
 
+def _exact_quotient(a: int, b: int) -> int:
+    """a / b, which must be an integer: a remainder raises ArithmeticError."""
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return quotient
+
+
+def _scaled_values(exprs: Iterable[MhsExpression], nmax: int) -> Iterator[tuple[int, ...]]:
+    """The integers D * e(n) of every e in ``exprs``, for n = 0, 1, ..., nmax.
+
+    All values share one scale D = den * L^W, where L = lcm(1..nmax), W is
+    the largest weight of a term (the summed weights of its factors) and den
+    the lcm of the coefficient denominators.  Each prefix s of a symbol keeps
+    one integer R(s) = L^|s| * H_n(s), advanced from n - 1 to n by
+    R(s) += R(s') * (L/n)^(s_d), longest symbols first, so that each prefix
+    s' is still at n - 1.  A term c(n) * prod_j H_n(f_j) of weight w then
+    contributes den * c(n) * L^(W - w) * prod_j R(f_j).  There is no gcd and
+    no Fraction, every division is exact, and the state is one integer per
+    prefix symbol.
+    """
+    terms = [e._terms for e in exprs]
+    lcm = math.lcm(*range(1, nmax + 1))
+    den = math.lcm(*(c.denominator for t in terms for p in t.values() for c in p.coeffs))
+    top = max((sum(map(sum, key)) for t in terms for key in t), default=0)
+    # Deepest first, so every symbol is stepped before its prefix.
+    order = sorted(
+        {f[:d] for t in terms for key in t for f in key for d in range(len(f) + 1)},
+        key=len,
+        reverse=True,
+    )
+    index = {s: i for i, s in enumerate(order)}
+    steps = [(i, index[s[:-1]], s[-1]) for i, s in enumerate(order) if s]
+    state = [0 if s else 1 for s in order]
+    # Per expression, one group per term weight w: L^(W - w) and the terms of
+    # weight w, each as (den * c(n) highest power first, factor state indices).
+    scaled = []
+    for t in terms:
+        by_weight: dict[int, list] = {}
+        for key, poly in t.items():
+            coeffs = [c.numerator * _exact_quotient(den, c.denominator) for c in poly.coeffs]
+            term = (coeffs[::-1], [index[f] for f in key])
+            by_weight.setdefault(sum(map(sum, key)), []).append(term)
+        scaled.append([(lcm ** (top - w), group) for w, group in by_weight.items()])
+    exponents = {e for _, _, e in steps}
+    for n in range(nmax + 1):
+        if n:
+            step = _exact_quotient(lcm, n)
+            powers = {e: step**e for e in exponents}
+            for i, j, e in steps:
+                state[i] += state[j] * powers[e]
+        values = []
+        for groups in scaled:
+            total = 0
+            for scale, group in groups:
+                subtotal = 0
+                for coeffs, factors in group:
+                    value = 0
+                    for c in coeffs:
+                        value = value * n + c
+                    if value:
+                        for f in factors:
+                            value *= state[f]
+                        subtotal += value
+                total += subtotal * scale
+            values.append(total)
+        yield tuple(values)
+
+
 def expr_equal(e1: MhsExpression, e2: MhsExpression) -> bool:
     """Decide e1 == e2 by linearizing the difference.
 
     The symbolic test is the decision procedure.  As a guard against
     implementation bugs both sides are also evaluated at n = 0, ..., D + M
-    (D = max coefficient degree, M = number of distinct symbols); if the two
-    verdicts ever disagree an :class:`ExpressionConsistencyError` is raised.
+    (D = max coefficient degree, M = number of distinct symbols) on the
+    exact integer scale of :func:`_scaled_values`; if the two verdicts ever
+    disagree an :class:`ExpressionConsistencyError` is raised.
     """
     lin1 = e1.linearize()
     lin2 = e2.linearize()
     symbolic = (lin1 - lin2).is_zero()
     degree = max(lin1.max_coeff_degree(), lin2.max_coeff_degree(), 0)
     symbols = lin1.single_symbols() | lin2.single_symbols()
-    points = range(degree + len(symbols) + 1)
-    numeric = all(e1.eval(n) == e2.eval(n) for n in points)
+    points = _scaled_values([e1, e2], degree + len(symbols))
+    numeric = all(v1 == v2 for v1, v2 in points)
     if numeric != symbolic:
         raise ExpressionConsistencyError(
             f"symbolic verdict {symbolic} but numeric verdict {numeric} "

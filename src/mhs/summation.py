@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import H, MhsExpression, N, NPolynomial, _combine
-from .algebra import _canonical_factors, _linearize_factors
-from .core import Composition, mhs_prefix_values
+from .algebra import _canonical_factors, _linearize_factors, _scaled_values
+from .core import Composition
 
 __all__ = [
     "IdentityRecord",
@@ -84,17 +84,21 @@ def sum_product(factors: Iterable) -> MhsExpression:
 def partial_sum_oracle(factors: Iterable, closed: MhsExpression, nmax: int) -> bool:
     """Whether ``closed`` at n equals sum_{k=1}^n prod_j H_k(factors_j), n = 1..nmax.
 
-    The brute-force check behind every derived closed form: the partial sums
-    come from the exact rows, never from the summation engine.
+    The brute-force check behind every derived closed form.  The closed form
+    and the product are evaluated together on one exact integer scale by
+    :func:`algebra._scaled_values`, which steps each H_n(s) by its
+    recurrence and never calls the summation engine; the product's values
+    are summed from n = 1.  Raises ValueError for nmax < 1, which would
+    check nothing.
     """
-    rows = [mhs_prefix_values(nmax, f) for f in factors]
-    partial = Fraction(0)
-    for n in range(1, nmax + 1):
-        term = Fraction(1)
-        for row in rows:
-            term *= row[n]
+    if nmax < 1:
+        raise ValueError(f"the oracle needs nmax >= 1, got {nmax}")
+    values = _scaled_values([closed, MhsExpression.monomial(1, factors)], nmax)
+    next(values)  # n = 0: the empty sum is not checked
+    partial = 0
+    for value, term in values:
         partial += term
-        if closed.eval(n) != partial:
+        if value != partial:
             return False
     return True
 

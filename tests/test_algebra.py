@@ -6,11 +6,14 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhs import algebra
 from mhs.algebra import (
     H,
+    ExpressionConsistencyError,
     MhsExpression,
     N,
     NPolynomial,
@@ -21,6 +24,7 @@ from mhs.algebra import (
     stuffle,
 )
 from mhs.core import Composition, eval_mhs
+from mhs.summation import sum_product
 
 compositions = st.lists(st.integers(1, 4), max_size=4).map(tuple).filter(
     lambda t: 1 <= sum(t) <= 5
@@ -157,6 +161,26 @@ def test_expr_equal_examples():
     assert expr_equal(H(1) ** 2, 2 * H(1, 1) + H(2))
     assert not expr_equal(H(2, 1), H(1, 2))
     assert expr_equal(MhsExpression.zero(), MhsExpression.constant(0))
+
+
+def test_expr_equal_raises_when_its_two_verdicts_disagree(monkeypatch):
+    # A symbolic verdict flipped by hand must be caught by the numeric guard.
+    monkeypatch.setattr(MhsExpression, "is_zero", lambda self: bool(self._terms))
+    with pytest.raises(ExpressionConsistencyError, match="symbolic verdict False"):
+        expr_equal(H(1) ** 2, 2 * H(1, 1) + H(2))
+    with pytest.raises(ExpressionConsistencyError, match="symbolic verdict True"):
+        expr_equal(H(2, 1), H(1, 2))
+
+
+def test_expr_equal_guard_at_scale_needs_no_fractions(monkeypatch):
+    # The 189-term closed form of 1^3;2;1,2 is guarded at n = 0..190, on the
+    # integer scale: evaluating it over Fractions took seconds.
+    closed = sum_product([Composition.parse(x) for x in "1^3;2;1,2".split(";")])
+    assert len(closed.terms()) == 189
+    monkeypatch.setattr(MhsExpression, "eval", None)
+    monkeypatch.setattr(algebra, "eval_mhs", None)
+    assert expr_equal(closed, closed + MhsExpression.zero())
+    assert not expr_equal(closed, closed + Fraction(1, 10**9) * H(2))
 
 
 def test_eval_expr_examples():

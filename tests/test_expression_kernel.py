@@ -1,11 +1,14 @@
-"""The canonical-once expression kernel.
+"""The canonical-once expression kernel and the integer-scaled evaluator.
 
 Ring operations merge already-canonical term dicts instead of rebuilding each
 expression through the canonicalizing constructor.  These tests pin the fast
 path to the constructor, check that no accumulator writes into an expression
 it was given, and count the canonicalization work of a cold ``sum_product``.
+The numeric oracles evaluate on one exact integer scale; these tests hold
+that evaluator and ``partial_sum_oracle`` against the Fraction evaluators.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -14,10 +17,11 @@ from hypothesis import strategies as st
 
 from mhs import algebra, summation
 from mhs.algebra import H, MhsExpression, N, NPolynomial
-from mhs.core import Composition
+from mhs.core import Composition, mhs_prefix_values
 from mhs.hoffman import hoffman_reduce
+from mhs.partitions import partitions_of
 from mhs.summation import partial_sum_oracle, sum_product, sum_single
-from mhs.tables import derive_table
+from mhs.tables import ORACLE_POINTS, derive_table, row_basis
 
 # Small pools, so that raw input repeats factors and keys and carries units.
 parts = st.lists(st.integers(1, 2), max_size=2)
@@ -191,3 +195,88 @@ def test_format_term_branches():
     for expr, text, latex in cases:
         assert str(expr) == text
         assert expr.latex() == latex
+
+
+# Products of 0-3 compositions of total weight <= 5, with rational
+# polynomial coefficients; several expressions are evaluated on one scale.
+weighted_products = st.lists(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3), max_size=3
+).filter(lambda fs: sum(map(sum, fs)) <= 5)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+scaled_terms = st.tuples(weighted_products, st.lists(rationals, max_size=3).map(NPolynomial))
+expressions = st.lists(scaled_terms, max_size=5).map(MhsExpression)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(expressions, min_size=1, max_size=3), st.integers(0, 12))
+def test_scaled_values_are_the_fraction_values_on_one_scale(exprs, nmax):
+    # D = den * L^W: den the lcm of the coefficient denominators, L the lcm
+    # of 1..nmax, W the largest summed weight of a term's factors.
+    den = math.lcm(*(c.denominator for e in exprs for m in e.terms() for c in m.coeff.coeffs))
+    weight = max((sum(f.weight for f in m.factors) for e in exprs for m in e.terms()), default=0)
+    scale = den * math.lcm(*range(1, nmax + 1)) ** weight
+    values = list(algebra._scaled_values(exprs, nmax))
+    assert len(values) == nmax + 1
+    for n, row in enumerate(values):
+        assert all(type(v) is int for v in row)
+        assert list(row) == [scale * e.eval(n) for e in exprs]
+
+
+def fraction_partial_sum_oracle(factors, closed, nmax) -> bool:
+    """The Fraction loop that partial_sum_oracle ran before, as its reference."""
+    rows = [mhs_prefix_values(nmax, f) for f in factors]
+    partial = Fraction(0)
+    for n in range(1, nmax + 1):
+        term = Fraction(1)
+        for row in rows:
+            term *= row[n]
+        partial += term
+        if closed.eval(n) != partial:
+            return False
+    return True
+
+
+# Every column product H({1}^a) H({1}^b) ... of weight 3-5.
+COLUMN_PRODUCTS = [
+    [Composition((1,) * part) for part in lam] for w in (3, 4, 5) for lam in partitions_of(w)
+]
+
+
+def test_partial_sum_oracle_agrees_with_the_fraction_reference():
+    # Each column product's closed form is accepted, and three perturbations
+    # are refused by both oracles: one seen only at n = 40, one of 10^-9
+    # times the closed form of sum_k H_k(1), and one product term.
+    nmax = 40
+    late = NPolynomial.one()
+    for k in range(1, nmax):
+        late = late * (N - k)
+    tiny = Fraction(1, 10**9) * sum_product([(1,)])
+    assert len(COLUMN_PRODUCTS) == 15
+    for factors in COLUMN_PRODUCTS:
+        closed = sum_product(factors)
+        cases = [
+            (closed, True),
+            (closed + late * H(1), False),
+            (closed + tiny, False),
+            (closed + Fraction(1, 3) * H(2, 1) * H(1), False),
+        ]
+        for candidate, verdict in cases:
+            assert partial_sum_oracle(factors, candidate, nmax) is verdict
+            assert fraction_partial_sum_oracle(factors, candidate, nmax) is verdict
+
+
+def test_oracles_refuse_a_weight5_cell_off_by_one_part_in_10_12():
+    table = derive_table(5)
+    basis = [row.basis for row in row_basis(5)]
+    bump = Fraction(1, 10**12)
+    for j, factors in enumerate(table.columns):
+        head = (N + 1, MhsExpression.monomial(1, factors))
+        cells = [row[j] for row in table.cells]
+        closed = algebra._combine([head, *zip(cells, basis)])
+        assert partial_sum_oracle(factors, closed, ORACLE_POINTS)
+        assert fraction_partial_sum_oracle(factors, closed, ORACLE_POINTS)
+        for i in range(len(cells)):
+            bumped = cells[:i] + [cells[i] + bump] + cells[i + 1 :]
+            closed = algebra._combine([head, *zip(bumped, basis)])
+            assert not partial_sum_oracle(factors, closed, ORACLE_POINTS), (i, j)
+            assert not fraction_partial_sum_oracle(factors, closed, ORACLE_POINTS), (i, j)

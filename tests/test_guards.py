@@ -68,3 +68,74 @@ def test_guards_raise_under_optimize():
         "raised generalized_binomial",
         "",
     ]
+
+
+# The numeric oracles, with asserts stripped: each perturbation is refused,
+# a flipped symbolic verdict is caught, and an inexact division raises.
+ORACLES = """
+import math
+import types
+from fractions import Fraction
+
+from mhs import algebra
+from mhs.algebra import H, MhsExpression, N, expr_equal
+from mhs.summation import partial_sum_oracle, sum_product
+from mhs.tables import ORACLE_POINTS, derive_table, row_basis
+
+def verdict(label, accepted):
+    print(label, "accepted" if accepted else "refused")
+
+def expect(exc_type, fn, *args):
+    try:
+        fn(*args)
+    except exc_type:
+        print("raised", fn.__name__)
+    else:
+        print("silent", fn.__name__)
+
+assert False, "asserts must be stripped in this process"
+
+factors = [(1, 1, 1), (1, 1)]
+closed = sum_product(factors)
+verdict("closed", partial_sum_oracle(factors, closed, 40))
+tiny = Fraction(1, 10**9) * sum_product([(1,)])
+verdict("closed + tiny", partial_sum_oracle(factors, closed + tiny, 40))
+
+table = derive_table(5)
+basis = [row.basis for row in row_basis(5)]
+cells = [row[2] for row in table.cells]
+cells[0] += Fraction(1, 10**12)
+bumped = algebra._combine([(N + 1, MhsExpression.monomial(1, table.columns[2])), *zip(cells, basis)])
+verdict("bumped cell", partial_sum_oracle(table.columns[2], bumped, ORACLE_POINTS))
+expect(ValueError, partial_sum_oracle, factors, closed, 0)
+
+real_is_zero = MhsExpression.is_zero
+MhsExpression.is_zero = lambda self: not real_is_zero(self)
+expect(algebra.ExpressionConsistencyError, expr_equal, H(1) ** 2, 2 * H(1, 1) + H(2))
+MhsExpression.is_zero = real_is_zero
+
+# An odd L = lcm(1..nmax) is not divisible by n = 2.
+algebra.math = types.SimpleNamespace(lcm=lambda *xs: 2 * math.lcm(*xs) + 1)
+expect(ArithmeticError, partial_sum_oracle, factors, closed, 5)
+"""
+
+
+def test_oracles_refuse_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", ORACLES],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [
+        "closed accepted",
+        "closed + tiny refused",
+        "bumped cell refused",
+        "raised partial_sum_oracle",
+        "raised expr_equal",
+        "raised partial_sum_oracle",
+        "",
+    ]

@@ -152,3 +152,13 @@ def test_partial_sum_oracle():
     late = record.rhs + N * (N - 1) * (N - 2) * (N - 3) * (N - 4)
     assert partial_sum_oracle(record.factors, late, 4)
     assert not partial_sum_oracle(record.factors, late, 5)
+
+
+def test_partial_sum_oracle_needs_a_point(monkeypatch):
+    record = known_identities()[4]
+    for nmax in (0, -1):
+        with pytest.raises(ValueError, match="nmax >= 1"):
+            partial_sum_oracle(record.factors, record.rhs + H(3), nmax)
+    # The oracle evaluates on the integer scale, never through Fractions.
+    monkeypatch.setattr(MhsExpression, "eval", None)
+    assert partial_sum_oracle(record.factors, record.rhs, 1)
