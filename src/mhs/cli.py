@@ -11,14 +11,14 @@ from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
 from . import registry
-from .algebra import MhsExpression, N, stuffle
+from .algebra import MhsExpression, stuffle
 from .core import Composition, CompositionError
 from .hoffman import hoffman_reduce
 from .summation import RebaseError, partial_sum_oracle, rebase, sum_product
-from .tables import derive_table, row_basis
+from .tables import derive_table, row_basis, table_form
 
 # Built-in bases for --basis: the table row basis of each weight.
-_TABLE_BASES = {"w4": 4, "weight4": 4, "w5": 5, "weight5": 5}
+_TABLE_BASES = {"w4": 4, "w5": 5}
 
 
 def _cmd_stuffle(args) -> int:
@@ -66,10 +66,8 @@ def _cmd_derive(args) -> int:
 
     if args.basis is not None:
         basis = _load_basis(args.basis)
-        target = closed
-        if args.basis in _TABLE_BASES:
-            # The table bases span sum f_k - (n+1) f_n, so rebase that form.
-            target = closed - (N + 1) * MhsExpression.monomial(1, factors)
+        # The table bases span sum f_k - (n+1) f_n, so rebase that form.
+        target = table_form(factors, closed) if args.basis in _TABLE_BASES else closed
         try:
             coeffs = rebase(target, basis)
         except RebaseError as exc:

@@ -111,44 +111,37 @@ class RebaseError(ValueError):
         self.residual = residual
 
 
-def _linear_coefficients(e: MhsExpression) -> dict[Composition, NPolynomial]:
-    linear = e.linearize()._terms
-    return {key[0] if key else Composition(): coeff for key, coeff in linear.items()}
+def _vector(e: MhsExpression) -> dict:
+    """The linear form of e as {(power of n, symbol): coefficient}."""
+    return {
+        (power, key): c
+        for key, poly in e.linearize()._terms.items()
+        for power, c in enumerate(poly.coeffs)
+        if c
+    }
 
 
-def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], bool, int]:
-    """Gauss-Jordan over Fractions.
+def _reduce(vector: dict, weights: dict, echelon: dict) -> None:
+    """Subtract echelon rows from ``vector`` in place, highest pivot first.
 
-    Returns (particular solution with free variables set to 0, consistency
-    flag, rank).  On an inconsistent system the solution still satisfies every
-    pivoted row, which yields a meaningful residual.
+    A row is (vector, weights), scaled to 1 at its pivot, its highest
+    coordinate, so in descending pivot order no pivot comes back and the
+    highest coordinate of ``vector`` never rises.  ``weights``, the
+    coefficients of the unknowns in ``vector``, takes the same steps.
     """
-    ncols = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
+    for pivot in sorted(echelon, reverse=True):
+        c = vector.get(pivot)
+        if not c:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][c]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(aug):
-            break
-    consistent = all(aug[i][ncols] == 0 for i in range(r, len(aug)))
-    solution = [Fraction(0)] * ncols
-    for pr, pc in pivots:
-        solution[pc] = aug[pr][ncols]
-    return solution, consistent, len(pivots)
+        row, row_weights = echelon[pivot]
+        for key, x in row.items():
+            left = vector.get(key, 0) - c * x
+            if left:
+                vector[key] = left
+            else:
+                del vector[key]
+        for key, w in row_weights.items():
+            weights[key] = weights.get(key, 0) - c * w
 
 
 def rebase(
@@ -160,56 +153,53 @@ def rebase(
     """Write e as sum of q_i * basis_i with polynomial q_i, or fail.
 
     Coefficient degrees are bounded by ``max_degree`` (default: a generous
-    bound from the inputs).  Raises :class:`RebaseError` carrying the residual
-    when e is not in the span.  The returned combination is re-checked with
+    bound from the inputs).  One sparse elimination over (power of n, symbol)
+    coordinates: each unknown n^t * basis_i, in order of i then t, is reduced
+    by the rows kept so far and kept if anything is left; then e is reduced
+    by the same rows.  If nothing of e is left, the weights taken are the
+    solution, with every dependent unknown at 0.  Otherwise
+    :class:`RebaseError` carries what is left as the residual, whose degree
+    in n never exceeds that of e.  With ``require_unique`` a dependent
+    unknown is an error too.  The returned combination is re-checked with
     :func:`expr_equal`.
     """
-    from .algebra import expr_equal  # local import to keep module load light
+    # Looked up at call time, so that a patched algebra.expr_equal is the one
+    # that re-checks (the python -O guard test relies on this).
+    from .algebra import expr_equal
 
-    target = _linear_coefficients(e)
-    basis_coeffs = [_linear_coefficients(b) for b in basis]
-    basis_deg = max((p.degree for bc in basis_coeffs for p in bc.values()), default=0)
-    target_deg = max((p.degree for p in target.values()), default=0)
+    target = _vector(e)
+    basis_vectors = [_vector(b) for b in basis]
     if max_degree is None:
-        max_degree = max(target_deg + basis_deg + 1, 1)
+        top = [max((power for power, _ in v), default=0) for v in [target, *basis_vectors]]
+        max_degree = max(top[0] + max(top[1:], default=0) + 1, 1)
 
-    symbols = sorted(
-        set(target) | {s for bc in basis_coeffs for s in bc},
-        key=Composition.sort_key,
-    )
-    max_power = max(max_degree + basis_deg, target_deg)
-
-    if not symbols:  # zero target over an all-zero basis
-        return [NPolynomial.zero()] * len(basis)
-
-    # Unknown x[(i, t)] is the coefficient of n^t in q_i; one equation per
-    # (symbol, power of n) pair.
     unknowns = [(i, t) for i in range(len(basis)) for t in range(max_degree + 1)]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for symbol in symbols:
-        goal = target.get(symbol, NPolynomial.zero())
-        for power in range(max_power + 1):
-            row = []
-            for i, t in unknowns:
-                poly = basis_coeffs[i].get(symbol, NPolynomial.zero())
-                row.append(poly.coeff(power - t))
-            rows.append(row)
-            rhs.append(goal.coeff(power))
-
-    solution, consistent, rank = _solve_exact(rows, rhs)
+    echelon: dict[tuple, tuple[dict, dict]] = {}
+    for i, t in unknowns:
+        vector = {(power + t, key): c for (power, key), c in basis_vectors[i].items()}
+        weights = {(i, t): 1}
+        _reduce(vector, weights, echelon)
+        if vector:
+            pivot = max(vector)
+            scale = vector[pivot]
+            echelon[pivot] = (
+                {key: x / scale for key, x in vector.items()},
+                {key: w / scale for key, w in weights.items()},
+            )
+    weights = {}
+    _reduce(target, weights, echelon)  # now e + sum of weights * unknowns
     coeffs = [
-        NPolynomial(tuple(solution[i * (max_degree + 1) + t] for t in range(max_degree + 1)))
+        NPolynomial(-weights.get((i, t), 0) for t in range(max_degree + 1))
         for i in range(len(basis))
     ]
     combination = _combine(zip(coeffs, basis))
-    if not consistent:
+    if target:
         residual = (e - combination).linearize()
         raise RebaseError(
             f"expression is not in the span of the basis; residual {residual}",
             residual,
         )
-    if require_unique and rank < len(unknowns):
+    if require_unique and len(echelon) < len(unknowns):
         raise RebaseError(
             "basis admits multiple representations (underdetermined system)",
             MhsExpression.zero(),

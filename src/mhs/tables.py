@@ -30,6 +30,7 @@ __all__ = [
     "derive_table",
     "reference_cells",
     "row_basis",
+    "table_form",
     "table_weight",
 ]
 
@@ -84,6 +85,11 @@ def row_basis(weight: int) -> list[TableRow]:
         ]
     rows.append(TableRow("n", "n", MhsExpression.constant(N)))
     return rows
+
+
+def table_form(factors, closed: MhsExpression) -> MhsExpression:
+    """sum_{k<=n} f_k - (n+1) f_n, which the row basis spans, given the sum ``closed``."""
+    return closed - (N + 1) * MhsExpression.monomial(1, factors)
 
 
 def _blocks(partition: tuple[int, ...]) -> tuple[Composition, ...]:
@@ -292,13 +298,13 @@ def derive_table(weight: int) -> DerivedTable:
     cells: list[list[NPolynomial]] = [[None] * len(columns) for _ in rows]
     table = DerivedTable(weight=weight, columns=columns, rows=rows, cells=cells)
     for j, factors in enumerate(columns):
-        product = MhsExpression.monomial(1, factors)
-        target = sum_product(factors) - (N + 1) * product
+        target = table_form(factors, sum_product(factors))
         column_cells = rebase(target, basis, max_degree=1, require_unique=True)
         for i, cell in enumerate(column_cells):
             cells[i][j] = cell
             printed = reference[i][j]
             if cell != NPolynomial((printed[0], printed[1])):
+                product = MhsExpression.monomial(1, factors)
                 closed = _combine([(N + 1, product), *zip(column_cells, basis)])
                 table.errata.append(
                     Erratum(

@@ -65,6 +65,24 @@ def test_derive_with_builtin_basis(capsys):
     assert coeffs[5] == ["1"]
 
 
+def test_derive_with_builtin_w5_basis(capsys):
+    from mhs.algebra import NPolynomial
+    from mhs.tables import reference_cells
+
+    code, out, _ = run(capsys, "derive", "1^5", "--basis", "w5", "--format", "json")
+    assert code == 0
+    # first column of the weight-5 grid, each cell (b, a) read as a*n + b
+    column = [NPolynomial(row[0]).to_json() for row in reference_cells(5)]
+    assert json.loads(out)["basis_coefficients"] == column
+
+
+def test_derive_basis_name_is_w4_or_a_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "derive", "1^4", "--basis", "weight4")
+    assert code == 2
+    assert "weight4" in err
+
+
 def test_derive_with_basis_file(capsys, tmp_path):
     from mhs.algebra import H
 
