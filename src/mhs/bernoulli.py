@@ -18,9 +18,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .residues import NonPIntegralError, require_admissible
-
 __all__ = ["bernoulli", "bernoulli_invariant", "bernoulli_invariant_mod"]
+
+# ``import mhs`` loads this module, so mhs.residues (and the dataclasses module
+# it needs) is imported inside the functions that use it, not here.
 
 # [B_0, B_1, ...] in one unlocked table per thread, grown geometrically.
 _local = threading.local()
@@ -65,6 +66,8 @@ def bernoulli_invariant(p: int) -> Fraction:
     Both indices avoid multiples of p - 1, so by von Staudt-Clausen the value
     is p-integral; that is checked at runtime rather than assumed.
     """
+    from .residues import NonPIntegralError, require_admissible
+
     require_admissible(p)
     value = bernoulli(p - 3) / (p - 3) - bernoulli(2 * p - 4) / (4 * p - 8)
     if value.denominator % p == 0:
@@ -79,6 +82,8 @@ def _power_sum_mod(m: int, p: int, mod: int) -> int:
 
 def _bernoulli_mod_p2(m: int, p: int) -> int:
     """B_m modulo p^2 as (sum_{j<p} j^m mod p^3) / p; see bernoulli_invariant_mod."""
+    from .residues import NonPIntegralError
+
     power_sum = _power_sum_mod(m, p, p**3)
     if power_sum % p:
         raise NonPIntegralError(f"power sum of exponent {m} is not 0 mod p={p}")
@@ -94,6 +99,8 @@ def bernoulli_invariant_mod(p: int) -> int:
     m - 2 for p > 5.  So B_m mod p^2 is that power sum divided by p.  The
     checks at p read it once, from congruences.prime_context(p).
     """
+    from .residues import require_admissible
+
     require_admissible(p)
     mod = p**2
     low = _bernoulli_mod_p2(p - 3, p) * pow(p - 3, -1, mod)

@@ -7,15 +7,15 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
-from . import registry
+from . import SUITE_NAMES
 from .algebra import MhsExpression, stuffle
 from .core import Composition, CompositionError
-from .hoffman import hoffman_reduce
 from .summation import RebaseError, partial_sum_oracle, rebase, sum_product
-from .tables import derive_table, row_basis, table_form
+
+# registry, tables, hoffman and the process pool are imported where they are
+# used, so that a cold run loads only what its subcommand runs.
 
 # Built-in bases for --basis: the table row basis of each weight.
 _TABLE_BASES = {"w4": 4, "w5": 5}
@@ -47,6 +47,8 @@ def _parse_product(text: str) -> tuple[Composition, ...]:
 
 def _load_basis(source: str) -> list[MhsExpression]:
     if source in _TABLE_BASES:
+        from .tables import row_basis
+
         return [row.basis for row in row_basis(_TABLE_BASES[source])]
     with open(source, encoding="utf-8") as handle:
         data = json.load(handle)
@@ -65,6 +67,8 @@ def _cmd_derive(args) -> int:
     closed = sum_product(factors)
 
     if args.basis is not None:
+        from .tables import table_form
+
         basis = _load_basis(args.basis)
         # The table bases span sum f_k - (n+1) f_n, so rebase that form.
         target = table_form(factors, closed) if args.basis in _TABLE_BASES else closed
@@ -98,6 +102,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .tables import derive_table
+
     try:
         table = derive_table(args.weight)
     except RebaseError as exc:
@@ -116,6 +122,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .hoffman import hoffman_reduce
+
     expr = hoffman_reduce(args.d)
     lhs = MhsExpression.monomial(1, (Composition((1,) * args.d),))
     scale = factorial(args.d)
@@ -132,11 +140,15 @@ def _fan_out(worker, items, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [result for item in items for result in worker(item)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [result for chunk in pool.map(worker, items) for result in chunk]
 
 
 def _cmd_verify(args) -> int:
+    from . import registry
+
     if args.pmin <= 5:
         raise ValueError("pmin must be > 5")
     if args.pmin > args.pmax:
@@ -217,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "--suite",
-        choices=[suite.name for suite in registry.SUITES] + ["all"],
+        choices=[*SUITE_NAMES, "all"],
         default="all",
     )
     p_verify.add_argument("--pmin", type=int, default=7)

@@ -11,6 +11,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from . import SUITE_NAMES
 from . import binomial_sums as bs
 from .algebra import expr_equal
 from .congruences import BASE_CLAIMS, SUM_CLAIMS
@@ -54,6 +55,8 @@ SUITES: tuple[Suite, ...] = (
     Suite("corollary", "p", lambda r: bs.COROLLARY_CLAIMS),
     Suite("staver", "n", lambda r: tuple(map(bs.StaverClaim, range(1, r.nmax + 1)))),
 )
+if tuple(s.name for s in SUITES) != SUITE_NAMES:  # the CLI's --suite choices
+    raise RuntimeError(f"registry suites {[s.name for s in SUITES]} differ from SUITE_NAMES")
 
 
 def select(suite: str, claim_ids, ranges) -> list[tuple[Suite, tuple]]:

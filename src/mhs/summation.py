@@ -12,9 +12,8 @@ with polynomial coefficients (:func:`rebase`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import H, MhsExpression, N, NPolynomial, _combine
 from .algebra import _canonical_factors, _linearize_factors, _scaled_values
@@ -212,8 +211,7 @@ def rebase(
     return coeffs
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """A product of compositions under the sum, and its known closed form."""
 
     name: str

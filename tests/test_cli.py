@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -288,7 +289,7 @@ class _RecordingPool:
 def test_jobs_capped_at_cpus_and_items(monkeypatch, capsys):
     from mhs import cli
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "seen", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert cli._fan_out(lambda x: [x], [1, 2], 3) == [1, 2]
@@ -403,7 +404,7 @@ def test_verify_all_fans_out_once(monkeypatch, capsys):
 
     argv = ["verify", "--suite", "all", "--pmin", "7", "--pmax", "31"]
     serial = run(capsys, *argv)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "seen", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     fanned = run(capsys, *argv, "--jobs", "4")
