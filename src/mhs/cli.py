@@ -109,9 +109,6 @@ def _cmd_tables(args) -> int:
     except RebaseError as exc:
         print(f"table derivation failed: {exc}", file=sys.stderr)
         return 1
-    if any(cell.degree > 1 for rowcells in table.cells for cell in rowcells):
-        print("table cell exceeds degree 1", file=sys.stderr)
-        return 1
     if args.format == "json":
         print(table.dumps())
     elif args.format == "latex":

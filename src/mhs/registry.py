@@ -63,7 +63,8 @@ def select(suite: str, claim_ids, ranges) -> list[tuple[Suite, tuple]]:
     """The (suite, claims) pairs of a run, in registry order; ``suite`` may be "all".
 
     Given ``claim_ids``, each suite keeps only those claims and is dropped if
-    none is left; an id that no selected suite owns raises ValueError.
+    none is left; an id that no selected suite owns raises ValueError.  So
+    does an empty range that a selected suite reads.
     """
     chosen = [(s, s.claims(ranges)) for s in SUITES if suite in ("all", s.name)]
     if claim_ids:
@@ -72,6 +73,13 @@ def select(suite: str, claim_ids, ranges) -> list[tuple[Suite, tuple]]:
         if missing:
             raise ValueError(f"unknown claim ids: {sorted(missing)}")
         chosen = [(s, claims) for s, claims in chosen if claims]
+    reads = "".join(s.reads for s, _ in chosen)
+    if "p" in reads and not primes_in_range(ranges.pmin, ranges.pmax):
+        raise ValueError(f"no primes in [{ranges.pmin}, {ranges.pmax}]")
+    if "n" in reads and ranges.nmax < 1:
+        raise ValueError("--nmax must be >= 1")
+    if "a" in reads and ranges.amin > ranges.amax:
+        raise ValueError("--amin must not exceed --amax")
     return chosen
 
 
@@ -81,23 +89,16 @@ def _check_at(claims: tuple, p: int) -> list[tuple[int, CheckResult]]:
 
 
 def run(selection: list[tuple[Suite, tuple]], ranges, fan_out) -> list[CheckResult]:
-    """Check the selection, refusing empty ranges; results suite by suite.
+    """Check a selection that ``select`` made; results suite by suite.
 
     ``fan_out(worker, primes)`` maps the worker over the primes, in a process
     pool or not, and concatenates the lists it returns in prime order.
     """
-    primes = primes_in_range(ranges.pmin, ranges.pmax)
-    reads = "".join(s.reads for s, _ in selection)
-    if "p" in reads and not primes:
-        raise ValueError(f"no primes in [{ranges.pmin}, {ranges.pmax}]")
-    if "n" in reads and ranges.nmax < 1:
-        raise ValueError("--nmax must be >= 1")
-    if "a" in reads and ranges.amin > ranges.amax:
-        raise ValueError("--amin must not exceed --amax")
     tagged = [(i, c) for i, (s, claims) in enumerate(selection) for c in claims]
     per_prime = tuple((i, c) for i, c in tagged if "p" in selection[i][0].reads)
     results = [(i, c.check()) for i, c in tagged if "p" not in selection[i][0].reads]
     if per_prime:
+        primes = primes_in_range(ranges.pmin, ranges.pmax)
         results += fan_out(functools.partial(_check_at, per_prime), primes)
     results.sort(key=lambda pair: pair[0])  # stable: primes stay ascending in a suite
     return [result for _, result in results]

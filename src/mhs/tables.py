@@ -52,10 +52,14 @@ def _alternating_exp_row(kmax: int) -> MhsExpression:
     )
 
 
-def row_basis(weight: int) -> list[TableRow]:
-    """The fixed row basis used by the weight-4 and weight-5 grids."""
+def _require_shipped(weight: int) -> None:
     if weight not in (4, 5):
         raise ValueError("tables are shipped for weights 4 and 5 only")
+
+
+def row_basis(weight: int) -> list[TableRow]:
+    """The fixed row basis used by the weight-4 and weight-5 grids."""
+    _require_shipped(weight)
     half = Fraction(1, 2)
     third = Fraction(1, 3)
     quarter = Fraction(1, 4)
@@ -92,12 +96,7 @@ def table_form(factors, closed: MhsExpression) -> MhsExpression:
     return closed - (N + 1) * MhsExpression.monomial(1, factors)
 
 
-def _blocks(partition: tuple[int, ...]) -> tuple[Composition, ...]:
-    return tuple(Composition((1,) * part) for part in partition)
-
-
-# Column order follows the published layout; weight 5 is split 4 + 3 across
-# two sub-tables.
+# Column order follows the published layout.
 _COLUMNS = {
     4: [(4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1)],
     5: [
@@ -111,7 +110,8 @@ _COLUMNS = {
     ],
 }
 
-_SPLITS = {4: [5], 5: [4, 3]}
+# Column ranges of each published sub-table: weight 5 is split 4 + 3.
+_SPLITS = {4: [range(5)], 5: [range(4), range(4, 7)]}
 
 # Reference cells (b, a) for the polynomial a*n + b, row-major.
 _REFERENCE = {
@@ -142,13 +142,13 @@ _REFERENCE = {
 
 def column_products(weight: int) -> list[tuple[Composition, ...]]:
     """Factor multisets of the column products, in published order."""
-    if weight not in _COLUMNS:
-        raise ValueError("tables are shipped for weights 4 and 5 only")
-    return [_blocks(partition) for partition in _COLUMNS[weight]]
+    _require_shipped(weight)
+    return [tuple(Composition((1,) * part) for part in parts) for parts in _COLUMNS[weight]]
 
 
 def reference_cells(weight: int) -> list[list[tuple[int, int]]]:
     """Published (b, a) grid for the given weight."""
+    _require_shipped(weight)
     return [list(row) for row in _REFERENCE[weight]]
 
 
@@ -182,56 +182,48 @@ class DerivedTable:
     cells: list[list[NPolynomial]]  # rows x columns
     errata: list[Erratum] = field(default_factory=list)
 
-    def column_label(self, index: int) -> str:
-        return _format_factors(self.columns[index])
+    def _grids(self, corner: str, column, row, cell) -> list[list[list[str]]]:
+        """Each published sub-table as lines of entries, header first.
 
-    def column_latex(self, index: int) -> str:
-        return _format_factors(self.columns[index], latex=True)
+        ``column``, ``row`` and ``cell`` format a column's factors, a TableRow
+        and an NPolynomial; ``corner`` heads the row labels.
+        """
+        return [
+            [[corner] + [column(self.columns[j]) for j in split]]
+            + [[row(r)] + [cell(cells[j]) for j in split]
+               for r, cells in zip(self.rows, self.cells)]
+            for split in _SPLITS[self.weight]
+        ]
 
     def render_text(self) -> str:
         blocks = []
-        start = 0
-        for width in _SPLITS[self.weight]:
-            col_range = range(start, start + width)
-            start += width
-            header = ["sum f_k - (n+1) f_n"] + [self.column_label(i) for i in col_range]
-            grid = [header]
-            for row, cells in zip(self.rows, self.cells):
-                grid.append([row.label] + [str(cells[i]) for i in col_range])
-            widths = [max(len(line[i]) for line in grid) for i in range(len(header))]
+        for grid in self._grids("sum f_k - (n+1) f_n", _format_factors, lambda r: r.label, str):
+            widths = [max(map(len, entries)) for entries in zip(*grid)]
             lines = [
                 "  ".join(entry.ljust(w) for entry, w in zip(line, widths)).rstrip()
                 for line in grid
             ]
-            lines.insert(1, "-" * max(len(line) for line in lines))
+            lines.insert(1, "-" * max(map(len, lines)))
             blocks.append("\n".join(lines))
-        out = "\n\n".join(blocks)
         if self.errata:
-            notes = "\n".join(
-                f"erratum: row {e.row}, column {e.column}: printed "
-                f"{e.printed[1]}*n+{e.printed[0]}, derived {e.derived[1]}*n+{e.derived[0]}"
+            blocks.append("\n".join(
+                f"erratum: row {e.row}, column {e.column}: "
+                f"printed {NPolynomial(e.printed)}, derived {NPolynomial(e.derived)}"
                 for e in self.errata
-            )
-            out += "\n\n" + notes
-        return out
+            ))
+        return "\n\n".join(blocks)
 
     def render_latex(self) -> str:
         blocks = []
-        start = 0
-        for width in _SPLITS[self.weight]:
-            col_range = range(start, start + width)
-            start += width
-            colspec = "|" + "c|" * (width + 1)
+        for grid in self._grids(
+            r"$\sum_{k=1}^n f_k-(n+1)f_n$",
+            lambda factors: rf"$\displaystyle {_format_factors(factors, latex=True)}$",
+            lambda r: f"${r.latex}$",
+            lambda c: f"${c.latex()}$",
+        ):
+            colspec = "|" + "c|" * len(grid[0])
             lines = [rf"\begin{{tabular}}{{{colspec}}}\hline"]
-            header = r"$\sum_{k=1}^n f_k-(n+1)f_n$"
-            for i in col_range:
-                header += rf"&$\displaystyle {self.column_latex(i)}$"
-            lines.append(header + r"\\\hline")
-            for row, cells in zip(self.rows, self.cells):
-                body = f"${row.latex}$"
-                for i in col_range:
-                    body += f"&${cells[i].latex()}$"
-                lines.append(body + r"\\\hline")
+            lines += ["&".join(line) + r"\\\hline" for line in grid]
             lines.append(r"\end{tabular}")
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks)
@@ -240,11 +232,8 @@ class DerivedTable:
         return {
             "weight": self.weight,
             "columns": [
-                {
-                    "product": self.column_label(i),
-                    "factors": [str(c) for c in factors],
-                }
-                for i, factors in enumerate(self.columns)
+                {"product": _format_factors(factors), "factors": [str(c) for c in factors]}
+                for factors in self.columns
             ],
             "rows": [
                 {
@@ -258,64 +247,41 @@ class DerivedTable:
             "errata": [e.to_json() for e in self.errata],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DerivedTable":
-        weight = data["weight"]
-        columns = [
-            tuple(Composition.parse(s) for s in col["factors"])
-            for col in data["columns"]
-        ]
-        rows = row_basis(weight)
-        cells = [
-            [NPolynomial((Fraction(b), Fraction(a))) for b, a in row["cells"]]
-            for row in data["rows"]
-        ]
-        table = cls(weight=weight, columns=columns, rows=rows, cells=cells)
-        table.errata = [
-            Erratum(
-                weight=e["weight"],
-                row=e["row"],
-                column=e["column"],
-                printed=tuple(int(x) for x in e["printed"]),
-                derived=tuple(e["derived"]),
-                oracle_verified=e["oracle_verified"],
-            )
-            for e in data["errata"]
-        ]
-        return table
-
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
 
 
 def derive_table(weight: int) -> DerivedTable:
-    """Recompute the full coefficient grid and diff it against the reference."""
+    """Recompute the full coefficient grid and diff it against the reference.
+
+    Each column with a disputed cell has its closed form oracle-checked once.
+    """
     rows = row_basis(weight)
     columns = column_products(weight)
     basis = [row.basis for row in rows]
+    by_column = [
+        rebase(table_form(factors, sum_product(factors)), basis, max_degree=1, require_unique=True)
+        for factors in columns
+    ]
+    table = DerivedTable(weight, columns, rows, [list(cells) for cells in zip(*by_column)])
     reference = reference_cells(weight)
-
-    cells: list[list[NPolynomial]] = [[None] * len(columns) for _ in rows]
-    table = DerivedTable(weight=weight, columns=columns, rows=rows, cells=cells)
-    for j, factors in enumerate(columns):
-        target = table_form(factors, sum_product(factors))
-        column_cells = rebase(target, basis, max_degree=1, require_unique=True)
-        for i, cell in enumerate(column_cells):
-            cells[i][j] = cell
-            printed = reference[i][j]
-            if cell != NPolynomial((printed[0], printed[1])):
-                product = MhsExpression.monomial(1, factors)
-                closed = _combine([(N + 1, product), *zip(column_cells, basis)])
-                table.errata.append(
-                    Erratum(
-                        weight=weight,
-                        row=rows[i].label,
-                        column=table.column_label(j),
-                        printed=printed,
-                        derived=(str(cell.coeff(0)), str(cell.coeff(1))),
-                        oracle_verified=partial_sum_oracle(factors, closed, ORACLE_POINTS),
-                    )
-                )
+    for j, (factors, column_cells) in enumerate(zip(columns, by_column)):
+        disputed = [i for i, c in enumerate(column_cells) if c != NPolynomial(reference[i][j])]
+        if not disputed:
+            continue
+        closed = _combine([(N + 1, MhsExpression.monomial(1, factors)), *zip(column_cells, basis)])
+        verified = partial_sum_oracle(factors, closed, ORACLE_POINTS)
+        table.errata += [
+            Erratum(
+                weight=weight,
+                row=rows[i].label,
+                column=_format_factors(factors),
+                printed=reference[i][j],
+                derived=(str(column_cells[i].coeff(0)), str(column_cells[i].coeff(1))),
+                oracle_verified=verified,
+            )
+            for i in disputed
+        ]
     return table
 
 

@@ -227,6 +227,20 @@ def test_verify_refuses_vacuous_runs(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "identities", "--nmax", "0"], "--nmax must be >= 1"),
+        (["--suite", "congruences", "--pmin", "24", "--pmax", "28"], "no primes in [24, 28]"),
+        (["--suite", "theorem", "--amin", "3", "--amax", "1"], "--amin must not exceed --amax"),
+    ],
+)
+def test_verify_list_is_refused_with_the_run(capsys, argv, message):
+    for listing in ([], ["--list"]):
+        code, out, err = run(capsys, "verify", *listing, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "content",
     [
         None,
