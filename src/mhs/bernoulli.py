@@ -20,8 +20,8 @@ from fractions import Fraction
 
 __all__ = ["bernoulli", "bernoulli_invariant", "bernoulli_invariant_mod"]
 
-# ``import mhs`` loads this module, so mhs.residues (and the dataclasses module
-# it needs) is imported inside the functions that use it, not here.
+# ``import mhs`` loads this module, so mhs.residues is imported inside the
+# functions that use it, not here.
 
 # [B_0, B_1, ...] in one unlocked table per thread, grown geometrically.
 _local = threading.local()
@@ -75,16 +75,23 @@ def bernoulli_invariant(p: int) -> Fraction:
     return value
 
 
-def _power_sum_mod(m: int, p: int, mod: int) -> int:
-    """sum_{j=1}^{p-1} j^m modulo ``mod``."""
-    return sum(pow(j, m, mod) for j in range(1, p)) % mod
+def _power_sums_mod(p: int, mod: int) -> tuple[int, int]:
+    """(sum_{j<p} j^(p-3), sum_{j<p} j^(2p-4)) modulo ``mod``, one pow per j.
+
+    j^(2p-4) = (j^(p-3) * j)^2, so the second sum reuses the first's powers.
+    """
+    low = high = 0
+    for j in range(1, p):
+        power = pow(j, p - 3, mod)
+        low += power
+        high += (power * j) ** 2
+    return low % mod, high % mod
 
 
-def _bernoulli_mod_p2(m: int, p: int) -> int:
+def _bernoulli_mod_p2(m: int, p: int, power_sum: int) -> int:
     """B_m modulo p^2 as (sum_{j<p} j^m mod p^3) / p; see bernoulli_invariant_mod."""
     from .residues import NonPIntegralError
 
-    power_sum = _power_sum_mod(m, p, p**3)
     if power_sum % p:
         raise NonPIntegralError(f"power sum of exponent {m} is not 0 mod p={p}")
     return power_sum // p
@@ -103,6 +110,7 @@ def bernoulli_invariant_mod(p: int) -> int:
 
     require_admissible(p)
     mod = p**2
-    low = _bernoulli_mod_p2(p - 3, p) * pow(p - 3, -1, mod)
-    high = _bernoulli_mod_p2(2 * p - 4, p) * pow(4 * p - 8, -1, mod)
+    low_sum, high_sum = _power_sums_mod(p, p**3)
+    low = _bernoulli_mod_p2(p - 3, p, low_sum) * pow(p - 3, -1, mod)
+    high = _bernoulli_mod_p2(2 * p - 4, p, high_sum) * pow(4 * p - 8, -1, mod)
     return (low - high) % mod

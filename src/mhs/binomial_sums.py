@@ -15,21 +15,22 @@ way.  Both read their residues at p from the context of p
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
-C(ap-2, p-1) congruence modulo p^4.
+C(ap-2, p-1) congruence modulo p^4.  At p, C(ap-2, p-1) and C(2p-1, p-1) are
+products of units 1 + cp/m over the inverses of the context of p, so no
+per-prime check calls ``math.comb``; the exact functions still do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bernoulli import bernoulli_invariant
 from .congruences import prime_context
 from .partitions import arrangement_count, partitions_of
-from .report import CheckResult, ResidueClaim
+from .report import CheckResult, check_residues
 from .residues import PResidue, is_prime, padic_valuation, require_admissible
 
 __all__ = [
@@ -75,7 +76,11 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
 
 
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
-    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route), once per a at p."""
+    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route), once per a at p.
+
+    The sum is read from the context of p; ``PrimeContext.sum_powers`` forms
+    a whole range of a at once, which is how the theorem claims fill it.
+    """
     require_admissible(p)
     return PResidue(prime_context(p, e).power_sum(a), p, e)
 
@@ -205,16 +210,18 @@ def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     return lhs % mod, rhs % mod
 
 
-@dataclass(frozen=True)
-class BinomialClaim(ResidueClaim):
+class BinomialClaim(NamedTuple):
     """A per-prime claim whose two sides come from the function ``sides``."""
 
     claim_id: str
     exponent: int
     sides: Callable[[int], tuple[int, int]]
 
+    check = check_residues
 
-def _closed_form_sides(a: int, p: int) -> tuple[int, int]:
+
+def _closed_form_sides(a: int, exponents: range, p: int) -> tuple[int, int]:
+    prime_context(p).sum_powers(exponents)  # the whole range in one pass per sign
     return binomial_power_sum(a, p).value, binomial_power_sum_closed_form(a, p).value
 
 
@@ -226,21 +233,35 @@ def _anchor_sides(a: int, p: int) -> tuple[int, int]:
     return binomial_power_sum(a, p).value, p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
 
 
+def _steps_product(c: int, n: int, context) -> int:
+    """prod_{m=1}^{n} (1 + c*p/m) modulo context.mod, from the inverses 1/m of the context."""
+    cp, mod = c * context.p, context.mod
+    total = 1
+    for inverse in context.inverses[1 : n + 1]:
+        total = total * (1 + cp * inverse) % mod
+    return total
+
+
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
-    return binomial_power_sum(a, p, 4).value, comb(a * p - 2, p - 1) % p**4
+    # C(ap-2, p-1) = (a-1)p/(p-1) * prod_{m=1}^{p-2} (1 + (a-1)p/m), 0 for a = 1
+    context = prime_context(p, 4)
+    rhs = (a - 1) * p * context.inverses[p - 1] * _steps_product(a - 1, p - 2, context)
+    return binomial_power_sum(a, p, 4).value, rhs % p**4
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
-    return comb(2 * p - 1, p - 1) % p**3, 1
+    # C(2p-1, p-1) = prod_{j<p} (1 + p/j)
+    return _steps_product(1, p - 1, prime_context(p, 3)) % p**3, 1
 
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
     """Direct vs closed form and expansion vs direct for each a, then the anchors."""
+    exponents = range(amin, amax + 1)
     claims = [
         BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides)
-        for a in range(amin, amax + 1)
+        for a in exponents
         for route, sides in (
-            ("", partial(_closed_form_sides, a)),
+            ("", partial(_closed_form_sides, a, exponents)),
             ("-expansion", partial(_expansion_sides, a, _expansion_terms(a))),  # built once
         )
     ]
@@ -263,8 +284,7 @@ COROLLARY_CLAIMS = (
 )
 
 
-@dataclass(frozen=True)
-class StaverClaim:
+class StaverClaim(NamedTuple):
     """Staver's identity at one n, checked exactly."""
 
     n: int

@@ -20,17 +20,17 @@ error-term bookkeeping.
 
 from __future__ import annotations
 
+import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition, mhs_row
-from .report import CheckResult, ResidueClaim
+from .report import CheckResult, check_residues
 from .residues import PResidue, batch_inverse, require_admissible
 
 __all__ = [
@@ -47,12 +47,22 @@ __all__ = [
 ]
 
 
+# Entries of k per pass of a power row: bounds the row's memory, not the work.
+_BLOCK = 4096
+# A product-sum miss sums every partition of weight <= 5: the sum rows and the
+# p^6 expansion read exactly those.
+_WEIGHT = 5
+
+
 class PrimeContext:
     """The residue state of one prime p modulo mod = p^max(e, 6), each part built on first use.
 
     Every check at p modulo p^e reads it through Z/mod -> Z/p^e, so the checks
     at p share one batch inversion, the tables j^(-s), the rows H_k(s) for k < p,
     X mod p^2, the signed binomial units, and each sum of products or powers.
+    The sums are whole-row passes: a product row is its prefix's row times one
+    row H({1}^j), a power row the previous power times the units.  Those rows
+    live only in the call that sums them; the context keeps the sums alone.
     """
 
     def __init__(self, p: int, mod: int):
@@ -70,7 +80,8 @@ class PrimeContext:
     def inverse_powers(self, s: int) -> list:
         """[0, 1^-s, ..., (p-1)^-s], the factors of the rows with part s."""
         if s not in self.powers:
-            self.powers[s] = [pow(inverse, s, self.mod) for inverse in self.inverses]
+            inverses = self.inverses  # s = 1 shares the table rather than copy it
+            self.powers[s] = inverses if s == 1 else [pow(i, s, self.mod) for i in inverses]
         return self.powers[s]
 
     @cached_property
@@ -87,26 +98,74 @@ class PrimeContext:
         return units, batch_inverse(units, self.mod)
 
     def product_sum(self, lam: tuple[int, ...]) -> int:
-        """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), by brute force over the rows."""
-        if lam not in self.product_sums:
-            p, mod = self.p, self.mod
-            factors = [mhs_row((1,) * part, p - 1, self.rows, self) for part in lam]
-            total = 0
-            for k in range(1, p):
-                term = 1
-                for row in factors:
-                    term = term * row[k] % mod
-                total += term
-            self.product_sums[lam] = total % mod
-        return self.product_sums[lam]
+        """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), for parts lam_i >= 1 in any order.
+
+        A miss sums every partition of weight at most max(sum(lam), 5) in
+        one depth-first walk over partition prefixes (see :meth:`_sum_products`).
+        """
+        sums = self.product_sums
+        if lam not in sums:
+            lam = tuple(sorted(lam, reverse=True))  # as the walk forms partitions
+            if lam not in sums:
+                self._sum_products(max(sum(lam), _WEIGHT))
+        return sums[lam]
+
+    def _sum_products(self, weight: int) -> None:
+        """Sum each partition of weight <= ``weight`` that has no sum yet.
+
+        The row of a partition lam is the row of lam[:-1] times the row
+        H({1}^lam[-1]), so each partition costs one pass over k whatever its
+        length.  A row lives while the walk is below its partition, and the
+        row of a partition that nothing extends is never stored.
+        """
+        ones = {j: mhs_row((1,) * j, self.p - 1, self.rows, self) for j in range(1, weight + 1)}
+        for j, row in ones.items():
+            self._sum_extensions((j,), row, weight - j, ones)
+
+    def _sum_extensions(self, lam: tuple, row: list, left: int, ones: dict) -> None:
+        """Sum lam from its row, then each partition lam + (parts <= lam[-1]) of ``left`` more."""
+        mod, sums = self.mod, self.product_sums
+        if lam not in sums:
+            sums[lam] = sum(row) % mod
+        for j in range(1, min(lam[-1], left) + 1):
+            child = lam + (j,)
+            if j < left:
+                child_row = [x * y % mod for x, y in zip(row, ones[j])]
+                self._sum_extensions(child, child_row, left - j, ones)
+            elif child not in sums:
+                sums[child] = sum(map(operator.mul, row, ones[j])) % mod
 
     def power_sum(self, a: int) -> int:
         """sum_{k=0}^{p-1} u_k^a; negative a powers 1/u."""
         if a not in self.power_sums:
-            units, inverses = self.units
-            bases, exponent, mod = inverses if a < 0 else units, abs(a), self.mod
-            self.power_sums[a] = sum(pow(b, exponent, mod) for b in bases) % mod
+            self.sum_powers((a,))
         return self.power_sums[a]
+
+    def sum_powers(self, exponents: Iterable[int]) -> None:
+        """Form sum_k u_k^a for each a in ``exponents`` that has no sum yet.
+
+        One running row per sign, u, u^2, ... (or 1/u, 1/u^2, ...) up to the
+        largest wanted |a|, is summed as it passes each wanted exponent.  The
+        row runs over _BLOCK entries of k at a time, so it stays small.
+        """
+        mod, sums = self.mod, self.power_sums
+        missing = {a for a in exponents if a not in sums}
+        if 0 in missing:
+            sums[0] = self.p % mod  # p ones
+        for sign in (1, -1):
+            totals = dict.fromkeys((sign * a for a in missing if sign * a > 0), 0)
+            if not totals:
+                continue
+            units, top = self.units[sign < 0], max(totals)
+            for start in range(0, self.p, _BLOCK):
+                row = bases = units[start : start + _BLOCK]
+                for exponent in range(1, top + 1):
+                    if exponent > 1:
+                        row = [x * b % mod for x, b in zip(row, bases)]
+                    if exponent in totals:
+                        totals[exponent] += sum(row)
+            for exponent, total in totals.items():
+                sums[sign * exponent] = total % mod
 
 
 # One context per thread, replaced when p or the modulus changes: a
@@ -140,13 +199,13 @@ def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
 
     The sum is kept once per partition in the context of p and reduced mod
     p^e; its rows H_k({1}^j) come from the same context, so all partitions
-    and exponents at p share them.
+    and exponents at p share them, and a miss sums every partition of
+    weight <= 5 in one walk (see :meth:`PrimeContext.product_sum`).
     """
     return prime_context(p, e).product_sum(lam) % p**e
 
 
-@dataclass(frozen=True)
-class CongruenceClaim(ResidueClaim):
+class CongruenceClaim(NamedTuple):
     """One congruence, with its right side as a polynomial in p and X."""
 
     claim_id: str
@@ -154,6 +213,8 @@ class CongruenceClaim(ResidueClaim):
     target: tuple[int, ...]  # composition (mhs) or partition of the weight (sum)
     rhs_terms: tuple[tuple[tuple[int, int], int], ...]  # ((p_exp, x_exp), coeff)
     exponent: int
+
+    check = check_residues
 
     def rhs_value(self, p: int) -> int:
         """The right side in Z / p^e, from X modulo p^2 only.

@@ -118,9 +118,10 @@ def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
     H_j(s[:d]) = H_{j-1}(s[:d]) + H_{j-1}(s[:d-1]) * j^(-s_d): O(depth * n)
     steps over Q (``context`` None) or over Z / context.mod, with no
     recursion.  A residue row reads the factors j^(-s_d), j < context.p,
-    from ``context.inverse_powers(s_d)`` (a congruences.PrimeContext), so
-    it costs multiplications only; n >= context.p raises ValueError.  The
-    returned list is the stored row, not a copy.
+    from ``context.inverse_powers(s_d)`` (a congruences.PrimeContext), and
+    grows as whole-row passes: one multiplication per entry, running sums
+    over the integers, then one reduction per entry.  n >= context.p raises
+    ValueError.  The returned list is the stored row, not a copy.
     """
     if context is not None and n >= context.p:
         raise ValueError(f"H_{n} needs 1/{context.p}, not a unit mod {context.mod}")
@@ -141,9 +142,10 @@ def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
                 for j in range(len(row), top + 1):
                     row.append(row[j - 1] + prefix[j - 1] / j**exponent)
             elif len(row) <= top:
-                units, mod = context.inverse_powers(s[d - 1]), context.mod
-                for j in range(len(row), top + 1):
-                    row.append((row[j - 1] + prefix[j - 1] * units[j]) % mod)
+                units, start = context.inverse_powers(s[d - 1]), len(row)
+                terms = map(operator.mul, prefix[start - 1 : top], units[start : top + 1])
+                sums = itertools.accumulate(terms, initial=row[-1])  # unreduced
+                row[start - 1 :] = map(operator.mod, sums, itertools.repeat(context.mod))
             prefix = row
     return row
 

@@ -8,7 +8,6 @@ every claim at p before the next prime builds each prime's tables once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import SUITE_NAMES
@@ -22,8 +21,7 @@ from .summation import IdentityRecord, known_identities, partial_sum_oracle, sum
 __all__ = ["SUITES", "IdentityClaim", "Suite", "run", "select"]
 
 
-@dataclass(frozen=True)
-class IdentityClaim:
+class IdentityClaim(NamedTuple):
     """A known identity, derived again and checked against partial sums to nmax."""
 
     record: IdentityRecord

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-__all__ = ["CheckResult", "ResidueClaim"]
+__all__ = ["CheckResult", "check_residues"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a single verification, JSON-serializable."""
 
     claim_id: str
@@ -29,9 +28,7 @@ class CheckResult:
         }
 
 
-class ResidueClaim:
-    """Base of the per-prime claims: ``sides(p)`` gives both sides mod p^exponent."""
-
-    def check(self, p: int) -> CheckResult:
-        lhs, rhs = self.sides(p)
-        return CheckResult(self.claim_id, p, p**self.exponent, lhs, rhs, lhs == rhs)
+def check_residues(claim, p: int) -> CheckResult:
+    """The ``check`` of a per-prime claim: ``claim.sides(p)`` gives both sides mod p^exponent."""
+    lhs, rhs = claim.sides(p)
+    return CheckResult(claim.claim_id, p, p**claim.exponent, lhs, rhs, lhs == rhs)

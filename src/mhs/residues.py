@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
@@ -86,16 +85,27 @@ def padic_valuation(q: Fraction | int, p: int) -> int | None:
     return v(q.numerator) - v(q.denominator)
 
 
-@dataclass(frozen=True)
 class PResidue:
-    """Element of Z / p^e, with unit inversion via modular exponentiation."""
+    """Element of Z / p^e, with unit inversion via modular exponentiation.
 
-    value: int
-    p: int
-    e: int
+    Equal only to a PResidue with the same (value, p, e), and hashable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
+    __slots__ = ("value", "p", "e")
+
+    def __init__(self, value: int, p: int, e: int):
+        self.value, self.p, self.e = value % p**e, p, e
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.value, self.p, self.e
+
+    def __eq__(self, other):
+        if other.__class__ is not PResidue:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def modulus(self) -> int:

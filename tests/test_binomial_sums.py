@@ -124,8 +124,9 @@ def test_power_sum_computed_once_per_a_and_prime():
     prime_context(p).power_sums = RecordingSums()
     results = binomial_sums.theorem_suite(p) + binomial_sums.cai_granville_suite(p)
     assert len(results) == 31 and all(r.passed for r in results)
-    # one direct sum per a in [-6, 6]; the anchors and the e = 4 checks reuse them
-    assert sweeps == list(range(-6, 7))
+    # one direct sum per a in [-6, 6], formed in one batch; the anchors and the
+    # e = 4 checks reuse them
+    assert sorted(sweeps) == list(range(-6, 7))
     assert binomial_power_sum(2, p, e=4) == binomial_sums.PResidue(
         sum(pow(comb(p - 1, k), 2, p**4) for k in range(p)), p, 4
     )

@@ -36,7 +36,7 @@ bernoulli = importlib.import_module("mhs.bernoulli")
 residues = importlib.import_module("mhs.residues")
 bernoulli.bernoulli = lambda m: Fraction(1, 7)
 expect(residues.NonPIntegralError, bernoulli.bernoulli_invariant, 7)
-bernoulli._power_sum_mod = lambda m, p, mod: 1
+bernoulli._power_sums_mod = lambda p, mod: (1, 1)
 expect(residues.NonPIntegralError, bernoulli.bernoulli_invariant_mod, 11)
 
 hoffman = importlib.import_module("mhs.hoffman")

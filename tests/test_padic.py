@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -67,6 +66,15 @@ def test_presidue_arithmetic():
     assert (b**-2 * b * b).value == 1
     with pytest.raises(ValueError):
         a + PResidue(1, 7, 3)
+
+
+def test_presidue_equality_hash_and_repr():
+    r = PResidue(52, 7, 2)
+    assert r == PResidue(3, 7, 2) and hash(r) == hash(PResidue(3, 7, 2))
+    assert r != PResidue(3, 7, 3) and r != PResidue(3, 5, 2)
+    assert r != (3, 7, 2) and r != 3
+    assert len({r, PResidue(101, 7, 2), PResidue(3, 7, 3)}) == 2
+    assert repr(r) == "PResidue(3 mod 7^2)"
 
 
 def test_padic_valuation():
@@ -158,7 +166,7 @@ def test_cross_derivation_refuses_a_perturbed_row(monkeypatch, claim, k):
     terms = list(claim.rhs_terms)
     key, coeff = terms[k]
     terms[k] = (key, coeff + 1)
-    wrong = dataclasses.replace(claim, rhs_terms=tuple(terms))
+    wrong = claim._replace(rhs_terms=tuple(terms))
     rows = tuple(wrong if c is claim else c for c in SUM_CLAIMS)
     monkeypatch.setattr(congruences, "SUM_CLAIMS", rows)
     assert not cross_derivation_check(claim.target)

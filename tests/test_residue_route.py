@@ -6,6 +6,7 @@ oracle; both routes are compared here for every prime 7 <= p <= 400.  The
 per-prime context's H_k(s) rows are checked against the exact rows.
 """
 
+import gc
 import importlib
 import os
 import subprocess
@@ -16,9 +17,12 @@ from math import comb
 
 import pytest
 
-from mhs import cli, congruences
+from mhs import binomial_sums, cli, congruences
 from mhs.bernoulli import bernoulli, bernoulli_invariant, bernoulli_invariant_mod
 from mhs.binomial_sums import (
+    CAI_GRANVILLE_CLAIMS,
+    COROLLARY_CLAIMS,
+    binomial_power_sum,
     binomial_power_sum_closed_form,
     central_binomial_sum_exact,
     cai_granville_suite,
@@ -36,6 +40,7 @@ from mhs.congruences import (
     sum_congruence_suite,
 )
 from mhs.core import eval_mhs, mhs_prefix_values, mhs_row
+from mhs.partitions import partitions_of
 from mhs.residues import batch_inverse, primes_in_range, reduce_mod
 
 PRIMES = primes_in_range(7, 400)
@@ -289,3 +294,107 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     # 1/j for the rows, the units and the central-binomial sum, then the
     # units' inverses: once each for every e at p
     assert inversions == [p**6, p**6]
+
+
+def _reference_rows(p: int, mod: int, depth: int) -> list[list[int]]:
+    """[H_k({1}^j) for k < p] for j = 0..depth, one k at a time."""
+    rows = [[1] * p]
+    for _ in range(depth):
+        prefix, row = rows[-1], [0]
+        for k in range(1, p):
+            row.append((row[k - 1] + prefix[k - 1] * pow(k, -1, mod)) % mod)
+        rows.append(row)
+    return rows
+
+
+def _reference_product_sum(lam: tuple, rows: list, p: int, mod: int) -> int:
+    """The per-k loop that summed a product of rows before the whole-row walk."""
+    total = 0
+    for k in range(1, p):
+        term = 1
+        for part in lam:
+            term = term * rows[part][k] % mod
+        total += term
+    return total % mod
+
+
+def _reference_power_sum(a: int, p: int, mod: int) -> int:
+    """The per-k loop that summed u_k^a before the running rows: one pow per k."""
+    units = [1]
+    for k in range(1, p):
+        units.append(units[-1] * (1 - p * pow(k, -1, mod)) % mod)
+    return sum(pow(u, a, mod) for u in units) % mod
+
+
+KERNEL_PARTITIONS = [lam for w in range(1, 6) for lam in partitions_of(w)] + [(3, 2, 1)]
+KEPT = {"p", "mod", "rows", "powers", "product_sums", "power_sums", "inverses", "units"}
+
+
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
+    monkeypatch.setattr(congruences, "_BLOCK", 10)  # power rows in blocks, the last one short
+    prime_context(13)  # a context of p from an earlier test is replaced
+    for e in (1, 4, 6, 8):
+        mod = p ** max(e, 6)
+        rows = _reference_rows(p, mod, 6)
+        products = {lam: _reference_product_sum(lam, rows, p, mod) for lam in KERNEL_PARTITIONS}
+        powers = {a: _reference_power_sum(a, p, mod) for a in range(-8, 9)}
+        for lam, expected in products.items():
+            assert homogeneous_product_sum_mod(lam, p, e) == expected % p**e, (lam, p, e)
+        for a, expected in powers.items():
+            assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
+        # Fresh contexts, filled in other orders and batches, keep only sums.
+        ascending, batched = congruences.PrimeContext(p, mod), congruences.PrimeContext(p, mod)
+        batched.sum_powers(range(-8, 9))
+        for lam in reversed(KERNEL_PARTITIONS):
+            assert batched.product_sum(lam) == products[lam], (lam, p, e)
+        for lam in KERNEL_PARTITIONS:
+            assert ascending.product_sum(lam[::-1]) == products[lam], (lam, p, e)
+        for a in range(-8, 9):
+            assert ascending.power_sum(a) == batched.power_sum(a) == powers[a], (a, p, e)
+        for context in (ascending, batched):
+            assert set(vars(context)) == KEPT
+            assert set(context.rows) == {(1,) * j for j in range(7)}
+            assert set(context.powers) == {1}
+            sums = [*context.product_sums.values(), *context.power_sums.values()]
+            assert all(type(total) is int for total in sums)
+
+
+def test_binomials_without_comb_match_comb():
+    """The two binomials the per-prime checks form from 1/m, against math.comb."""
+    for p in PRIMES + [1009, 10007]:
+        for a, claim in zip((1, 2, 3), CAI_GRANVILLE_CLAIMS):
+            assert claim.check(p).rhs == comb(a * p - 2, p - 1) % p**4, (a, p)
+        wolstenholme = COROLLARY_CLAIMS[1].check(p)
+        assert wolstenholme.lhs == comb(2 * p - 1, p - 1) % p**3, p
+
+
+def test_per_prime_suites_run_without_comb(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("math.comb on the per-prime path")
+
+    monkeypatch.setattr(binomial_sums, "comb", refuse)
+    p = 23
+    prime_context(19)  # a context of 23 from an earlier test is replaced
+    results = (
+        base_congruence_suite(p)
+        + sum_congruence_suite(p)
+        + theorem_suite(p)
+        + cai_granville_suite(p)
+        + corollary_suite(p)
+    )
+    assert len(results) == 61 and all(r.passed for r in results)
+
+
+def test_replaced_context_leaves_no_cycle():
+    """A prime's rows are freed when its context is replaced, not at some later collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        for p in (101, 103):
+            theorem_suite(p)
+            sum_congruence_suite(p)
+        prime_context(107)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
