@@ -283,8 +283,7 @@ class MhsMonomial(NamedTuple):
 
 
 def _term_order_key(factors: tuple[Composition, ...]) -> tuple:
-    keys = tuple(c.sort_key() for c in factors)
-    return (sum(k[0] for k in keys), len(factors), keys)
+    return (sum(map(sum, factors)), len(factors), [(sum(c), len(c), c) for c in factors])
 
 
 def _merged(pieces: Iterable) -> dict:
@@ -448,10 +447,8 @@ class MhsExpression:
 
     def to_json(self) -> list[dict]:
         """Round-trippable form: one object per term, canonical order."""
-        return [
-            {"coeff": mono.coeff.to_json(), "factors": [str(c) for c in mono.factors]}
-            for mono in self.terms()
-        ]
+        keys = sorted(self._terms, key=_term_order_key, reverse=True)
+        return [{"coeff": self._terms[k].to_json(), "factors": list(map(str, k))} for k in keys]
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "MhsExpression":

@@ -245,7 +245,8 @@ def _steps_product(c: int, n: int, context) -> int:
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
     # C(ap-2, p-1) = (a-1)p/(p-1) * prod_{m=1}^{p-2} (1 + (a-1)p/m), 0 for a = 1
     context = prime_context(p, 4)
-    rhs = (a - 1) * p * context.inverses[p - 1] * _steps_product(a - 1, p - 2, context)
+    steps = _steps_product(a - 1, p - 2, context) if a != 1 else 0  # a = 1 scales it by 0
+    rhs = (a - 1) * p * context.inverses[p - 1] * steps
     return binomial_power_sum(a, p, 4).value, rhs % p**4
 
 

@@ -79,10 +79,11 @@ class PrimeContext:
 
     def inverse_powers(self, s: int) -> list:
         """[0, 1^-s, ..., (p-1)^-s], the factors of the rows with part s."""
-        if s not in self.powers:
-            inverses = self.inverses  # s = 1 shares the table rather than copy it
-            self.powers[s] = inverses if s == 1 else [pow(i, s, self.mod) for i in inverses]
-        return self.powers[s]
+        powers, inverses, mod = self.powers, self.inverses, self.mod
+        powers.setdefault(1, inverses)  # s = 1 shares the table rather than copy it
+        for t in range(len(powers) + 1, s + 1):  # each table the last times the inverses
+            powers[t] = [x * y % mod for x, y in zip(powers[t - 1], inverses)]
+        return powers[s]
 
     @cached_property
     def invariant(self) -> int:

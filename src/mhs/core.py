@@ -95,7 +95,7 @@ class Composition(tuple):
         return cls(parts)
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self)
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"Composition({tuple(self)!r})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
@@ -37,6 +38,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64, typed=True)  # a refusal raises, so only admissible p are kept
 def require_admissible(p: int) -> None:
     """Raise ValueError unless p is a prime > 5, the primes every claim covers."""
     if p <= 5 or not is_prime(p):

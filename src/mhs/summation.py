@@ -7,13 +7,14 @@ stuffle relations, telescope each single sum with the rule
     sum_{k=1}^n H_k(s) = (n+1) H_n(s) - sum_{j=1}^n H_{j-1}(s') / j^{sd - 1}
 
 (where s = (s', sd)), and optionally rewrite the result over a supplied basis
-with polynomial coefficients (:func:`rebase`).
+with polynomial coefficients (:func:`rebase`).  The telescoping kernel sums
+integer pairs (c0, c1), for c0 + c1 n, and builds NPolynomials only at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import H, MhsExpression, N, NPolynomial, _combine
 from .algebra import _canonical_factors, _linearize_factors, _scaled_values
@@ -29,55 +30,53 @@ __all__ = [
     "sum_single",
 ]
 
-_ONE = NPolynomial.one()
-_N_PLUS_1 = N + 1
 
+def _telescope(expansion: dict) -> MhsExpression:
+    """Closed form of sum_{k=1}^n sum_s mult * H_k(s) over ``expansion`` {s: mult}.
 
-def _telescoped(s: Composition) -> Iterator[tuple[tuple, NPolynomial]]:
-    """Canonical (key, coeff) pieces of sum_{k=1}^n H_k(s), in harmonic sums at n.
+    For sd = 1 the rule's correction is sum_{k<n} H_k(s') = S(s') - H_n(s'),
+    plus 1 if s' is empty, so for s = (u, 1^r), u empty or ending in u_d > 1,
 
-    Every symbol in the output has weight at most |s|.  The trailing-exponent
-    rule leaves a correction sum_{j<=n} H_{j-1}(s') / j^{sd-1}: for sd > 1 that
-    is H_n(s', sd - 1); for sd = 1 it is sum_{k=0}^{n-1} H_k(s'), which is the
-    sum for s' less H_n(s') (plus 1 when s' is empty).  So each trailing 1
-    gives S(t, 1) = (n+1) H_n(t, 1) + H_n(t) - S(t), the H_n(t) - 1 = 0 of an
-    empty t dropped, and the chain is unrolled into one alternating sum.
+        S(s) = (n+1) H_n(s) + sum_{i<r} (-1)^(r-i) n H_n(u, 1^i) - (-1)^r H_n(u', u_d - 1),
+
+    the last term only for a nonempty u; S(()) = n.  Each c0 + c1 n sums as a pair of ints.
     """
-    base = len(s)
-    while base and s[base - 1] == 1:
-        base -= 1
-    sign = (-1) ** (len(s) - base)
-    if base:  # s[:base] ends in an exponent > 1: no correction sum
-        yield (Composition(s[:base]),), sign * _N_PLUS_1
-        yield (Composition(s[: base - 1] + (s[base - 1] - 1,)),), -sign * _ONE
-    else:
-        yield (), sign * N  # sum of 1 over k = 1..n
-    for cut in range(base + 1, len(s) + 1):
-        sign = -sign
-        yield (Composition(s[:cut]),), sign * _N_PLUS_1
-        if cut > 1:
-            yield (Composition(s[: cut - 1]),), sign * _ONE
+    acc: dict[tuple, list] = {}
+    for s, mult in expansion.items():
+        depth = base = len(s)
+        while base and s[base - 1] == 1:
+            base -= 1
+        sign = mult if (depth - base) % 2 == 0 else -mult  # the sign of n H_n(u)
+        for cut in range(base, depth + 1):
+            pair = acc.setdefault(s[:cut], [0, 0])
+            pair[1] += sign
+            if cut == base and base:
+                acc.setdefault(s[: base - 1] + (s[base - 1] - 1,), [0, 0])[0] -= sign
+            sign = -sign
+        if depth:
+            pair[0] += mult  # the last pair is s's own: (n + 1) H_n(s)
+    pairs = {s: tuple(pair) for s, pair in acc.items() if any(pair)}
+    polys = {pair: NPolynomial(pair) for pair in set(pairs.values())}
+    # Each s is a slice of a valid composition, or one with a part > 1 lowered.
+    return MhsExpression._from_canonical(
+        ((tuple.__new__(Composition, s),) if s else (), polys[pair]) for s, pair in pairs.items()
+    )
 
 
 def sum_single(s: Composition) -> MhsExpression:
-    """Closed form of sum_{k=1}^n H_k(s), in harmonic sums at n (see _telescoped)."""
-    return MhsExpression._from_canonical(_telescoped(Composition(s)))
+    """Closed form of sum_{k=1}^n H_k(s), in harmonic sums at n (see _telescope)."""
+    return _telescope({Composition(s): 1})
 
 
 def sum_product(factors: Iterable) -> MhsExpression:
     """Closed form of sum_{k=1}^n of the product of H_k(s) over ``factors``.
 
     Linearizes the product by stuffle and telescopes each composition of the
-    expansion, scaled by its multiplicity, into one dict; the empty product
-    telescopes to n.  The result is the canonical linear form; rebase it for
-    a product-shaped presentation.
+    expansion, scaled by its multiplicity, into one dict of integer pairs;
+    the empty product telescopes to n.  The result is the canonical linear
+    form; rebase it for a product-shaped presentation.
     """
-    expansion = _linearize_factors(_canonical_factors(factors))
-    return MhsExpression._from_canonical(
-        (key, coeff * mult)
-        for comp, mult in expansion.items()
-        for key, coeff in _telescoped(Composition(comp))
-    )
+    return _telescope(_linearize_factors(_canonical_factors(factors)))
 
 
 def partial_sum_oracle(factors: Iterable, closed: MhsExpression, nmax: int) -> bool:

@@ -5,14 +5,17 @@ expression through the canonicalizing constructor.  These tests pin the fast
 path to the constructor, check that no accumulator writes into an expression
 it was given, and count the canonicalization work of a cold ``sum_product``.
 The numeric oracles evaluate on one exact integer scale; these tests hold
-that evaluator and ``partial_sum_oracle`` against the Fraction evaluators.
+that evaluator and ``partial_sum_oracle`` against the Fraction evaluators,
+and the integer-pair telescoping kernel against the NPolynomial generator
+it replaced.
 """
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhs import algebra, summation
@@ -156,23 +159,63 @@ def test_cold_sum_product_canonicalizes_linearly(monkeypatch):
     assert partial_sum_oracle(product, closed, 6)
 
 
-# Factor lists of 0-4 compositions, each of depth <= 3 with parts <= 3; the
-# empty composition (the unit) is allowed.  A total depth of 7 bounds the
+def reference_telescoped(s: Composition):
+    """The canonical (key, coeff) pieces of sum_{k=1}^n H_k(s), one at a time.
+
+    The generator the engine once ran, kept as the reference for its
+    integer-pair kernel: NPolynomial arithmetic on every piece, with the
+    trailing 1s of s unrolled as S(t, 1) = (n+1) H(t, 1) + H(t) - S(t).
+    """
+    base = len(s)
+    while base and s[base - 1] == 1:
+        base -= 1
+    sign = (-1) ** (len(s) - base)
+    if base:  # s[:base] ends in an exponent > 1: no correction sum
+        yield (Composition(s[:base]),), sign * (N + 1)
+        yield (Composition(s[: base - 1] + (s[base - 1] - 1,)),), -sign * NPolynomial.one()
+    else:
+        yield (), sign * N  # sum of 1 over k = 1..n
+    for cut in range(base + 1, len(s) + 1):
+        sign = -sign
+        yield (Composition(s[:cut]),), sign * (N + 1)
+        if cut > 1:
+            yield (Composition(s[: cut - 1]),), sign * NPolynomial.one()
+
+
+def reference_sum_single(s) -> MhsExpression:
+    return MhsExpression._from_canonical(reference_telescoped(Composition(s)))
+
+
+# Compositions of depth <= 3 with parts <= 3, then a run of up to 3 trailing
+# 1s; the empty composition (the unit) is allowed.  Products have 0-4 factors
+# from this small pool, so factors repeat, and a total depth of 7 bounds the
 # expansion to about 1,500 symbols: four depth-3 factors reach tens to
 # hundreds of thousands, and seconds and gigabytes apiece.
-compositions = st.lists(st.integers(1, 3), max_size=3).map(Composition)
-products = st.lists(compositions, max_size=4).filter(lambda fs: sum(map(len, fs)) <= 7)
+def with_trailing_ones(head_parts, run):
+    return st.builds(
+        lambda head, r: Composition(head + [1] * r),
+        st.lists(st.integers(1, head_parts), max_size=3),
+        st.integers(0, run),
+    )
 
 
-@settings(max_examples=40, deadline=None)
+products = st.lists(with_trailing_ones(3, 3), max_size=4).filter(
+    lambda fs: sum(map(len, fs)) <= 7
+)
+
+
+@settings(max_examples=60, deadline=None)
 @given(products)
-def test_sum_product_telescopes_the_linearized_product(fs):
+@example([Composition((1, 1)), Composition((1, 1)), Composition(())])
+@example([Composition((2,)), Composition((2,)), Composition((2,))])
+@example([Composition((3, 1, 1, 1)), Composition((1, 1, 1))])
+def test_sum_product_matches_the_reference_telescoping(fs):
     # The composition written out: linearize the product, then sum the
-    # closed form of each single symbol scaled by its coefficient.
+    # reference closed form of each single symbol scaled by its coefficient.
     if any(fs):
         linear = MhsExpression.monomial(1, fs).linearize().terms()
         expected = algebra._combine(
-            (mono.coeff, sum_single(mono.factors[0])) for mono in linear
+            (mono.coeff, reference_sum_single(mono.factors[0])) for mono in linear
         )
     else:
         expected = MhsExpression.constant(N)
@@ -180,6 +223,54 @@ def test_sum_product_telescopes_the_linearized_product(fs):
     assert closed == expected
     assert_canonical(closed)
     assert partial_sum_oracle(fs, closed, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_trailing_ones(4, 20))
+def test_sum_single_matches_the_reference_telescoping(s):
+    closed = sum_single(s)
+    assert closed == reference_sum_single(s)
+    assert_canonical(closed)
+
+
+def test_sum_single_of_a_long_run_of_ones_needs_no_recursion():
+    s = Composition((1,) * 300)
+    expected = reference_sum_single(s)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)  # far below the depth of s
+    try:
+        closed = sum_single(s)
+    finally:
+        sys.setrecursionlimit(limit)
+    # (n + 1) H(1^300) and -(-1)^i n H(1^i) for i < 300
+    assert len(closed._terms) == 301
+    assert closed == expected
+
+
+def sort_key_term_order(factors) -> tuple:
+    """The term order as once keyed: a Composition.sort_key per factor."""
+    keys = tuple(c.sort_key() for c in factors)
+    return (sum(k[0] for k in keys), len(factors), keys)
+
+
+# Products of 2-3 factors with parts up to 3, so that a factor can outweigh
+# another of greater depth and the per-factor keys decide between terms.
+wide_factors = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+product_terms = st.lists(
+    st.tuples(st.lists(wide_factors, min_size=2, max_size=3), polynomials), max_size=8
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_terms)
+def test_terms_and_json_keep_the_sort_key_order(ta):
+    e = MhsExpression(ta)
+    expected = sorted(e._terms, key=sort_key_term_order, reverse=True)
+    assert [m.factors for m in e.terms()] == expected
+    assert [entry["factors"] for entry in e.to_json()] == [list(map(str, k)) for k in expected]
 
 
 def test_format_term_branches():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mhs import congruences
+from mhs import congruences, residues
 from mhs.bernoulli import bernoulli, bernoulli_invariant
 from mhs.congruences import (
     BASE_CLAIMS,
@@ -22,6 +22,7 @@ from mhs.residues import (
     padic_valuation,
     primes_in_range,
     reduce_mod,
+    require_admissible,
 )
 
 
@@ -86,6 +87,24 @@ def test_padic_valuation():
 def test_primality_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_in_range(7, 31) == [7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def test_require_admissible_tests_each_prime_once_and_still_refuses(monkeypatch):
+    tested = []
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    require_admissible.cache_clear()
+    monkeypatch.setattr(residues, "is_prime", counting_is_prime)
+    for _ in range(3):
+        require_admissible(101)
+    assert tested == [101]
+    # with 101 cached, a non-prime and the primes <= 5 are refused on every call
+    for bad in (91, 5, 5, 3, 1, 0, -7, 101**2):
+        with pytest.raises(ValueError, match="prime > 5"):
+            require_admissible(bad)
 
 
 def test_mhs_mod_examples():

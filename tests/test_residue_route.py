@@ -360,6 +360,26 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert all(type(total) is int for total in sums)
 
 
+@pytest.mark.parametrize("p", [7, 101])
+def test_inverse_power_tables_are_the_powers_of_the_inverses(p):
+    mod = p**6
+    context = congruences.PrimeContext(p, mod)
+    for s in (3, 1, 5, 2):  # any order; the context fills 1..s
+        assert context.inverse_powers(s) == [0] + [pow(j, -s, mod) for j in range(1, p)], (s, p)
+    assert context.inverse_powers(1) is context.inverses
+    assert sorted(context.powers) == [1, 2, 3, 4, 5]
+
+
+def test_single_binomial_at_a_1_runs_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product scaled by a - 1 = 0")
+
+    monkeypatch.setattr(binomial_sums, "_steps_product", refuse)
+    claim = next(c for c in CAI_GRANVILLE_CLAIMS if c.claim_id.endswith(":a=1"))
+    result = claim.check(101)
+    assert result.passed and result.rhs == 0
+
+
 def test_binomials_without_comb_match_comb():
     """The two binomials the per-prime checks form from 1/m, against math.comb."""
     for p in PRIMES + [1009, 10007]:
