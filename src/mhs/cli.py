@@ -153,14 +153,14 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
 
-    selection = registry.select(args.suite, args.claim, args)
+    selection, primes = registry.select(args.suite, args.claim, args)
     if args.list:
         for _, claims in selection:
             for claim in claims:
                 print(claim.claim_id)
         return 0
 
-    checks = registry.run(selection, args, functools.partial(_fan_out, jobs=args.jobs))
+    checks = registry.run(selection, primes, functools.partial(_fan_out, jobs=args.jobs))
     all_passed = all(c.passed for c in checks)
     if args.format == "json":
         print(json.dumps([c.to_json() for c in checks]))

@@ -69,7 +69,7 @@ class PrimeContext:
         self.p, self.mod = p, mod
         self.rows: dict = {}  # composition -> [H_0, ..., H_{p-1}], grown by mhs_row
         self.powers: dict = {}  # s -> [0, 1^-s, ..., (p-1)^-s]
-        self.product_sums: dict = {}  # partition -> homogeneous_product_sum_mod
+        self.product_sums: dict = {(): (p - 1) % mod}  # partition -> its sum; empty: p - 1 ones
         self.power_sums: dict = {}  # a -> sum_k u_k^a
 
     @cached_property
@@ -103,11 +103,14 @@ class PrimeContext:
 
         A miss sums every partition of weight at most max(sum(lam), 5) in
         one depth-first walk over partition prefixes (see :meth:`_sum_products`).
+        A part below 1 raises ValueError.
         """
         sums = self.product_sums
         if lam not in sums:
             lam = tuple(sorted(lam, reverse=True))  # as the walk forms partitions
             if lam not in sums:
+                if lam[-1] < 1:  # the walk forms no such partition
+                    raise ValueError(f"partition parts must be >= 1, got {lam[-1]}")
                 self._sum_products(max(sum(lam), _WEIGHT))
         return sums[lam]
 
@@ -383,7 +386,10 @@ def cross_derivation_check(lam: tuple[int, ...]) -> bool:
     """
     from .summation import sum_product
 
-    claim = next(c for c in SUM_CLAIMS if c.target == tuple(lam))
+    partition = tuple(sorted(lam, reverse=True))  # as SUM_CLAIMS lists its targets
+    claim = next((c for c in SUM_CLAIMS if c.target == partition), None)
+    if claim is None:
+        raise ValueError(f"no sum claim for the partition {lam}")
     if sum(lam) > 3:
         raise ValueError("cross-derivation table only covers weight <= 3")
     symbols = _symbol_congruences()

@@ -57,12 +57,12 @@ if tuple(s.name for s in SUITES) != SUITE_NAMES:  # the CLI's --suite choices
     raise RuntimeError(f"registry suites {[s.name for s in SUITES]} differ from SUITE_NAMES")
 
 
-def select(suite: str, claim_ids, ranges) -> list[tuple[Suite, tuple]]:
-    """The (suite, claims) pairs of a run, in registry order; ``suite`` may be "all".
+def select(suite: str, claim_ids, ranges) -> tuple[list[tuple[Suite, tuple]], list[int]]:
+    """The (suite, claims) pairs of a run, in registry order, and its primes (if it reads p).
 
-    Given ``claim_ids``, each suite keeps only those claims and is dropped if
-    none is left; an id that no selected suite owns raises ValueError.  So
-    does an empty range that a selected suite reads.
+    ``suite`` may be "all".  Given ``claim_ids``, each suite keeps only those
+    claims and is dropped if none is left; an id that no selected suite owns
+    raises ValueError.  So does an empty range that a selected suite reads.
     """
     chosen = [(s, s.claims(ranges)) for s in SUITES if suite in ("all", s.name)]
     if claim_ids:
@@ -72,13 +72,14 @@ def select(suite: str, claim_ids, ranges) -> list[tuple[Suite, tuple]]:
             raise ValueError(f"unknown claim ids: {sorted(missing)}")
         chosen = [(s, claims) for s, claims in chosen if claims]
     reads = "".join(s.reads for s, _ in chosen)
-    if "p" in reads and not primes_in_range(ranges.pmin, ranges.pmax):
+    primes = primes_in_range(ranges.pmin, ranges.pmax) if "p" in reads else []
+    if "p" in reads and not primes:
         raise ValueError(f"no primes in [{ranges.pmin}, {ranges.pmax}]")
     if "n" in reads and ranges.nmax < 1:
         raise ValueError("--nmax must be >= 1")
     if "a" in reads and ranges.amin > ranges.amax:
         raise ValueError("--amin must not exceed --amax")
-    return chosen
+    return chosen, primes
 
 
 def _check_at(claims: tuple, p: int) -> list[tuple[int, CheckResult]]:
@@ -86,8 +87,8 @@ def _check_at(claims: tuple, p: int) -> list[tuple[int, CheckResult]]:
     return [(index, claim.check(p)) for index, claim in claims]
 
 
-def run(selection: list[tuple[Suite, tuple]], ranges, fan_out) -> list[CheckResult]:
-    """Check a selection that ``select`` made; results suite by suite.
+def run(selection: list[tuple[Suite, tuple]], primes: list[int], fan_out) -> list[CheckResult]:
+    """Check a selection over the primes, both as ``select`` made them; results suite by suite.
 
     ``fan_out(worker, primes)`` maps the worker over the primes, in a process
     pool or not, and concatenates the lists it returns in prime order.
@@ -95,8 +96,6 @@ def run(selection: list[tuple[Suite, tuple]], ranges, fan_out) -> list[CheckResu
     tagged = [(i, c) for i, (s, claims) in enumerate(selection) for c in claims]
     per_prime = tuple((i, c) for i, c in tagged if "p" in selection[i][0].reads)
     results = [(i, c.check()) for i, c in tagged if "p" not in selection[i][0].reads]
-    if per_prime:
-        primes = primes_in_range(ranges.pmin, ranges.pmax)
-        results += fan_out(functools.partial(_check_at, per_prime), primes)
+    results += fan_out(functools.partial(_check_at, per_prime), primes)  # no primes: no p suite
     results.sort(key=lambda pair: pair[0])  # stable: primes stay ascending in a suite
     return [result for _, result in results]

@@ -1,4 +1,4 @@
-"""Residue arithmetic modulo a prime power, plus small primality helpers."""
+"""Residues modulo a prime power, batch inversion of units, and small primality helpers."""
 
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ def padic_valuation(q: Fraction | int, p: int) -> int | None:
 
 
 class PResidue:
-    """Element of Z / p^e, with unit inversion via modular exponentiation.
+    """Element of Z / p^e, reduced when built: the value that a residue function returns.
 
     Equal only to a PResidue with the same (value, p, e), and hashable.
     """
@@ -98,56 +98,13 @@ class PResidue:
     def __init__(self, value: int, p: int, e: int):
         self.value, self.p, self.e = value % p**e, p, e
 
-    def _key(self) -> tuple[int, int, int]:
-        return self.value, self.p, self.e
-
     def __eq__(self, other):
         if other.__class__ is not PResidue:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.value, self.p, self.e) == (other.value, other.p, other.e)
 
     def __hash__(self) -> int:
-        return hash(self._key())
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.e
-
-    def _check(self, other: "PResidue") -> None:
-        if (self.p, self.e) != (other.p, other.e):
-            raise ValueError("residues have different moduli")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return PResidue(self.value + other, self.p, self.e)
-        self._check(other)
-        return PResidue(self.value + other.value, self.p, self.e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return PResidue(self.value - other, self.p, self.e)
-        self._check(other)
-        return PResidue(self.value - other.value, self.p, self.e)
-
-    def __neg__(self):
-        return PResidue(-self.value, self.p, self.e)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PResidue(self.value * other, self.p, self.e)
-        self._check(other)
-        return PResidue(self.value * other.value, self.p, self.e)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PResidue":
-        # pow() supports negative exponents for units of the modulus
-        return PResidue(pow(self.value, exponent, self.modulus), self.p, self.e)
-
-    def inverse(self) -> "PResidue":
-        return self**-1
+        return hash((self.value, self.p, self.e))
 
     def __repr__(self) -> str:
         return f"PResidue({self.value} mod {self.p}^{self.e})"

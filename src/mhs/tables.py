@@ -14,9 +14,9 @@ errata (the derived entry, which is oracle-checked, is authoritative).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .algebra import H, MhsExpression, N, NPolynomial, _combine, _format_factors
 from .core import Composition
@@ -37,8 +37,7 @@ __all__ = [
 ORACLE_POINTS = 30  # brute-force check range for disputed cells
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """First-column basis entry with its text and LaTeX labels."""
 
     label: str
@@ -152,8 +151,7 @@ def reference_cells(weight: int) -> list[list[tuple[int, int]]]:
     return [list(row) for row in _REFERENCE[weight]]
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     """A derived cell that disagrees with the published reference value."""
 
     weight: int
@@ -164,23 +162,18 @@ class Erratum:
     oracle_verified: bool
 
     def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "row": self.row,
-            "column": self.column,
-            "printed": [str(x) for x in self.printed],
-            "derived": list(self.derived),
-            "oracle_verified": self.oracle_verified,
-        }
+        printed = [str(x) for x in self.printed]
+        return dict(self._asdict(), printed=printed, derived=list(self.derived))
 
 
-@dataclass
-class DerivedTable:
+class DerivedTable(NamedTuple):
+    """A derived grid with the errata found against the published one."""
+
     weight: int
     columns: list[tuple[Composition, ...]]
     rows: list[TableRow]
     cells: list[list[NPolynomial]]  # rows x columns
-    errata: list[Erratum] = field(default_factory=list)
+    errata: list[Erratum]
 
     def _grids(self, corner: str, column, row, cell) -> list[list[list[str]]]:
         """Each published sub-table as lines of entries, header first.
@@ -263,15 +256,15 @@ def derive_table(weight: int) -> DerivedTable:
         rebase(table_form(factors, sum_product(factors)), basis, max_degree=1, require_unique=True)
         for factors in columns
     ]
-    table = DerivedTable(weight, columns, rows, [list(cells) for cells in zip(*by_column)])
     reference = reference_cells(weight)
+    errata = []
     for j, (factors, column_cells) in enumerate(zip(columns, by_column)):
         disputed = [i for i, c in enumerate(column_cells) if c != NPolynomial(reference[i][j])]
         if not disputed:
             continue
         closed = _combine([(N + 1, MhsExpression.monomial(1, factors)), *zip(column_cells, basis)])
         verified = partial_sum_oracle(factors, closed, ORACLE_POINTS)
-        table.errata += [
+        errata += [
             Erratum(
                 weight=weight,
                 row=rows[i].label,
@@ -282,7 +275,7 @@ def derive_table(weight: int) -> DerivedTable:
             )
             for i in disputed
         ]
-    return table
+    return DerivedTable(weight, columns, rows, [list(cells) for cells in zip(*by_column)], errata)
 
 
 def table_weight(weight: int) -> DerivedTable:

@@ -413,6 +413,22 @@ def test_verify_builds_expansion_terms_once_per_a(monkeypatch, capsys):
     assert built == list(range(-40, 41))
 
 
+@pytest.mark.parametrize("listing", [[], ["--list"]])
+def test_verify_builds_the_primes_once(monkeypatch, capsys, listing):
+    from mhs import registry
+
+    calls = []
+
+    def counting(lo, hi, real=registry.primes_in_range):
+        calls.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(registry, "primes_in_range", counting)
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--pmin", "7", "--pmax", "31", *listing)
+    assert code == 0
+    assert calls == [(7, 31)]
+
+
 def test_verify_all_fans_out_once(monkeypatch, capsys):
     from mhs import cli
 

@@ -53,6 +53,13 @@ def test_serial_verify_loads_neither_dataclasses_nor_inspect():
     assert loaded & {"dataclasses", "inspect"} == set()
 
 
+@pytest.mark.parametrize("argv", [["tables", "--weight", "4"], ["derive", "1^4", "--basis", "w4"]])
+def test_tables_load_neither_dataclasses_nor_inspect(argv):
+    loaded = _imported("-m", "mhs", *argv)
+    assert "mhs.tables" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
 def test_bare_import_loads_only_bernoulli():
     loaded = _imported("-c", "import mhs")
     assert {m for m in loaded if m.startswith("mhs.")} == {"mhs.bernoulli"}

@@ -56,19 +56,6 @@ def test_reduce_mod_examples():
         reduce_mod(Fraction(1, 7), 7, 3)
 
 
-def test_presidue_arithmetic():
-    a = PResidue(10, 7, 2)
-    b = PResidue(45, 7, 2)
-    assert (a + b).value == 6
-    assert (a * b).value == (450 % 49)
-    assert (a - b).value == (10 - 45) % 49
-    inv = b.inverse()
-    assert (inv * b).value == 1
-    assert (b**-2 * b * b).value == 1
-    with pytest.raises(ValueError):
-        a + PResidue(1, 7, 3)
-
-
 def test_presidue_equality_hash_and_repr():
     r = PResidue(52, 7, 2)
     assert r == PResidue(3, 7, 2) and hash(r) == hash(PResidue(3, 7, 2))
@@ -138,6 +125,12 @@ def test_homogeneous_product_sum_matches_rationals():
         assert homogeneous_product_sum_mod(lam, p, e) == reduce_mod(total, p, e).value % mod
 
 
+@pytest.mark.parametrize("lam, part", [((0,), 0), ((2, 0), 0), ((-1,), -1), ((1, -3, 2), -3)])
+def test_homogeneous_product_sum_refuses_parts_below_one(lam, part):
+    with pytest.raises(ValueError, match=f"got {part}$"):
+        homogeneous_product_sum_mod(lam, 7, 1)
+
+
 def test_registry_shapes():
     assert len(BASE_CLAIMS) == 10
     assert len(SUM_CLAIMS) == 18
@@ -165,10 +158,13 @@ def test_suites_reject_small_primes():
 
 
 def test_cross_derivation_weight_le_3():
-    for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]:
+    for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 2), (1, 1, 1)]:
         assert cross_derivation_check(lam), lam
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight <= 3"):
         cross_derivation_check((4,))
+    for lam in [(6,), ()]:
+        with pytest.raises(ValueError, match="no sum claim"):
+            cross_derivation_check(lam)
 
 
 # Every right-side coefficient of the weight <= 3 sum rows, one case each.
@@ -242,7 +238,8 @@ def test_residue_rows_match_direct_oracle(p):
     for e in (1, 2, 3, 4):
         for s in shapes:
             assert mhs_mod(s, p, e) == reduce_mod(direct[s], p, e)
-        for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1)]:
+        # () is the empty product, 1 at every k, as mhs_mod((), p, e) is 1.
+        for lam in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1)]:
             total = Fraction(0)
             for k in range(1, p):
                 term = Fraction(1)
