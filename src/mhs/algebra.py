@@ -12,8 +12,8 @@ merge the two heads into s1 + t1), bottom-up over suffix pairs, with no
 recursion and no memo.  `linearize` folds this over the factors of each
 monomial until it carries at most one symbol; that linear form is the
 canonical representative used to decide equality.  The numeric checks
-evaluate expressions on one exact integer scale (`_scaled_values`), not over
-Fractions.
+evaluate expressions over the integers, not over Fractions, on an exact scale
+that grows with n (`_scaled_values`): den * lcm(1..n)^W at n.
 """
 
 from __future__ import annotations
@@ -562,21 +562,25 @@ def _exact_quotient(a: int, b: int) -> int:
     return quotient
 
 
-def _scaled_values(exprs: Iterable[MhsExpression], nmax: int) -> Iterator[tuple[int, ...]]:
-    """The integers D * e(n) of every e in ``exprs``, for n = 0, 1, ..., nmax.
+def _scaled_values(
+    exprs: Iterable[MhsExpression], nmax: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(D_n / D_(n-1), the integers D_n * e(n) of every e in ``exprs``), n = 0, 1, ..., nmax.
 
-    All values share one scale D = den * L^W, where L = lcm(1..nmax), W is
-    the largest weight of a term (the summed weights of its factors) and den
-    the lcm of the coefficient denominators.  Each prefix s of a symbol keeps
-    one integer R(s) = L^|s| * H_n(s), advanced from n - 1 to n by
-    R(s) += R(s') * (L/n)^(s_d), longest symbols first, so that each prefix
-    s' is still at n - 1.  A term c(n) * prod_j H_n(f_j) of weight w then
-    contributes den * c(n) * L^(W - w) * prod_j R(f_j).  There is no gcd and
-    no Fraction, every division is exact, and the state is one integer per
-    prefix symbol.
+    Row n has the scale D_n = den * L_n^W, where L_n = lcm(1..n) (L_0 = 1),
+    W is the largest weight of a term (the summed weights of its factors)
+    and den the lcm of the coefficient denominators.  Each prefix s of a
+    symbol keeps one integer R(s) = L_n^wt(s) * H_n(s), advanced from n - 1
+    to n by R(s) += R(s') * (L_n/n)^(s_d), longest symbols first, so that
+    each prefix s' is still at n - 1.  The scale grows only at a prime power
+    n = q^k, by q = n / gcd(L_(n-1), n): there each R(s) is first multiplied
+    by q^wt(s), and the growth D_n / D_(n-1) is q^W (1 elsewhere and at
+    n = 0).  A term c(n) * prod_j H_n(f_j) of weight w contributes
+    den * c(n) * L_n^(W - w) * prod_j R(f_j).  So the integers at n have
+    about 1.44 * n * W bits, whatever nmax is.  There is no Fraction, every
+    division is exact, and the state is one integer per prefix symbol.
     """
     terms = [e._terms for e in exprs]
-    lcm = math.lcm(*range(1, nmax + 1))
     den = math.lcm(*(c.denominator for t in terms for p in t.values() for c in p.coeffs))
     top = max((sum(map(sum, key)) for t in terms for key in t), default=0)
     # Deepest first, so every symbol is stepped before its prefix.
@@ -587,8 +591,9 @@ def _scaled_values(exprs: Iterable[MhsExpression], nmax: int) -> Iterator[tuple[
     )
     index = {s: i for i, s in enumerate(order)}
     steps = [(i, index[s[:-1]], s[-1]) for i, s in enumerate(order) if s]
+    weights = [sum(s) for s in order]
     state = [0 if s else 1 for s in order]
-    # Per expression, one group per term weight w: L^(W - w) and the terms of
+    # Per expression, one group per term weight w: W - w and the terms of
     # weight w, each as (den * c(n) highest power first, factor state indices).
     scaled = []
     for t in terms:
@@ -597,10 +602,18 @@ def _scaled_values(exprs: Iterable[MhsExpression], nmax: int) -> Iterator[tuple[
             coeffs = [c.numerator * _exact_quotient(den, c.denominator) for c in poly.coeffs]
             term = (coeffs[::-1], [index[f] for f in key])
             by_weight.setdefault(sum(map(sum, key)), []).append(term)
-        scaled.append([(lcm ** (top - w), group) for w, group in by_weight.items()])
+        scaled.append([(top - w, group) for w, group in by_weight.items()])
     exponents = {e for _, _, e in steps}
+    lcm = growth = 1
+    scales = {gap: 1 for groups in scaled for gap, _ in groups}  # gap -> L_n^gap
     for n in range(nmax + 1):
         if n:
+            q = n // math.gcd(lcm, n)  # L_n / L_(n-1): the prime q at n = q^k, else 1
+            growth = q**top
+            if q > 1:
+                lcm *= q
+                state = [r * q**w for r, w in zip(state, weights)]
+                scales = {gap: lcm**gap for gap in scales}
             step = _exact_quotient(lcm, n)
             powers = {e: step**e for e in exponents}
             for i, j, e in steps:
@@ -608,7 +621,7 @@ def _scaled_values(exprs: Iterable[MhsExpression], nmax: int) -> Iterator[tuple[
         values = []
         for groups in scaled:
             total = 0
-            for scale, group in groups:
+            for gap, group in groups:
                 subtotal = 0
                 for coeffs, factors in group:
                     value = 0
@@ -618,9 +631,9 @@ def _scaled_values(exprs: Iterable[MhsExpression], nmax: int) -> Iterator[tuple[
                         for f in factors:
                             value *= state[f]
                         subtotal += value
-                total += subtotal * scale
+                total += subtotal * scales[gap]
             values.append(total)
-        yield tuple(values)
+        yield growth, tuple(values)
 
 
 def expr_equal(e1: MhsExpression, e2: MhsExpression) -> bool:
@@ -629,7 +642,8 @@ def expr_equal(e1: MhsExpression, e2: MhsExpression) -> bool:
     The symbolic test is the decision procedure.  As a guard against
     implementation bugs both sides are also evaluated at n = 0, ..., D + M
     (D = max coefficient degree, M = number of distinct symbols) on the
-    exact integer scale of :func:`_scaled_values`; if the two verdicts ever
+    exact integer scale of :func:`_scaled_values`; both sides share the
+    scale at each n, so its growth is not needed.  If the two verdicts ever
     disagree an :class:`ExpressionConsistencyError` is raised.
     """
     lin1 = e1.linearize()
@@ -638,7 +652,7 @@ def expr_equal(e1: MhsExpression, e2: MhsExpression) -> bool:
     degree = max(lin1.max_coeff_degree(), lin2.max_coeff_degree(), 0)
     symbols = lin1.single_symbols() | lin2.single_symbols()
     points = _scaled_values([e1, e2], degree + len(symbols))
-    numeric = all(v1 == v2 for v1, v2 in points)
+    numeric = all(v1 == v2 for _, (v1, v2) in points)
     if numeric != symbolic:
         raise ExpressionConsistencyError(
             f"symbolic verdict {symbolic} but numeric verdict {numeric} "

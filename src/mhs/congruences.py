@@ -49,8 +49,8 @@ __all__ = [
 
 # Entries of k per pass of a power row: bounds the row's memory, not the work.
 _BLOCK = 4096
-# A product-sum miss sums every partition of weight <= 5: the sum rows and the
-# p^6 expansion read exactly those.
+# A product-sum miss of weight <= 5 sums every partition of weight <= 5: the
+# sum rows and the p^6 expansion read exactly those.
 _WEIGHT = 5
 
 
@@ -101,9 +101,10 @@ class PrimeContext:
     def product_sum(self, lam: tuple[int, ...]) -> int:
         """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), for parts lam_i >= 1 in any order.
 
-        A miss sums every partition of weight at most max(sum(lam), 5) in
-        one depth-first walk over partition prefixes (see :meth:`_sum_products`).
-        A part below 1 raises ValueError.
+        A miss of weight at most 5 sums every partition of weight at most 5
+        in one depth-first walk over partition prefixes (see
+        :meth:`_sum_products`); a heavier miss sums lam alone, as one product
+        of its rows H({1}^lam_i).  A part below 1 raises ValueError.
         """
         sums = self.product_sums
         if lam not in sums:
@@ -111,20 +112,31 @@ class PrimeContext:
             if lam not in sums:
                 if lam[-1] < 1:  # the walk forms no such partition
                     raise ValueError(f"partition parts must be >= 1, got {lam[-1]}")
-                self._sum_products(max(sum(lam), _WEIGHT))
+                if sum(lam) <= _WEIGHT:
+                    self._sum_products()
+                else:
+                    self._sum_partition(lam)
         return sums[lam]
 
-    def _sum_products(self, weight: int) -> None:
-        """Sum each partition of weight <= ``weight`` that has no sum yet.
+    def _sum_partition(self, lam: tuple) -> None:
+        """Sum lam alone: one pass over k per part after the first."""
+        mod, p = self.mod, self.p
+        row = mhs_row((1,) * lam[0], p - 1, self.rows, self)
+        for j in lam[1:]:
+            row = [x * y % mod for x, y in zip(row, mhs_row((1,) * j, p - 1, self.rows, self))]
+        self.product_sums[lam] = sum(row) % mod
+
+    def _sum_products(self) -> None:
+        """Sum each partition of weight <= 5 that has no sum yet.
 
         The row of a partition lam is the row of lam[:-1] times the row
         H({1}^lam[-1]), so each partition costs one pass over k whatever its
         length.  A row lives while the walk is below its partition, and the
         row of a partition that nothing extends is never stored.
         """
-        ones = {j: mhs_row((1,) * j, self.p - 1, self.rows, self) for j in range(1, weight + 1)}
+        ones = {j: mhs_row((1,) * j, self.p - 1, self.rows, self) for j in range(1, _WEIGHT + 1)}
         for j, row in ones.items():
-            self._sum_extensions((j,), row, weight - j, ones)
+            self._sum_extensions((j,), row, _WEIGHT - j, ones)
 
     def _sum_extensions(self, lam: tuple, row: list, left: int, ones: dict) -> None:
         """Sum lam from its row, then each partition lam + (parts <= lam[-1]) of ``left`` more."""
@@ -203,8 +215,8 @@ def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
 
     The sum is kept once per partition in the context of p and reduced mod
     p^e; its rows H_k({1}^j) come from the same context, so all partitions
-    and exponents at p share them, and a miss sums every partition of
-    weight <= 5 in one walk (see :meth:`PrimeContext.product_sum`).
+    and exponents at p share them, and a miss of weight <= 5 sums every
+    partition of weight <= 5 in one walk (see :meth:`PrimeContext.product_sum`).
     """
     return prime_context(p, e).product_sum(lam) % p**e
 

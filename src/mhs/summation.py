@@ -83,19 +83,20 @@ def partial_sum_oracle(factors: Iterable, closed: MhsExpression, nmax: int) -> b
     """Whether ``closed`` at n equals sum_{k=1}^n prod_j H_k(factors_j), n = 1..nmax.
 
     The brute-force check behind every derived closed form.  The closed form
-    and the product are evaluated together on one exact integer scale by
+    and the product are evaluated together on the exact integer scale D_n of
     :func:`algebra._scaled_values`, which steps each H_n(s) by its
-    recurrence and never calls the summation engine; the product's values
-    are summed from n = 1.  Raises ValueError for nmax < 1, which would
-    check nothing.
+    recurrence and never calls the summation engine.  The product's values
+    are summed from n = 1 on the same running scale: the sum so far is
+    multiplied by the growth D_n / D_(n-1) before the term at n is added.
+    Raises ValueError for nmax < 1, which would check nothing.
     """
     if nmax < 1:
         raise ValueError(f"the oracle needs nmax >= 1, got {nmax}")
     values = _scaled_values([closed, MhsExpression.monomial(1, factors)], nmax)
     next(values)  # n = 0: the empty sum is not checked
     partial = 0
-    for value, term in values:
-        partial += term
+    for growth, (value, term) in values:
+        partial = partial * growth + term
         if value != partial:
             return False
     return True

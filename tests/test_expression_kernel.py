@@ -4,10 +4,10 @@ Ring operations merge already-canonical term dicts instead of rebuilding each
 expression through the canonicalizing constructor.  These tests pin the fast
 path to the constructor, check that no accumulator writes into an expression
 it was given, and count the canonicalization work of a cold ``sum_product``.
-The numeric oracles evaluate on one exact integer scale; these tests hold
-that evaluator and ``partial_sum_oracle`` against the Fraction evaluators,
-and the integer-pair telescoping kernel against the NPolynomial generator
-it replaced.
+The numeric oracles evaluate on an exact integer scale that grows with n,
+den * lcm(1..n)^W at n; these tests hold that evaluator and
+``partial_sum_oracle`` against the Fraction evaluators, and the integer-pair
+telescoping kernel against the NPolynomial generator it replaced.
 """
 
 import math
@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -299,18 +300,26 @@ expressions = st.lists(scaled_terms, max_size=5).map(MhsExpression)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(expressions, min_size=1, max_size=3), st.integers(0, 12))
+@given(st.lists(expressions, min_size=1, max_size=3), st.integers(0, 32))
+@example([H(3, 1) * H(2) + Fraction(1, 6) * N * H(1, 1), Fraction(-2, 5) * H(1) ** 3], 32)
 def test_scaled_values_are_the_fraction_values_on_one_scale(exprs, nmax):
-    # D = den * L^W: den the lcm of the coefficient denominators, L the lcm
-    # of 1..nmax, W the largest summed weight of a term's factors.
+    # Row n shares D_n = den * lcm(1..n)^W: den the lcm of the coefficient
+    # denominators, W the largest summed weight of a term's factors.  Up to
+    # nmax = 32 the scale grows at the prime powers 2, 3, 4, 5, 7, 8, 9, 11,
+    # 13, 16, 17, 19, 23, 25, 27, 29, 31 and 32, and each row carries its
+    # growth D_n / D_(n-1), 1 at n = 0.
     den = math.lcm(*(c.denominator for e in exprs for m in e.terms() for c in m.coeff.coeffs))
     weight = max((sum(f.weight for f in m.factors) for e in exprs for m in e.terms()), default=0)
-    scale = den * math.lcm(*range(1, nmax + 1)) ** weight
     values = list(algebra._scaled_values(exprs, nmax))
     assert len(values) == nmax + 1
-    for n, row in enumerate(values):
+    previous = den
+    for n, (growth, row) in enumerate(values):
+        scale = den * math.lcm(*range(1, n + 1)) ** weight
+        assert type(growth) is int
+        assert growth * previous == scale
         assert all(type(v) is int for v in row)
         assert list(row) == [scale * e.eval(n) for e in exprs]
+        previous = scale
 
 
 def fraction_partial_sum_oracle(factors, closed, nmax) -> bool:
@@ -353,6 +362,29 @@ def test_partial_sum_oracle_agrees_with_the_fraction_reference():
         ]
         for candidate, verdict in cases:
             assert partial_sum_oracle(factors, candidate, nmax) is verdict
+            assert fraction_partial_sum_oracle(factors, candidate, nmax) is verdict
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3, 4, 8, 9, 16, 25, 27])
+def test_partial_sum_oracle_sums_on_the_running_scale(nmax):
+    # The running sum is rescaled at each prime power n <= nmax; stopping at,
+    # before or after one, both oracles accept each column product's closed
+    # form and refuse the three perturbations above, the late one at nmax.
+    # H_1(2, 1) = 0, so at nmax = 1 the product term goes unseen.
+    late = NPolynomial.one()
+    for k in range(1, nmax):
+        late = late * (N - k)
+    tiny = Fraction(1, 10**9) * sum_product([(1,)])
+    for factors in COLUMN_PRODUCTS:
+        closed = sum_product(factors)
+        cases = [
+            (closed, True),
+            (closed + late * H(1), False),
+            (closed + tiny, False),
+            (closed + Fraction(1, 3) * H(2, 1) * H(1), nmax == 1),
+        ]
+        for candidate, verdict in cases:
+            assert partial_sum_oracle(factors, candidate, nmax) is verdict, (factors, nmax)
             assert fraction_partial_sum_oracle(factors, candidate, nmax) is verdict
 
 

@@ -114,8 +114,8 @@ MhsExpression.is_zero = lambda self: not real_is_zero(self)
 expect(algebra.ExpressionConsistencyError, expr_equal, H(1) ** 2, 2 * H(1, 1) + H(2))
 MhsExpression.is_zero = real_is_zero
 
-# An odd L = lcm(1..nmax) is not divisible by n = 2.
-algebra.math = types.SimpleNamespace(lcm=lambda *xs: 2 * math.lcm(*xs) + 1)
+# A scale that never grows: L_n stays 1, which n = 2 does not divide.
+algebra.math = types.SimpleNamespace(lcm=math.lcm, gcd=lambda a, b: b)
 expect(ArithmeticError, partial_sum_oracle, factors, closed, 5)
 """
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -354,10 +354,24 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert ascending.power_sum(a) == batched.power_sum(a) == powers[a], (a, p, e)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
-            assert set(context.rows) == {(1,) * j for j in range(7)}
+            # (3, 2, 1) is summed alone, so no row beyond the walk's H({1}^5).
+            assert set(context.rows) == {(1,) * j for j in range(6)}
             assert set(context.powers) == {1}
             sums = [*context.product_sums.values(), *context.power_sums.values()]
             assert all(type(total) is int for total in sums)
+
+
+@pytest.mark.parametrize("lam", [(30,), (7, 2, 1)])
+def test_a_heavy_product_sum_sums_its_partition_alone(lam):
+    # Above weight 5 a miss sums lam alone, not every partition of its weight
+    # (5,604 of weight 30), so the context keeps two sums: the empty one and lam's.
+    p = 101
+    prime_context(13)  # a context of p from an earlier test is replaced
+    total = sum(prod(eval_mhs(k, (1,) * part) for part in lam) for k in range(1, p))
+    for e in (1, 6):
+        assert homogeneous_product_sum_mod(lam, p, e) == reduce_mod(total, p, e).value, e
+        assert homogeneous_product_sum_mod(lam[::-1], p, e) == reduce_mod(total, p, e).value, e
+    assert set(prime_context(p).product_sums) == {(), lam}
 
 
 @pytest.mark.parametrize("p", [7, 101])
