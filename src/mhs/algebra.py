@@ -187,11 +187,11 @@ class NPolynomial:
             return "0"
         pieces: list[tuple[str, str]] = []
         for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
+            c = self.coeffs[i]
+            if not c:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
+            sign = "-" if c.numerator < 0 else "+"
+            mag = abs(c.numerator) if c.denominator == 1 else abs(c)  # an int prints the same
             if i == 0:
                 body = frac(mag)
             else:
@@ -482,10 +482,13 @@ class MhsExpression:
 
 
 def _format_factors(factors: tuple[Composition, ...], latex: bool = False) -> str:
-    grouped = Counter(factors)
+    if len(factors) == 1:
+        grouped = ((factors[0], 1),)  # nothing to count or sort
+    else:
+        counts = Counter(factors)
+        grouped = [(comp, counts[comp]) for comp in sorted(counts, key=Composition.sort_key)]
     pieces = []
-    for comp in sorted(grouped, key=Composition.sort_key):
-        mult = grouped[comp]
+    for comp, mult in grouped:
         if latex:
             if comp.depth >= 2 and set(comp) == {1}:
                 body = rf"\{{1\}}^{comp.depth}"

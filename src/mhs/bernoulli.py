@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import isqrt
 
 __all__ = ["bernoulli", "bernoulli_invariant", "bernoulli_invariant_mod"]
 
@@ -76,13 +77,22 @@ def bernoulli_invariant(p: int) -> Fraction:
 
 
 def _power_sums_mod(p: int, mod: int) -> tuple[int, int]:
-    """(sum_{j<p} j^(p-3), sum_{j<p} j^(2p-4)) modulo ``mod``, one pow per j.
+    """(sum_{j<p} j^(p-3), sum_{j<p} j^(2p-4)) modulo ``mod``, one pow per prime j.
 
-    j^(2p-4) = (j^(p-3) * j)^2, so the second sum reuses the first's powers.
+    j -> j^(p-3) is completely multiplicative, so a composite j = q * (j/q),
+    q a prime factor of j from a sieve, costs one product of two earlier
+    powers.  j^(2p-4) = (j^(p-3) * j)^2, so the second sum reuses the first's
+    powers.
     """
-    low = high = 0
-    for j in range(1, p):
-        power = pow(j, p - 3, mod)
+    factor = [0] * p  # a prime factor of each composite j < p, 0 for the rest
+    for q in range(2, isqrt(p - 1) + 1):
+        if not factor[q]:
+            factor[q * q :: q] = [q] * len(range(q * q, p, q))
+    powers = [0, 1] + [0] * (p - 2)
+    low = high = 1
+    for j in range(2, p):
+        q = factor[j]
+        power = powers[j] = pow(j, p - 3, mod) if not q else powers[q] * powers[j // q] % mod
         low += power
         high += (power * j) ** 2
     return low % mod, high % mod

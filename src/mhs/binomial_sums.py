@@ -12,24 +12,35 @@ expansion route rewrites that product in homogeneous harmonic sums and sums
 over partitions.  Their agreement re-verifies the congruence tables along the
 way.  Both read their residues at p from the context of p
 (congruences.prime_context), which holds the units, X mod p^2 and each sum.
+The direct route sums u_k^a over half the units, k <= (p-1)/2, since
+u_(p-1-k) = u_k; the expansion route is one dot product of the coefficients
+of a with the context's weights (-p)^|lam| * S(lam), formed once per prime.
+The per-prime claims read the context directly; the public functions read
+the same values after checking p, and return them as PResidue.
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
 C(ap-2, p-1) congruence modulo p^4.  At p, C(ap-2, p-1) and C(2p-1, p-1) are
 products of units 1 + cp/m over the inverses of the context of p, so no
-per-prime check calls ``math.comb``; the exact functions still do.
+per-prime check calls ``math.comb``; the exact functions still do.  The
+Staver claims compare integers over L_n = lcm(1..n), carrying the left side
+from n to n + 1; ``staver_identity_holds`` keeps the Fraction route as their
+oracle.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import mul
 from typing import Callable, NamedTuple
 
+from .algebra import _exact_quotient
 from .bernoulli import bernoulli_invariant
-from .congruences import prime_context
-from .partitions import arrangement_count, partitions_of
+from .congruences import PARTITIONS, prime_context
+from .partitions import arrangement_count
 from .report import CheckResult, check_residues
 from .residues import PResidue, is_prime, padic_valuation, require_admissible
 
@@ -70,8 +81,9 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
     require_admissible(p)
     if not 0 <= k <= p - 1:
         raise ValueError("k must lie in [0, p-1]")
-    units, inverses = prime_context(p, e).units
-    base = inverses[k] if a < 0 else units[k]
+    units, inverses = prime_context(p, e).units  # k <= (p-1)/2; u_(p-1-k) = u_k
+    half = min(k, p - 1 - k)
+    base = inverses[half] if a < 0 else units[half]
     return PResidue(pow(base, abs(a), p**e), p, e)
 
 
@@ -94,36 +106,26 @@ def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
     require_admissible(p)
     if e > 6:
         raise ValueError("the closed form only holds modulo p^6")
-    mod = p**e
-    x = prime_context(p, e).invariant
+    return PResidue(_closed_form(a, p, p**e, prime_context(p, e).invariant), p, e)
+
+
+def _closed_form(a: int, p: int, mod: int, x: int) -> int:
     bracket = 1 + a * (a + 1) * (3 * a - 2) * pow(6, -1, mod) * p**3 * x
-    return PResidue((a - 1) * p * pow(a * p - 1, -1, mod) * bracket, p, e)
+    return (a - 1) * p * pow(a * p - 1, -1, mod) * bracket % mod
 
 
-# Each partition lam of j <= 5, by j and then by length, with its arrangement count
-_PARTITIONS = tuple((lam, arrangement_count(lam)) for j in range(1, 6) for lam in partitions_of(j))
+# (r, arrangements of lam) for each lam of j <= 5 into r parts, in the order of PARTITIONS
+_SHAPES = tuple((len(lam), arrangement_count(lam)) for lam in PARTITIONS)
 
 
-def _expansion_terms(a: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """The nonzero terms (j, lam, C(a, r) * arrangements of lam), lam of j into r parts."""
-    terms = []
-    for lam, count in _PARTITIONS:
-        c_ar = generalized_binomial(a, len(lam))
-        if c_ar:
-            terms.append((sum(lam), lam, c_ar * count))
-    return tuple(terms)
+def _expansion_terms(a: int) -> tuple[int, ...]:
+    """C(a, r) * arrangements of lam for each lam in PARTITIONS, lam of j into r parts."""
+    return tuple(generalized_binomial(a, r) * count for r, count in _SHAPES)
 
 
-def _expansion_sum(terms: tuple, p: int, e: int) -> PResidue:
-    """p + sum of (-p)^j * coeff * homogeneous_product_sum_mod(lam) over the terms."""
-    require_admissible(p)
-    if e > 6:
-        raise ValueError("the weight-5 truncation only supports e <= 6")
-    context = prime_context(p, e)
-    total = p
-    for j, lam, coeff in terms:
-        total += (-p) ** j * coeff * context.product_sum(lam)
-    return PResidue(total, p, e)
+def _expansion_sum(terms: tuple, context) -> int:
+    """p + sum of coeff * (-p)^j * S(lam): the terms against the context's expansion weights."""
+    return (context.p + sum(map(mul, terms, context.expansion_weights))) % context.mod
 
 
 def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
@@ -132,10 +134,15 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     Expands (1 + sum_{j=1}^5 (-p)^j H_k({1}^j))^a with generalized binomials
     and sums each product of homogeneous harmonic sums by brute force mod p^e.
     Valid modulo p^6 since dropped terms carry at least six powers of p.
-    Shares nothing with :func:`binomial_power_sum` beyond residue arithmetic
-    and the inverses 1/j of the context of p.
+    The sums of products, times (-p)^j, are formed once per prime as the
+    weights of the context of p, so each a costs one dot product of its
+    coefficients with them.  Shares nothing with :func:`binomial_power_sum`
+    beyond residue arithmetic and the inverses 1/j of the context of p.
     """
-    return _expansion_sum(_expansion_terms(a), p, e)
+    require_admissible(p)
+    if e > 6:
+        raise ValueError("the weight-5 truncation only supports e <= 6")
+    return PResidue(_expansion_sum(_expansion_terms(a), prime_context(p, e)), p, e)
 
 
 def alternating_power_sum(n: int, a: int) -> Fraction:
@@ -187,7 +194,8 @@ def cai_granville_holds(a: int, p: int) -> bool:
     """sum (-1)^(ak) C(p-1,k)^a = C(ap-2, p-1) modulo p^4, for a >= 1."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    lhs, rhs = _single_binomial_sides(a, p)  # binomial_power_sum requires p > 5 prime
+    require_admissible(p)
+    lhs, rhs = _single_binomial_sides(a, p)
     return lhs == rhs
 
 
@@ -221,16 +229,19 @@ class BinomialClaim(NamedTuple):
 
 
 def _closed_form_sides(a: int, exponents: range, p: int) -> tuple[int, int]:
-    prime_context(p).sum_powers(exponents)  # the whole range in one pass per sign
-    return binomial_power_sum(a, p).value, binomial_power_sum_closed_form(a, p).value
+    context = prime_context(p)
+    if a not in context.power_sums:
+        context.sum_powers(exponents)  # the whole range in one pass per sign
+    return context.power_sums[a], _closed_form(a, p, context.mod, context.invariant)
 
 
 def _expansion_sides(a: int, terms: tuple, p: int) -> tuple[int, int]:
-    return _expansion_sum(terms, p, 6).value, binomial_power_sum(a, p).value
+    context = prime_context(p)
+    return _expansion_sum(terms, context), context.power_sum(a)
 
 
 def _anchor_sides(a: int, p: int) -> tuple[int, int]:
-    return binomial_power_sum(a, p).value, p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
+    return prime_context(p).power_sum(a), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
 
 
 def _steps_product(c: int, n: int, context) -> int:
@@ -247,7 +258,7 @@ def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
     context = prime_context(p, 4)
     steps = _steps_product(a - 1, p - 2, context) if a != 1 else 0  # a = 1 scales it by 0
     rhs = (a - 1) * p * context.inverses[p - 1] * steps
-    return binomial_power_sum(a, p, 4).value, rhs % p**4
+    return context.power_sum(a) % p**4, rhs % p**4
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
@@ -285,8 +296,49 @@ COROLLARY_CLAIMS = (
 )
 
 
+# Staver's left side on the running scale L_n = lcm(1..n), one state per
+# thread: (n, L_n, C(2n, n), L_n * sum_{k<=n} C(2k,k)/k).  The staver suite
+# checks n = 1, 2, ... in turn, so each check advances it by one step.
+_local = threading.local()
+_START = (0, 1, 1, 0)
+
+
+def _staver_left(n: int) -> tuple[int, int, int]:
+    """(L_n, C(2n, n), L_n * sum_{k<=n} C(2k,k)/k), advanced from this thread's state.
+
+    A state past n is dropped and the sum starts again from n = 0.  L grows
+    by q = k / gcd(L, k), which is 1 unless k is a prime power.
+    """
+    state = getattr(_local, "staver", _START)
+    m, lcm, central, left = state if state[0] <= n else _START
+    for k in range(m + 1, n + 1):
+        growth = k // gcd(lcm, k)
+        lcm *= growth
+        central = _exact_quotient(central * 2 * (2 * k - 1), k)
+        left = left * growth + central * _exact_quotient(lcm, k)
+    _local.staver = (n, lcm, central, left)
+    return lcm, central, left
+
+
+def _staver_on_integers(n: int) -> bool:
+    """Staver's identity at n, cross-multiplied over L = lcm(1..n): integers only.
+
+    L times the left side comes from :func:`_staver_left`.  On the right,
+    lcm_k C(n-1, k) = L/n = M, so sum_{k<n} 1/C(n-1,k)^2 = Q / M^2 with
+    Q = sum_k q_k^2, q_k = M / C(n-1, k): q_0 = M, q_(k+1) = q_k (k+1)/(n-1-k).
+    Every division is checked, so a wrong scale raises ArithmeticError.
+    """
+    lcm, central, left = _staver_left(n)
+    scale = q = _exact_quotient(lcm, n)
+    squares = q * q
+    for k in range(n - 1):
+        q = _exact_quotient(q * (k + 1), n - 1 - k)
+        squares += q * q
+    return 3 * n * n * scale * scale * left == lcm * central * (2 * n + 1) * squares
+
+
 class StaverClaim(NamedTuple):
-    """Staver's identity at one n, checked exactly."""
+    """Staver's identity at one n, checked exactly on integers (see staver_identity_holds)."""
 
     n: int
 
@@ -295,7 +347,7 @@ class StaverClaim(NamedTuple):
         return f"staver:n={self.n}"
 
     def check(self) -> CheckResult:
-        return CheckResult(self.claim_id, None, None, None, None, staver_identity_holds(self.n))
+        return CheckResult(self.claim_id, None, None, None, None, _staver_on_integers(self.n))
 
 
 def theorem_suite(p: int, amin: int = -6, amax: int = 6) -> list[CheckResult]:

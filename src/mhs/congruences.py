@@ -30,6 +30,7 @@ from typing import Iterable, NamedTuple
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition, mhs_row
+from .partitions import partitions_of
 from .report import CheckResult, check_residues
 from .residues import PResidue, batch_inverse, require_admissible
 
@@ -52,17 +53,26 @@ _BLOCK = 4096
 # A product-sum miss of weight <= 5 sums every partition of weight <= 5: the
 # sum rows and the p^6 expansion read exactly those.
 _WEIGHT = 5
+# Those partitions, by weight and then by length: the order of
+# PrimeContext.expansion_weights.
+PARTITIONS = tuple(lam for j in range(1, _WEIGHT + 1) for lam in partitions_of(j))
 
 
 class PrimeContext:
     """The residue state of one prime p modulo mod = p^max(e, 6), each part built on first use.
 
     Every check at p modulo p^e reads it through Z/mod -> Z/p^e, so the checks
-    at p share one batch inversion, the tables j^(-s), the rows H_k(s) for k < p,
-    X mod p^2, the signed binomial units, and each sum of products or powers.
-    The sums are whole-row passes: a product row is its prefix's row times one
-    row H({1}^j), a power row the previous power times the units.  Those rows
-    live only in the call that sums them; the context keeps the sums alone.
+    at p share one batch inversion, the tables j^(-s), the rows H_k({1}^j) for
+    k < p, X mod p^2, the signed binomial units, and each sum of products or
+    powers.  The sums are whole-row passes: a product row is its prefix's row
+    times one row H({1}^j), a power row the previous power times the units.
+    Those rows live only in the call that sums them; the context keeps the
+    sums alone.  Two reads are dot products: H_{p-1}(s) is the row of s[:-1]
+    against the table j^(-s_d), so no row of s itself is built, and the
+    partition expansion of the theorem at any a is its coefficients against
+    the weights (-p)^|lam| * S(lam), formed once per prime.  The units are
+    kept for k <= (p-1)/2 only: u_(p-1-k) = u_k for odd p, so each power
+    sum runs over half the row.
     """
 
     def __init__(self, p: int, mod: int):
@@ -85,6 +95,18 @@ class PrimeContext:
             powers[t] = [x * y % mod for x, y in zip(powers[t - 1], inverses)]
         return powers[s]
 
+    def mhs(self, s: tuple) -> int:
+        """H_{p-1}(s), as sum_{j<p} H_{j-1}(s[:-1]) * j^(-s_d): one dot product.
+
+        Only the row of the prefix s[:-1] is built (see core.mhs_row), and
+        for every base claim that prefix is a row H({1}^j) the product sums
+        read anyway.  The empty composition gives 1.
+        """
+        if not s:
+            return 1
+        prefix = mhs_row(s[:-1], self.p - 1, self.rows, self)
+        return sum(map(operator.mul, prefix, self.inverse_powers(s[-1])[1:])) % self.mod
+
     @cached_property
     def invariant(self) -> int:
         """X = bernoulli_invariant(p) modulo p^2."""
@@ -92,11 +114,18 @@ class PrimeContext:
 
     @cached_property
     def units(self) -> tuple[list, list]:
-        """(u, 1/u) for u_k = (-1)^k C(p-1, k) = prod_{j<=k} (1 - p/j), k < p."""
-        units = [1]
-        for inverse in self.inverses[1:]:
-            units.append(units[-1] * (1 - self.p * inverse) % self.mod)
-        return units, batch_inverse(units, self.mod)
+        """(u, 1/u) for k <= (p-1)/2, u_k = (-1)^k C(p-1, k) = prod_{j<=k} (1 - p/j).
+
+        The other half repeats it: u_(p-1-k) = u_k for odd p.  The inverses
+        are a running product too, 1/(1 - p/j) = -j * (1/(p - j)), over the
+        context's inverses, so they cost no second inversion.
+        """
+        p, mod, inverses = self.p, self.mod, self.inverses
+        units, inverted = [1], [1]
+        for j in range(1, (p + 1) // 2):
+            units.append(units[-1] * (1 - p * inverses[j]) % mod)
+            inverted.append(inverted[-1] * -j * inverses[p - j] % mod)
+        return units, inverted
 
     def product_sum(self, lam: tuple[int, ...]) -> int:
         """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), for parts lam_i >= 1 in any order.
@@ -151,6 +180,12 @@ class PrimeContext:
             elif child not in sums:
                 sums[child] = sum(map(operator.mul, row, ones[j])) % mod
 
+    @cached_property
+    def expansion_weights(self) -> tuple:
+        """(-p)^|lam| * S(lam) modulo mod for each lam in PARTITIONS, S the product sum."""
+        p, mod = self.p, self.mod
+        return tuple((-p) ** sum(lam) * self.product_sum(lam) % mod for lam in PARTITIONS)
+
     def power_sum(self, a: int) -> int:
         """sum_{k=0}^{p-1} u_k^a; negative a powers 1/u."""
         if a not in self.power_sums:
@@ -161,7 +196,9 @@ class PrimeContext:
         """Form sum_k u_k^a for each a in ``exponents`` that has no sum yet.
 
         One running row per sign, u, u^2, ... (or 1/u, 1/u^2, ...) up to the
-        largest wanted |a|, is summed as it passes each wanted exponent.  The
+        largest wanted |a|, is summed as it passes each wanted exponent.  It
+        runs over the half table k <= m = (p-1)/2, because u_(p-1-k) = u_k:
+        the whole sum is twice the half's, less the middle term u_m^a.  The
         row runs over _BLOCK entries of k at a time, so it stays small.
         """
         mod, sums = self.mod, self.power_sums
@@ -172,16 +209,16 @@ class PrimeContext:
             totals = dict.fromkeys((sign * a for a in missing if sign * a > 0), 0)
             if not totals:
                 continue
-            units, top = self.units[sign < 0], max(totals)
-            for start in range(0, self.p, _BLOCK):
-                row = bases = units[start : start + _BLOCK]
+            half, top = self.units[sign < 0], max(totals)
+            for start in range(0, len(half), _BLOCK):
+                row = bases = half[start : start + _BLOCK]
                 for exponent in range(1, top + 1):
                     if exponent > 1:
                         row = [x * b % mod for x, b in zip(row, bases)]
                     if exponent in totals:
                         totals[exponent] += sum(row)
             for exponent, total in totals.items():
-                sums[sign * exponent] = total % mod
+                sums[sign * exponent] = (2 * total - pow(half[-1], exponent, mod)) % mod
 
 
 # One context per thread, replaced when p or the modulus changes: a
@@ -191,23 +228,27 @@ _local = threading.local()
 
 
 def prime_context(p: int, e: int = 6) -> PrimeContext:
-    """This thread's context of p modulo p^max(e, 6), new if p or the modulus changed."""
-    mod = p ** max(e, 6)
-    context = getattr(_local, "context", None)
-    if context is None or (context.p, context.mod) != (p, mod):
-        context = _local.context = PrimeContext(p, mod)
-    return context
+    """This thread's context of p modulo p^max(e, 6), new if p or the modulus changed.
+
+    The held context is recognised by (p, max(e, 6)), so a hit computes no
+    power of p; every check at p asks for it at least once.
+    """
+    top = e if e > 6 else 6
+    held = getattr(_local, "held", None)
+    if held is None or held[0] != p or held[1] != top:
+        held = _local.held = (p, top, PrimeContext(p, p**top))
+    return held[2]
 
 
 def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
     """H_{p-1}(s) in Z / p^e by streaming evaluation.
 
     All denominators are products of integers below p, hence units; the full
-    rational value is never materialized.  The row is read from the context
-    of p (see :func:`prime_context`), which every check at p shares.
+    rational value is never materialized.  The value is one dot product over
+    the context of p (see :meth:`PrimeContext.mhs`), which every check at p
+    shares.
     """
-    context = prime_context(p, e)
-    return PResidue(mhs_row(tuple(Composition(s)), p - 1, context.rows, context)[p - 1], p, e)
+    return PResidue(prime_context(p, e).mhs(tuple(Composition(s))), p, e)
 
 
 def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
@@ -249,9 +290,10 @@ class CongruenceClaim(NamedTuple):
         return sum(coeff * p**i * pow(x, j, mod) for (i, j), coeff in self.rhs_terms) % mod
 
     def sides(self, p: int) -> tuple[int, int]:
-        if self.kind == "mhs":
-            return mhs_mod(self.target, p, self.exponent).value, self.rhs_value(p)
-        return homogeneous_product_sum_mod(self.target, p, self.exponent), self.rhs_value(p)
+        """Both sides in Z / p^e, the left one read from the context of p."""
+        context = prime_context(p, self.exponent)
+        lhs = context.mhs(self.target) if self.kind == "mhs" else context.product_sum(self.target)
+        return lhs % p**self.exponent, self.rhs_value(p)
 
 
 def _claim(kind: str, target: tuple[int, ...], rhs: dict, e: int) -> CongruenceClaim:

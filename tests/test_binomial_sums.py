@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
+from mhs import binomial_sums
 from mhs.binomial_sums import (
+    StaverClaim,
     alternating_power_sum,
     binomial_power_sum,
     binomial_power_sum_closed_form,
@@ -81,6 +83,25 @@ def test_staver_small_cases():
     # the n = 6 sum itself
     lhs = sum(Fraction(comb(2 * k, k), k) for k in range(1, 7))
     assert lhs == Fraction(7007, 30)
+
+
+def test_staver_claim_on_integers_matches_the_fraction_oracle():
+    # n ascending, as the suite checks them; then out of order, so that a
+    # carried left side past n is dropped and summed again from n = 0
+    for n in [*range(1, 151), 150, 7, 1, 149, 3, 3]:
+        assert StaverClaim(n).check().passed is staver_identity_holds(n) is True, n
+
+
+def test_staver_claim_fails_on_a_perturbed_left_side():
+    StaverClaim(9).check()
+    n, lcm, central, left = binomial_sums._local.staver
+    assert n == 9
+    binomial_sums._local.staver = (n, lcm, central, left + 1)
+    try:
+        assert not StaverClaim(10).check().passed
+    finally:
+        del binomial_sums._local.staver
+    assert StaverClaim(10).check().passed
 
 
 def test_wolstenholme_examples():

@@ -46,6 +46,10 @@ expect(ArithmeticError, hoffman.hoffman_reduce, 2)
 binomial_sums = importlib.import_module("mhs.binomial_sums")
 binomial_sums.factorial = lambda r: 7
 expect(ArithmeticError, binomial_sums.generalized_binomial, 5, 2)
+
+# A Staver scale that never grows: L stays 1, which k = 2 does not divide.
+binomial_sums.gcd = lambda a, b: b
+expect(ArithmeticError, binomial_sums.StaverClaim(5).check)
 """
 
 
@@ -66,6 +70,7 @@ def test_guards_raise_under_optimize():
         "raised bernoulli_invariant_mod",
         "raised hoffman_reduce",
         "raised generalized_binomial",
+        "raised check",
         "",
     ]
 

@@ -24,10 +24,12 @@ from mhs.binomial_sums import (
     COROLLARY_CLAIMS,
     binomial_power_sum,
     binomial_power_sum_closed_form,
+    binomial_power_sum_via_mhs,
     central_binomial_sum_exact,
     cai_granville_suite,
     central_binomial_sum_mod,
     corollary_suite,
+    theorem_claims,
     theorem_suite,
 )
 from mhs.congruences import (
@@ -109,6 +111,22 @@ def test_bernoulli_threads_match_one_thread():
     assert len(values) == 600
     for m, b in values.items():
         assert Fraction(b) == bernoulli(int(m)), m
+
+
+def _reference_power_sums(p: int, mod: int) -> tuple[int, int]:
+    """The loop that formed X's power sums before the sieve: one pow per j."""
+    low = high = 0
+    for j in range(1, p):
+        power = pow(j, p - 3, mod)
+        low += power
+        high += (power * j) ** 2
+    return low % mod, high % mod
+
+
+def test_power_sums_of_x_match_one_pow_per_j():
+    module = importlib.import_module("mhs.bernoulli")
+    for p in PRIMES + [10007]:
+        assert module._power_sums_mod(p, p**3) == _reference_power_sums(p, p**3), p
 
 
 def test_invariant_mod_matches_exact():
@@ -260,7 +278,7 @@ def test_threads_share_residue_table_safely():
 
 
 def test_residue_work_happens_once_per_prime(monkeypatch):
-    """At one prime the four suites grow each row once and make two batch inversions."""
+    """At one prime the four suites grow each row once and make one batch inversion."""
     p = 101
     prime_context(97)  # a context of 101 from an earlier test is replaced
     inversions = []
@@ -270,30 +288,32 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
         inversions.append(mod)
         return batch_inverse(values, mod)
 
-    def counting_inverse_powers(context, s, real=congruences.PrimeContext.inverse_powers):
-        grown.append(s)  # mhs_row asks once per prefix row it grows
-        return real(context, s)
+    def counting_rows(s, n, rows, context=None, real=congruences.mhs_row):
+        before = {key: len(row) for key, row in rows.items()}
+        row = real(s, n, rows, context)
+        grown.extend(key for key, kept in rows.items() if len(kept) != before.get(key))
+        return row
 
     monkeypatch.setattr(congruences, "batch_inverse", counting_inverse)
-    monkeypatch.setattr(congruences.PrimeContext, "inverse_powers", counting_inverse_powers)
-    results = (
-        sum_congruence_suite(p)
-        + base_congruence_suite(p)
+    monkeypatch.setattr(congruences, "mhs_row", counting_rows)
+    results = (  # in the registry's order, as verify checks them
+        base_congruence_suite(p)
+        + sum_congruence_suite(p)
         + theorem_suite(p)
         + cai_granville_suite(p)
         + corollary_suite(p)
     )
     assert results and all(r.passed for r in results)
 
-    compositions = [claim.target for claim in BASE_CLAIMS] + [(1,) * d for d in range(1, 6)]
-    prefixes = {s[:d] for s in compositions for d in range(1, len(s) + 1)}
-    exponents = {part for s in compositions for part in s}
-    # one row growth per prefix, one inverse-power table per distinct part
-    assert len(grown) <= len(prefixes)
-    assert sorted(prime_context(p).powers) == sorted(exponents)
-    # 1/j for the rows, the units and the central-binomial sum, then the
-    # units' inverses: once each for every e at p
-    assert inversions == [p**6, p**6]
+    # Each row grows once, and only the rows H({1}^j) exist: a base claim
+    # reads the row of its prefix, and every prefix is such a row.
+    assert sorted(grown) == [(1,) * j for j in range(6)]
+    assert set(prime_context(p).rows) == set(grown)
+    # one inverse-power table per distinct last part of a base claim
+    assert sorted(prime_context(p).powers) == sorted({claim.target[-1] for claim in BASE_CLAIMS})
+    # 1/j for the rows, both unit tables and the central-binomial sum: once
+    # for every e at p
+    assert inversions == [p**6]
 
 
 def _reference_rows(p: int, mod: int, depth: int) -> list[list[int]]:
@@ -432,3 +452,60 @@ def test_replaced_context_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_claim_sides_read_what_the_public_functions_return():
+    """Each per-prime claim reads the context directly; the public functions agree."""
+    claims = {claim.claim_id: claim for claim in theorem_claims()}
+    for p in PRIMES:
+        for claim in BASE_CLAIMS + SUM_CLAIMS:
+            e = claim.exponent
+            if claim.kind == "mhs":
+                lhs = mhs_mod(claim.target, p, e).value
+            else:
+                lhs = homogeneous_product_sum_mod(claim.target, p, e)
+            assert claim.sides(p) == (lhs, claim.rhs_value(p)), (claim.claim_id, p)
+        for a in range(-6, 7):
+            direct = binomial_power_sum(a, p).value
+            closed = binomial_power_sum_closed_form(a, p).value
+            expansion = binomial_power_sum_via_mhs(a, p).value
+            assert claims[f"binomial-power-sum:a={a}"].sides(p) == (direct, closed), (a, p)
+            assert claims[f"binomial-power-sum-expansion:a={a}"].sides(p) == (expansion, direct)
+        for a in (0, 1):
+            anchor = claims[f"binomial-power-sum-anchor:a={a}"].sides(p)
+            assert anchor[0] == binomial_power_sum(a, p).value, (a, p)
+        for a, claim in zip((1, 2, 3), CAI_GRANVILLE_CLAIMS):
+            assert claim.sides(p)[0] == binomial_power_sum(a, p, 4).value, (a, p)
+        assert COROLLARY_CLAIMS[0].sides(p) == central_binomial_sum_mod(p), p
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 10007])
+def test_half_unit_tables_and_power_sums_match_the_full_row(p):
+    mod = p**6
+    full = [1]  # u_k for every k < p, one k at a time
+    for k in range(1, p):
+        full.append(full[-1] * (1 - p * pow(k, -1, mod)) % mod)
+    assert full == full[::-1]  # u_(p-1-k) = u_k: the half the context keeps is all of it
+    context = congruences.PrimeContext(p, mod)
+    units, inverted = context.units
+    assert units == full[: (p + 1) // 2]
+    assert inverted == [pow(u, -1, mod) for u in units]
+    context.sum_powers(range(-6, 7))
+    for a in range(-6, 7):
+        assert context.power_sum(a) == _reference_power_sum(a, p, mod), (a, p)
+
+
+def test_verify_builds_one_context_per_prime(monkeypatch, capsys):
+    prime_context(97)  # no context of a prime in the run is held
+    built = []
+
+    class Counting(congruences.PrimeContext):
+        def __init__(self, p, mod):
+            built.append(p)
+            super().__init__(p, mod)
+
+    monkeypatch.setattr(congruences, "PrimeContext", Counting)
+    code = cli.main(["verify", "--suite", "all", "--pmin", "7", "--pmax", "61"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("951/951 checks passed\n")
+    assert built == primes_in_range(7, 61)
