@@ -81,18 +81,21 @@ def _power_sums_mod(p: int, mod: int) -> tuple[int, int]:
 
     j -> j^(p-3) is completely multiplicative, so a composite j = q * (j/q),
     q a prime factor of j from a sieve, costs one product of two earlier
-    powers.  j^(2p-4) = (j^(p-3) * j)^2, so the second sum reuses the first's
-    powers.
+    powers.  The cofactor j/q is below p/2, so only those powers are kept.
+    j^(2p-4) = (j^(p-3) * j)^2, so the second sum reuses the first's powers.
     """
     factor = [0] * p  # a prime factor of each composite j < p, 0 for the rest
     for q in range(2, isqrt(p - 1) + 1):
         if not factor[q]:
             factor[q * q :: q] = [q] * len(range(q * q, p, q))
-    powers = [0, 1] + [0] * (p - 2)
+    half = (p + 1) // 2
+    powers = [0, 1] + [0] * (half - 2)  # j^(p-3) for j < half
     low = high = 1
     for j in range(2, p):
         q = factor[j]
-        power = powers[j] = pow(j, p - 3, mod) if not q else powers[q] * powers[j // q] % mod
+        power = pow(j, p - 3, mod) if not q else powers[q] * powers[j // q] % mod
+        if j < half:
+            powers[j] = power
         low += power
         high += (power * j) ** 2
     return low % mod, high % mod

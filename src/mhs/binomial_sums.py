@@ -11,8 +11,8 @@ up the product formula (-1)^k C(p-1,k) = prod_{j<=k} (1 - p/j), while the
 expansion route rewrites that product in homogeneous harmonic sums and sums
 over partitions.  Their agreement re-verifies the congruence tables along the
 way.  Both read their residues at p from the context of p
-(congruences.prime_context), which holds the units, X mod p^2 and each sum.
-The direct route sums u_k^a over half the units, k <= (p-1)/2, since
+(congruences.prime_context), which holds X mod p^2 and each sum.  The
+direct route sums u_k^a over half the units, k <= (p-1)/2, since
 u_(p-1-k) = u_k; the expansion route is one dot product of the coefficients
 of a with the context's weights (-p)^|lam| * S(lam), formed once per prime.
 The per-prime claims read the context directly; the public functions read
@@ -21,11 +21,11 @@ the same values after checking p, and return them as PResidue.
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
 C(ap-2, p-1) congruence modulo p^4.  At p, C(ap-2, p-1) and C(2p-1, p-1) are
-products of units 1 + cp/m over the inverses of the context of p, so no
-per-prime check calls ``math.comb``; the exact functions still do.  The
-Staver claims compare integers over L_n = lcm(1..n), carrying the left side
-from n to n + 1; ``staver_identity_holds`` keeps the Fraction route as their
-oracle.
+products of units 1 + cp/m, and the context of p forms those for c = 1, 2
+in the same pass as the central-binomial sum, so no per-prime check calls
+``math.comb``; the exact functions still do.  The Staver claims compare
+integers over L_n = lcm(1..n), carrying the left side from n to n + 1;
+``staver_identity_holds`` keeps the Fraction route as their oracle.
 """
 
 from __future__ import annotations
@@ -74,17 +74,22 @@ def generalized_binomial(a: int, r: int) -> int:
 
 
 def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
-    """((-1)^k C(p-1, k))^a in Z / p^e, from the units of the context of p.
+    """((-1)^k C(p-1, k))^a in Z / p^e, as prod_{j<=h} (j - p) / j for h = min(k, p-1-k).
 
-    The base is 1 mod p, hence a unit, so negative a inverts cleanly.
+    u_(p-1-k) = u_k, so the product runs over the shorter half.  The base
+    is 1 mod p, hence a unit, so negative a inverts cleanly.
     """
     require_admissible(p)
     if not 0 <= k <= p - 1:
         raise ValueError("k must lie in [0, p-1]")
-    units, inverses = prime_context(p, e).units  # k <= (p-1)/2; u_(p-1-k) = u_k
-    half = min(k, p - 1 - k)
-    base = inverses[half] if a < 0 else units[half]
-    return PResidue(pow(base, abs(a), p**e), p, e)
+    mod = p**e
+    top = bottom = 1
+    for j in range(1, min(k, p - 1 - k) + 1):
+        top = top * (j - p) % mod
+        bottom = bottom * j % mod
+    if a < 0:
+        top, bottom = bottom, top
+    return PResidue(pow(top * pow(bottom, -1, mod), abs(a), mod), p, e)
 
 
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
@@ -191,31 +196,25 @@ def central_binomial_sum_check(p: int) -> bool:
 
 
 def cai_granville_holds(a: int, p: int) -> bool:
-    """sum (-1)^(ak) C(p-1,k)^a = C(ap-2, p-1) modulo p^4, for a >= 1."""
+    """sum (-1)^(ak) C(p-1,k)^a = C(ap-2, p-1) modulo p^4, for a >= 1, by ``math.comb``."""
     if a < 1:
         raise ValueError("a must be >= 1")
     require_admissible(p)
-    lhs, rhs = _single_binomial_sides(a, p)
-    return lhs == rhs
+    return prime_context(p, 4).power_sum(a) % p**4 == comb(a * p - 2, p - 1) % p**4
 
 
 def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     """(lhs, rhs) of the central-binomial congruence, both in Z / p^4.
 
-    Streams C(2k,k) by the unit factor 2(2k-1)/k, with 1/k from the context
-    of p, so no step divides by p; the right side needs only X modulo p^2.
+    The left side streams C(2k,k) by the unit factor 2(2k-1)/k in the
+    binomial pass of the context of p, so no step divides by p; the right
+    side needs only X modulo p^2.
     """
     require_admissible(p)
     mod = p**4
     context = prime_context(p, 4)
-    central = 1
-    lhs = 0
-    for k in range(1, p):
-        inverse = context.inverses[k]
-        central = central * 2 * (2 * k - 1) * inverse % mod
-        lhs += central * inverse
     rhs = -16 * pow(3, -1, mod) * p * p * context.invariant
-    return lhs % mod, rhs % mod
+    return context.binomials[2] % mod, rhs % mod
 
 
 class BinomialClaim(NamedTuple):
@@ -244,26 +243,25 @@ def _anchor_sides(a: int, p: int) -> tuple[int, int]:
     return prime_context(p).power_sum(a), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
 
 
-def _steps_product(c: int, n: int, context) -> int:
-    """prod_{m=1}^{n} (1 + c*p/m) modulo context.mod, from the inverses 1/m of the context."""
-    cp, mod = c * context.p, context.mod
-    total = 1
-    for inverse in context.inverses[1 : n + 1]:
-        total = total * (1 + cp * inverse) % mod
-    return total
+def _steps_product(c: int, context) -> int:
+    """prod_{m=1}^{p-2} (1 + c*p/m) modulo context.mod, c = 1 or 2, from the binomial pass."""
+    return context.binomials[c - 1]
 
 
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
     # C(ap-2, p-1) = (a-1)p/(p-1) * prod_{m=1}^{p-2} (1 + (a-1)p/m), 0 for a = 1
     context = prime_context(p, 4)
-    steps = _steps_product(a - 1, p - 2, context) if a != 1 else 0  # a = 1 scales it by 0
-    rhs = (a - 1) * p * context.inverses[p - 1] * steps
+    if a == 1:  # the product is scaled by a - 1 = 0
+        rhs = 0
+    else:
+        rhs = (a - 1) * p * context.binomials[3] * _steps_product(a - 1, context)
     return context.power_sum(a) % p**4, rhs % p**4
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
-    # C(2p-1, p-1) = prod_{j<p} (1 + p/j)
-    return _steps_product(1, p - 1, prime_context(p, 3)) % p**3, 1
+    # C(2p-1, p-1) = prod_{m<p} (1 + p/m): the a = 2 product times 1 + p/(p-1)
+    context = prime_context(p, 3)
+    return _steps_product(1, context) * (1 + p * context.binomials[3]) % p**3, 1
 
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:

@@ -163,7 +163,9 @@ def _cmd_verify(args) -> int:
     checks = registry.run(selection, primes, functools.partial(_fan_out, jobs=args.jobs))
     all_passed = all(c.passed for c in checks)
     if args.format == "json":
-        print(json.dumps([c.to_json() for c in checks]))
+        from .report import write_json
+
+        write_json(checks, sys.stdout)
     else:
         for c in checks:
             status = "pass" if c.passed else "FAIL"

@@ -12,7 +12,8 @@ them:
 Left sides are evaluated by streaming modular brute force, never through the
 symbolic engine, so a passing suite is an independent confirmation of the
 identities.  Every residue value at a prime is read from one PrimeContext,
-which this thread keeps until the prime or the modulus changes.  A separate
+which this thread keeps until the prime or the modulus changes, and which
+forms its sums in passes over k in blocks of bounded length.  A separate
 symbolic cross-derivation re-obtains the weight <= 3 sum rows by substituting
 the base congruences into the closed-form summation identities, with explicit
 error-term bookkeeping.
@@ -24,12 +25,13 @@ import operator
 import threading
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import inf
 from typing import Iterable, NamedTuple
 
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
-from .core import Composition, mhs_row
+from .core import Composition
 from .partitions import partitions_of
 from .report import CheckResult, check_residues
 from .residues import PResidue, batch_inverse, require_admissible
@@ -48,92 +50,121 @@ __all__ = [
 ]
 
 
-# Entries of k per pass of a power row: bounds the row's memory, not the work.
-_BLOCK = 4096
+# Entries of k per block.  A pass over k < p holds one block's tables at a
+# time, so a context's memory is bounded by the block, not by p; a prime
+# below it is one block, whose tables every pass at the prime shares.
+_BLOCK = 1 << 14
 # A product-sum miss of weight <= 5 sums every partition of weight <= 5: the
 # sum rows and the p^6 expansion read exactly those.
 _WEIGHT = 5
 # Those partitions, by weight and then by length: the order of
 # PrimeContext.expansion_weights.
 PARTITIONS = tuple(lam for j in range(1, _WEIGHT + 1) for lam in partitions_of(j))
+# The exponents a that every power-sum pass forms: the theorem's default range.
+_EXPONENTS = range(-6, 7)
+
+
+class _Block:
+    """The tables of one block of k, start <= k < stop <= p: 1/k, k^(-s) and the half units."""
+
+    __slots__ = ("start", "stop", "mod", "powers", "units")
+
+    def __init__(self, start: int, stop: int, mod: int):
+        self.start, self.stop, self.mod = start, stop, mod
+        self.powers = {1: batch_inverse(range(start, stop), mod)}  # s -> [k^-s for each k]
+        self.units = None  # (u, 1/u) over the block's k <= (p-1)/2, once a power pass asks
+
+    def inverse_powers(self, s: int) -> list:
+        """[k^-s for start <= k < stop], each table the last times the inverses."""
+        powers, mod = self.powers, self.mod
+        for t in range(len(powers) + 1, s + 1):
+            powers[t] = [x * y % mod for x, y in zip(powers[t - 1], powers[1])]
+        return powers[s]
+
+    def half_units(self, p: int, carry: int) -> tuple[list, list]:
+        """(u, 1/u) over the block's k <= (p-1)/2, u_k = (-1)^k C(p-1, k), from carry = u_(start-1).
+
+        u_k = u_(k-1) * (1 - p/k) runs over the block's inverses; the
+        inverted units are one batch inversion of the block's units.
+        """
+        if self.units is None:
+            mod, u, units = self.mod, carry, []
+            for inverse in self.powers[1][: (p + 1) // 2 - self.start]:
+                u = u * (1 - p * inverse) % mod
+                units.append(u)
+            self.units = units, batch_inverse(units, mod)
+        return self.units
 
 
 class PrimeContext:
-    """The residue state of one prime p modulo mod = p^max(e, 6), each part built on first use.
+    """The residue sums of one prime p modulo mod = p^max(e, 6), each formed on first use.
 
-    Every check at p modulo p^e reads it through Z/mod -> Z/p^e, so the checks
-    at p share one batch inversion, the tables j^(-s), the rows H_k({1}^j) for
-    k < p, X mod p^2, the signed binomial units, and each sum of products or
-    powers.  The sums are whole-row passes: a product row is its prefix's row
-    times one row H({1}^j), a power row the previous power times the units.
-    Those rows live only in the call that sums them; the context keeps the
-    sums alone.  Two reads are dot products: H_{p-1}(s) is the row of s[:-1]
-    against the table j^(-s_d), so no row of s itself is built, and the
-    partition expansion of the theorem at any a is its coefficients against
-    the weights (-p)^|lam| * S(lam), formed once per prime.  The units are
-    kept for k <= (p-1)/2 only: u_(p-1-k) = u_k for odd p, so each power
-    sum runs over half the row.
+    Every check at p modulo p^e reads it through Z/mod -> Z/p^e.  Each value
+    is a sum over k < p, formed by a pass over k in blocks of _BLOCK entries
+    (see :meth:`_blocks`).  A block's tables (1/k, k^(-s), the half units)
+    are built once and dropped at the next block.  From block to block a
+    pass carries only the last entry of each running row and its sums.
+    Three passes fill the context, each on the first miss of its sums:
+
+    * harmonic: H_{p-1}(s) of the base claims and the product sums of every
+      partition of weight <= 5, which share the rows H_k({1}^j), j <= 5;
+    * powers: sum_k u_k^a over the units u_k = (-1)^k C(p-1, k), for the
+      wanted a and the default range -6..6;
+    * binomials: the step products and the central-binomial sum.
+
+    A product row is its prefix's row times one row H({1}^j), and H_{p-1}(s)
+    is the row of s[:-1] against the table k^(-s_d), so no row of s itself
+    is built.  The partition expansion of the theorem at any a is its
+    coefficients against the weights (-p)^|lam| * S(lam), formed once.
     """
 
     def __init__(self, p: int, mod: int):
         self.p, self.mod = p, mod
-        self.rows: dict = {}  # composition -> [H_0, ..., H_{p-1}], grown by mhs_row
-        self.powers: dict = {}  # s -> [0, 1^-s, ..., (p-1)^-s]
+        self.mhs_sums: dict = {(): 1}  # composition -> H_{p-1}(s); empty: the empty product
         self.product_sums: dict = {(): (p - 1) % mod}  # partition -> its sum; empty: p - 1 ones
         self.power_sums: dict = {}  # a -> sum_k u_k^a
+        self._held: _Block | None = None  # the block a pass built last
 
-    @cached_property
-    def inverses(self) -> list:
-        """[0, 1/1, ..., 1/(p-1)], from one batch inversion."""
-        return [0] + batch_inverse(range(1, self.p), self.mod)
+    def _blocks(self, last: int | None = None):
+        """The blocks of k = 1..last (default p - 1) in turn, on one grid for every pass.
 
-    def inverse_powers(self, s: int) -> list:
-        """[0, 1^-s, ..., (p-1)^-s], the factors of the rows with part s."""
-        powers, inverses, mod = self.powers, self.inverses, self.mod
-        powers.setdefault(1, inverses)  # s = 1 shares the table rather than copy it
-        for t in range(len(powers) + 1, s + 1):  # each table the last times the inverses
-            powers[t] = [x * y % mod for x, y in zip(powers[t - 1], inverses)]
-        return powers[s]
+        A block is built when a pass reaches it and held until the next one
+        is built, so a prime of one block builds its tables once.
+        """
+        for start in range(1, (self.p - 1 if last is None else last) + 1, _BLOCK):
+            if self._held is None or self._held.start != start:
+                self._held = _Block(start, min(start + _BLOCK, self.p), self.mod)
+            yield self._held
 
     def mhs(self, s: tuple) -> int:
-        """H_{p-1}(s), as sum_{j<p} H_{j-1}(s[:-1]) * j^(-s_d): one dot product.
+        """H_{p-1}(s); the empty composition gives 1.
 
-        Only the row of the prefix s[:-1] is built (see core.mhs_row), and
-        for every base claim that prefix is a row H({1}^j) the product sums
-        read anyway.  The empty composition gives 1.
+        A miss on a base claim's composition forms every base claim's value
+        and every product sum of weight <= 5 in one harmonic pass; any other
+        miss forms s alone.
         """
-        if not s:
-            return 1
-        prefix = mhs_row(s[:-1], self.p - 1, self.rows, self)
-        return sum(map(operator.mul, prefix, self.inverse_powers(s[-1])[1:])) % self.mod
+        sums = self.mhs_sums
+        if s not in sums:
+            if s in _BASE_TARGETS:
+                self._sum_harmonic(
+                    [t for t in _BASE_TARGETS if t not in sums],
+                    [lam for lam in PARTITIONS if lam not in self.product_sums],
+                )
+            else:
+                self._sum_harmonic([s], [])
+        return sums[s]
 
     @cached_property
     def invariant(self) -> int:
         """X = bernoulli_invariant(p) modulo p^2."""
         return bernoulli_invariant_mod(self.p)
 
-    @cached_property
-    def units(self) -> tuple[list, list]:
-        """(u, 1/u) for k <= (p-1)/2, u_k = (-1)^k C(p-1, k) = prod_{j<=k} (1 - p/j).
-
-        The other half repeats it: u_(p-1-k) = u_k for odd p.  The inverses
-        are a running product too, 1/(1 - p/j) = -j * (1/(p - j)), over the
-        context's inverses, so they cost no second inversion.
-        """
-        p, mod, inverses = self.p, self.mod, self.inverses
-        units, inverted = [1], [1]
-        for j in range(1, (p + 1) // 2):
-            units.append(units[-1] * (1 - p * inverses[j]) % mod)
-            inverted.append(inverted[-1] * -j * inverses[p - j] % mod)
-        return units, inverted
-
     def product_sum(self, lam: tuple[int, ...]) -> int:
         """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), for parts lam_i >= 1 in any order.
 
         A miss of weight at most 5 sums every partition of weight at most 5
-        in one depth-first walk over partition prefixes (see
-        :meth:`_sum_products`); a heavier miss sums lam alone, as one product
-        of its rows H({1}^lam_i).  A part below 1 raises ValueError.
+        in one harmonic pass; a heavier miss sums lam alone.  A part below 1
+        raises ValueError.
         """
         sums = self.product_sums
         if lam not in sums:
@@ -142,43 +173,50 @@ class PrimeContext:
                 if lam[-1] < 1:  # the walk forms no such partition
                     raise ValueError(f"partition parts must be >= 1, got {lam[-1]}")
                 if sum(lam) <= _WEIGHT:
-                    self._sum_products()
+                    self._sum_harmonic([], [x for x in PARTITIONS if x not in sums])
                 else:
-                    self._sum_partition(lam)
+                    self._sum_harmonic([], [lam])
         return sums[lam]
 
-    def _sum_partition(self, lam: tuple) -> None:
-        """Sum lam alone: one pass over k per part after the first."""
-        mod, p = self.mod, self.p
-        row = mhs_row((1,) * lam[0], p - 1, self.rows, self)
-        for j in lam[1:]:
-            row = [x * y % mod for x, y in zip(row, mhs_row((1,) * j, p - 1, self.rows, self))]
-        self.product_sums[lam] = sum(row) % mod
+    def _sum_harmonic(self, compositions: list, partitions: list) -> None:
+        """One pass forming H_{p-1}(s) for each composition and the product sum of each partition.
 
-    def _sum_products(self) -> None:
-        """Sum each partition of weight <= 5 that has no sum yet.
-
-        The row of a partition lam is the row of lam[:-1] times the row
-        H({1}^lam[-1]), so each partition costs one pass over k whatever its
-        length.  A row lives while the walk is below its partition, and the
-        row of a partition that nothing extends is never stored.
+        In each block the pass runs the rows [H_(start-1)(r), ..., H_(stop-1)(r)]
+        of every r a value reads: the prefixes s[:-1] and the rows H({1}^j)
+        up to the largest part, with their own prefixes.  A row grows from
+        its prefix row times the table k^(-r_d), summed from its last entry
+        in the block before: whole-row passes with one reduction per entry.
+        H_{p-1}(s) is the last entry of the row of s when the pass runs one,
+        else the sum of the dot products of the row of s[:-1] with k^(-s_d).
         """
-        ones = {j: mhs_row((1,) * j, self.p - 1, self.rows, self) for j in range(1, _WEIGHT + 1)}
-        for j, row in ones.items():
-            self._sum_extensions((j,), row, _WEIGHT - j, ones)
-
-    def _sum_extensions(self, lam: tuple, row: list, left: int, ones: dict) -> None:
-        """Sum lam from its row, then each partition lam + (parts <= lam[-1]) of ``left`` more."""
-        mod, sums = self.mod, self.product_sums
-        if lam not in sums:
-            sums[lam] = sum(row) % mod
-        for j in range(1, min(lam[-1], left) + 1):
-            child = lam + (j,)
-            if j < left:
-                child_row = [x * y % mod for x, y in zip(row, ones[j])]
-                self._sum_extensions(child, child_row, left - j, ones)
-            elif child not in sums:
-                sums[child] = sum(map(operator.mul, row, ones[j])) % mod
+        mod = self.mod
+        top = max((lam[0] for lam in partitions), default=0)
+        tips = {s[:-1] for s in compositions} | {(1,) * top}
+        carries = {r[:d]: 0 for r in tips for d in range(len(r) + 1)}  # H_(start-1)(r)
+        carries[()] = 1
+        grown = sorted(carries, key=len)[1:]  # prefixes first; the empty row is all ones
+        dots = dict.fromkeys((s for s in compositions if s not in carries), 0)
+        totals = dict.fromkeys(partitions, 0)
+        children: dict = {}  # partition prefix -> the parts that extend it
+        for lam in partitions:
+            for d in range(len(lam)):
+                children.setdefault(lam[:d], {})[lam[d]] = None
+        for block in self._blocks():
+            rows = {(): [1] * (block.stop - block.start + 1)}
+            for r in grown:
+                terms = map(operator.mul, rows[r[:-1]], block.inverse_powers(r[-1]))
+                sums = accumulate(terms, initial=carries[r])  # unreduced
+                row = rows[r] = list(map(operator.mod, sums, repeat(mod)))
+                carries[r] = row[-1]
+            for s in dots:
+                dots[s] += sum(map(operator.mul, rows[s[:-1]], block.inverse_powers(s[-1])))
+            ones = [rows[(1,) * j] for j in range(top + 1)]
+            for j in children.get((), ()):
+                _walk((j,), ones[j], totals, children, ones, mod)
+        for s in compositions:
+            self.mhs_sums[s] = (carries[s] if s in carries else dots[s]) % mod
+        for lam, total in totals.items():
+            self.product_sums[lam] = total % mod
 
     @cached_property
     def expansion_weights(self) -> tuple:
@@ -193,32 +231,74 @@ class PrimeContext:
         return self.power_sums[a]
 
     def sum_powers(self, exponents: Iterable[int]) -> None:
-        """Form sum_k u_k^a for each a in ``exponents`` that has no sum yet.
+        """Form sum_k u_k^a for each a in ``exponents`` or in -6..6 that has no sum yet.
 
         One running row per sign, u, u^2, ... (or 1/u, 1/u^2, ...) up to the
         largest wanted |a|, is summed as it passes each wanted exponent.  It
-        runs over the half table k <= m = (p-1)/2, because u_(p-1-k) = u_k:
-        the whole sum is twice the half's, less the middle term u_m^a.  The
-        row runs over _BLOCK entries of k at a time, so it stays small.
+        runs over the half k <= m = (p-1)/2, because u_(p-1-k) = u_k: the
+        whole sum is twice the half's, less the middle term u_m^a.  The
+        units come block by block, each from the last one's u.
         """
         mod, sums = self.mod, self.power_sums
-        missing = {a for a in exponents if a not in sums}
+        missing = {a for a in (*exponents, *_EXPONENTS) if a not in sums}
         if 0 in missing:
             sums[0] = self.p % mod  # p ones
-        for sign in (1, -1):
-            totals = dict.fromkeys((sign * a for a in missing if sign * a > 0), 0)
-            if not totals:
-                continue
-            half, top = self.units[sign < 0], max(totals)
-            for start in range(0, len(half), _BLOCK):
-                row = bases = half[start : start + _BLOCK]
+            missing.discard(0)
+        if not missing:
+            return
+        totals = dict.fromkeys(missing, 1)  # k = 0: u_0 = 1
+        tops = (max(missing), -min(missing))  # the rows u^1.. and (1/u)^1.. run that far
+        half = ([1], [1])  # u_0 and 1/u_0, the carry into the first block
+        for block in self._blocks((self.p - 1) // 2):
+            half = block.half_units(self.p, half[0][-1])
+            for sign, bases, top in zip((1, -1), half, tops):
+                row = bases
                 for exponent in range(1, top + 1):
                     if exponent > 1:
                         row = [x * b % mod for x, b in zip(row, bases)]
-                    if exponent in totals:
-                        totals[exponent] += sum(row)
-            for exponent, total in totals.items():
-                sums[sign * exponent] = (2 * total - pow(half[-1], exponent, mod)) % mod
+                    if sign * exponent in totals:
+                        totals[sign * exponent] += sum(row)
+        for a, total in totals.items():
+            sums[a] = (2 * total - pow(half[a < 0][-1], abs(a), mod)) % mod
+
+    @cached_property
+    def binomials(self) -> tuple[int, int, int, int]:
+        """(prod (1 + p/m), prod (1 + 2p/m), sum_{k<p} C(2k,k)/k, 1/(p-1)) modulo mod, m <= p-2.
+
+        One pass; C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k and the two step
+        products are carried from block to block.
+        """
+        p, mod = self.p, self.mod
+        once = twice = central = 1
+        total = 0
+        for block in self._blocks():
+            inverses = block.powers[1]
+            for k, inverse in zip(range(block.start, min(block.stop, p - 1)), inverses):
+                central = central * (4 * k - 2) * inverse % mod
+                total += central * inverse
+                step = p * inverse
+                once = once * (1 + step) % mod
+                twice = twice * (1 + 2 * step) % mod
+        last = inverses[-1]  # 1/(p-1)
+        central = central * (4 * p - 6) * last % mod
+        return once, twice, (total + central * last) % mod, last
+
+
+def _walk(lam: tuple, row: list, totals: dict, children: dict, ones: list, mod: int) -> None:
+    """Add the block's sum of lam's row to lam's total, then walk each partition extending lam.
+
+    The row of lam + (j,) is lam's row times H({1}^j); it is formed only if
+    a partition extends it further, and otherwise summed as a dot product.
+    Entry 0 of a row is k = start - 1, which the block before summed.
+    """
+    if lam in totals:
+        totals[lam] += sum(row) - row[0]
+    for j in children.get(lam, ()):
+        child = lam + (j,)
+        if child in children:
+            _walk(child, [x * y % mod for x, y in zip(row, ones[j])], totals, children, ones, mod)
+        else:
+            totals[child] += sum(map(operator.mul, row, ones[j])) - row[0] * ones[j][0]
 
 
 # One context per thread, replaced when p or the modulus changes: a
@@ -244,8 +324,8 @@ def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
     """H_{p-1}(s) in Z / p^e by streaming evaluation.
 
     All denominators are products of integers below p, hence units; the full
-    rational value is never materialized.  The value is one dot product over
-    the context of p (see :meth:`PrimeContext.mhs`), which every check at p
+    rational value is never materialized.  The value is read from the
+    context of p (see :meth:`PrimeContext.mhs`), which every check at p
     shares.
     """
     return PResidue(prime_context(p, e).mhs(tuple(Composition(s))), p, e)
@@ -255,9 +335,9 @@ def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
     """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i) in Z / p^e, by brute force.
 
     The sum is kept once per partition in the context of p and reduced mod
-    p^e; its rows H_k({1}^j) come from the same context, so all partitions
-    and exponents at p share them, and a miss of weight <= 5 sums every
-    partition of weight <= 5 in one walk (see :meth:`PrimeContext.product_sum`).
+    p^e, so all exponents at p share it, and a miss of weight <= 5 sums
+    every partition of weight <= 5 in one pass (see
+    :meth:`PrimeContext.product_sum`).
     """
     return prime_context(p, e).product_sum(lam) % p**e
 
@@ -320,6 +400,7 @@ BASE_CLAIMS: tuple[CongruenceClaim, ...] = (
     _claim("mhs", (1, 1, 1), {}, 2),
     _claim("mhs", (1, 1, 1, 1), {}, 1),
 )
+_BASE_TARGETS = tuple(claim.target for claim in BASE_CLAIMS)  # one harmonic pass forms them all
 
 # Sum block: one row per partition of the weight, weights 1 through 5,
 # at moduli p^5 down to p.

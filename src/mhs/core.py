@@ -111,41 +111,29 @@ def composition_parse(text: str) -> Composition:
 _local = threading.local()
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
-def mhs_row(s: tuple, n: int, rows: dict, context=None) -> list:
-    """The row [H_0(s), ..., H_m(s)], m >= n, kept in ``rows`` by composition.
+def mhs_row(s: tuple, n: int, rows: dict) -> list:
+    """The exact row [H_0(s), ..., H_m(s)], m >= n, kept in ``rows`` by composition.
 
     Grows the row of each prefix s[:d] in place, shortest first, by
     H_j(s[:d]) = H_{j-1}(s[:d]) + H_{j-1}(s[:d-1]) * j^(-s_d): O(depth * n)
-    steps over Q (``context`` None) or over Z / context.mod, with no
-    recursion.  A residue row reads the factors j^(-s_d), j < context.p,
-    from ``context.inverse_powers(s_d)`` (a congruences.PrimeContext), and
-    grows as whole-row passes: one multiplication per entry, running sums
-    over the integers, then one reduction per entry.  n >= context.p raises
-    ValueError.  The returned list is the stored row, not a copy.
+    steps over Q, with no recursion.  The returned list is the stored row,
+    not a copy.
     """
-    if context is not None and n >= context.p:
-        raise ValueError(f"H_{n} needs 1/{context.p}, not a unit mod {context.mod}")
     row = rows.get(s)
     if row is None or len(row) <= n:
-        one, zero = (_ONE, _ZERO) if context is None else (1, 0)
         depth = len(s)
         for d in range(depth + 1):
             key = s[:d]
             top = n - depth + d  # s[:d] is read up to H_top(s[:d])
             row = rows.get(key)
             if row is None:
-                row = rows[key] = [zero if d else one]
+                row = rows[key] = [_ZERO if d else _ONE]
             if d == 0:
-                row.extend([one] * (top + 1 - len(row)))
-            elif context is None:
+                row.extend([_ONE] * (top + 1 - len(row)))
+            else:
                 exponent = s[d - 1]
                 for j in range(len(row), top + 1):
                     row.append(row[j - 1] + prefix[j - 1] / j**exponent)
-            elif len(row) <= top:
-                units, start = context.inverse_powers(s[d - 1]), len(row)
-                terms = map(operator.mul, prefix[start - 1 : top], units[start : top + 1])
-                sums = itertools.accumulate(terms, initial=row[-1])  # unreduced
-                row[start - 1 :] = map(operator.mod, sums, itertools.repeat(context.mod))
             prefix = row
     return row
 

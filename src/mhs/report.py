@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import json
+from typing import NamedTuple, TextIO
 
-__all__ = ["CheckResult", "check_residues"]
+__all__ = ["CheckResult", "check_residues", "write_json"]
 
 
 class CheckResult(NamedTuple):
@@ -32,3 +33,35 @@ def check_residues(claim, p: int) -> CheckResult:
     """The ``check`` of a per-prime claim: ``claim.sides(p)`` gives both sides mod p^exponent."""
     lhs, rhs = claim.sides(p)
     return CheckResult(claim.claim_id, p, p**claim.exponent, lhs, rhs, lhs == rhs)
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for a report field, with ints, None and bools written directly."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def write_json(checks, stream: TextIO) -> None:
+    """Write ``json.dumps([c.to_json() for c in checks])`` and a newline to ``stream``.
+
+    The text goes out one check at a time, so no list of dicts or of encoded
+    fragments is held; each distinct claim id is encoded once.
+    """
+    heads: dict = {}  # claim id -> the record's text up to its "p" value
+    write = stream.write
+    write("[")
+    for i, c in enumerate(checks):
+        head = heads.get(c.claim_id)
+        if head is None:
+            head = heads[c.claim_id] = f'{{"claim-id": {json.dumps(c.claim_id)}, "p": '
+        write(
+            f'{", " if i else ""}{head}{_json_scalar(c.p)}, "modulus": {_json_scalar(c.modulus)}, '
+            f'"lhs-residue": {_json_scalar(c.lhs)}, "rhs-residue": {_json_scalar(c.rhs)}, '
+            f'"pass": {_json_scalar(c.passed)}}}'
+        )
+    write("]\n")

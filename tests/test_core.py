@@ -135,10 +135,10 @@ def test_exact_rows_only_grow(monkeypatch):
     appended = 0
     real = core.mhs_row
 
-    def counting(s, n, rows, context=None):
+    def counting(s, n, rows):
         nonlocal appended
         before = len(rows.get(s, ()))
-        row = real(s, n, rows, context)
+        row = real(s, n, rows)
         appended += len(row) - before
         return row
 

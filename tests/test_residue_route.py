@@ -41,9 +41,10 @@ from mhs.congruences import (
     prime_context,
     sum_congruence_suite,
 )
-from mhs.core import eval_mhs, mhs_prefix_values, mhs_row
+from mhs.core import eval_mhs, mhs_prefix_values
 from mhs.partitions import partitions_of
 from mhs.residues import batch_inverse, primes_in_range, reduce_mod
+from whole_row import WholeRowContext, residue_row
 
 PRIMES = primes_in_range(7, 400)
 
@@ -237,14 +238,29 @@ def test_residue_table_matches_exact_interleaved():
 
 
 @pytest.mark.parametrize("e", [1, 3, 6, 8])
-def test_residue_row_refuses_index_divisible_by_p(e):
+def test_residue_row_refuses_index_divisible_by_p(monkeypatch, e):
+    """No pass inverts a multiple of p: its blocks stop at k = p - 1, whatever their length."""
     p = 7
-    mhs_mod((2, 1), p, e)  # the inverse-power tables now cover j < p
-    context = prime_context(p, e)
+    inverted = []
+
+    def recording(values, mod, real=congruences.batch_inverse):
+        values = list(values)
+        inverted.extend(values)
+        return real(values, mod)
+
+    monkeypatch.setattr(congruences, "batch_inverse", recording)
+    monkeypatch.setattr(congruences, "_BLOCK", 4)  # blocks 1..4 and 5..6
+    prime_context(11)  # a context of p from an earlier test is replaced
+    for s in SHAPES:
+        assert mhs_mod(s, p, e) == reduce_mod(eval_mhs(p - 1, s), p, e), (s, e)
+    binomial_power_sum(-2, p, min(e, 6))
+    central_binomial_sum_mod(p)
+    assert inverted and all(value % p for value in inverted)
+    # The whole-row oracle's row builder refuses the index outright.
+    oracle = WholeRowContext(p, p ** max(e, 6))
     for s, n in [((1,), p), ((2, 1), p + 3), ((3,), 2 * p)]:
         with pytest.raises(ValueError):
-            mhs_row(s, n, {}, context)
-    assert mhs_mod((1,), p, e) == reduce_mod(eval_mhs(p - 1, (1,)), p, e)
+            residue_row(s, n, {}, oracle)
 
 
 def test_threads_share_residue_table_safely():
@@ -278,24 +294,23 @@ def test_threads_share_residue_table_safely():
 
 
 def test_residue_work_happens_once_per_prime(monkeypatch):
-    """At one prime the four suites grow each row once and make one batch inversion."""
+    """At a prime of one block the four suites build the block once and run each pass once."""
     p = 101
     prime_context(97)  # a context of 101 from an earlier test is replaced
     inversions = []
-    grown = []
+    harmonic = []
 
     def counting_inverse(values, mod):
-        inversions.append(mod)
+        values = list(values)
+        inversions.append((len(values), mod))
         return batch_inverse(values, mod)
 
-    def counting_rows(s, n, rows, context=None, real=congruences.mhs_row):
-        before = {key: len(row) for key, row in rows.items()}
-        row = real(s, n, rows, context)
-        grown.extend(key for key, kept in rows.items() if len(kept) != before.get(key))
-        return row
+    def counting_pass(self, compositions, partitions, real=congruences.PrimeContext._sum_harmonic):
+        harmonic.append((len(compositions), len(partitions)))
+        return real(self, compositions, partitions)
 
     monkeypatch.setattr(congruences, "batch_inverse", counting_inverse)
-    monkeypatch.setattr(congruences, "mhs_row", counting_rows)
+    monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", counting_pass)
     results = (  # in the registry's order, as verify checks them
         base_congruence_suite(p)
         + sum_congruence_suite(p)
@@ -305,15 +320,15 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     )
     assert results and all(r.passed for r in results)
 
-    # Each row grows once, and only the rows H({1}^j) exist: a base claim
-    # reads the row of its prefix, and every prefix is such a row.
-    assert sorted(grown) == [(1,) * j for j in range(6)]
-    assert set(prime_context(p).rows) == set(grown)
+    # One harmonic pass forms every base claim's H_{p-1}(s) and every
+    # product sum of weight <= 5: each base claim's prefix is a row H({1}^j).
+    assert harmonic == [(len(BASE_CLAIMS), len(congruences.PARTITIONS))]
+    # 1/k for every pass, and the half units' inverses: once for every e at p
+    assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6)]
+    block = prime_context(p)._held
+    assert (block.start, block.stop) == (1, p)
     # one inverse-power table per distinct last part of a base claim
-    assert sorted(prime_context(p).powers) == sorted({claim.target[-1] for claim in BASE_CLAIMS})
-    # 1/j for the rows, both unit tables and the central-binomial sum: once
-    # for every e at p
-    assert inversions == [p**6]
+    assert sorted(block.powers) == sorted({claim.target[-1] for claim in BASE_CLAIMS})
 
 
 def _reference_rows(p: int, mod: int, depth: int) -> list[list[int]]:
@@ -347,12 +362,12 @@ def _reference_power_sum(a: int, p: int, mod: int) -> int:
 
 
 KERNEL_PARTITIONS = [lam for w in range(1, 6) for lam in partitions_of(w)] + [(3, 2, 1)]
-KEPT = {"p", "mod", "rows", "powers", "product_sums", "power_sums", "inverses", "units"}
+KEPT = {"p", "mod", "mhs_sums", "product_sums", "power_sums", "_held"}
 
 
 @pytest.mark.parametrize("p", [7, 11, 101])
 def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
-    monkeypatch.setattr(congruences, "_BLOCK", 10)  # power rows in blocks, the last one short
+    monkeypatch.setattr(congruences, "_BLOCK", 10)  # passes in blocks, the last one short
     prime_context(13)  # a context of p from an earlier test is replaced
     for e in (1, 4, 6, 8):
         mod = p ** max(e, 6)
@@ -363,7 +378,8 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert homogeneous_product_sum_mod(lam, p, e) == expected % p**e, (lam, p, e)
         for a, expected in powers.items():
             assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
-        # Fresh contexts, filled in other orders and batches, keep only sums.
+        # Fresh contexts, filled in other orders and batches, keep only sums
+        # and the one block their last pass built.
         ascending, batched = congruences.PrimeContext(p, mod), congruences.PrimeContext(p, mod)
         batched.sum_powers(range(-8, 9))
         for lam in reversed(KERNEL_PARTITIONS):
@@ -374,9 +390,9 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert ascending.power_sum(a) == batched.power_sum(a) == powers[a], (a, p, e)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
-            # (3, 2, 1) is summed alone, so no row beyond the walk's H({1}^5).
-            assert set(context.rows) == {(1,) * j for j in range(6)}
-            assert set(context.powers) == {1}
+            block = context._held
+            assert block.stop - block.start <= 10
+            assert set(block.powers) == {1}  # the rows H({1}^j) read 1/k alone
             sums = [*context.product_sums.values(), *context.power_sums.values()]
             assert all(type(total) is int for total in sums)
 
@@ -395,13 +411,17 @@ def test_a_heavy_product_sum_sums_its_partition_alone(lam):
 
 
 @pytest.mark.parametrize("p", [7, 101])
-def test_inverse_power_tables_are_the_powers_of_the_inverses(p):
+def test_inverse_power_tables_are_the_powers_of_the_inverses(monkeypatch, p):
+    monkeypatch.setattr(congruences, "_BLOCK", 16)
     mod = p**6
-    context = congruences.PrimeContext(p, mod)
-    for s in (3, 1, 5, 2):  # any order; the context fills 1..s
-        assert context.inverse_powers(s) == [0] + [pow(j, -s, mod) for j in range(1, p)], (s, p)
-    assert context.inverse_powers(1) is context.inverses
-    assert sorted(context.powers) == [1, 2, 3, 4, 5]
+    covered = []
+    for block in congruences.PrimeContext(p, mod)._blocks():
+        for s in (3, 1, 5, 2):  # any order; the block fills 1..s
+            expected = [pow(j, -s, mod) for j in range(block.start, block.stop)]
+            assert block.inverse_powers(s) == expected, (s, p, block.start)
+        assert sorted(block.powers) == [1, 2, 3, 4, 5]
+        covered += range(block.start, block.stop)
+    assert covered == list(range(1, p))
 
 
 def test_single_binomial_at_a_1_runs_no_product(monkeypatch):
@@ -480,14 +500,19 @@ def test_claim_sides_read_what_the_public_functions_return():
 
 
 @pytest.mark.parametrize("p", [7, 11, 101, 10007])
-def test_half_unit_tables_and_power_sums_match_the_full_row(p):
+def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
+    monkeypatch.setattr(congruences, "_BLOCK", 16)
     mod = p**6
     full = [1]  # u_k for every k < p, one k at a time
     for k in range(1, p):
         full.append(full[-1] * (1 - p * pow(k, -1, mod)) % mod)
-    assert full == full[::-1]  # u_(p-1-k) = u_k: the half the context keeps is all of it
+    assert full == full[::-1]  # u_(p-1-k) = u_k: the half the passes run is all of it
     context = congruences.PrimeContext(p, mod)
-    units, inverted = context.units
+    units, inverted = [1], [1]
+    for block in context._blocks((p - 1) // 2):  # each block's half units, as a pass carries them
+        half = block.half_units(p, units[-1])
+        units += half[0]
+        inverted += half[1]
     assert units == full[: (p + 1) // 2]
     assert inverted == [pow(u, -1, mod) for u in units]
     context.sum_powers(range(-6, 7))
