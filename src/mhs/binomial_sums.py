@@ -41,8 +41,8 @@ from .algebra import _exact_quotient
 from .bernoulli import bernoulli_invariant
 from .congruences import PARTITIONS, prime_context
 from .partitions import arrangement_count
-from .report import CheckResult, check_residues
-from .residues import PResidue, is_prime, padic_valuation, require_admissible
+from .report import CheckResult, check_at, check_residues
+from .residues import PResidue, is_prime, padic_valuation, require_admissible, require_exponent
 
 __all__ = [
     "alternating_power_sum",
@@ -80,6 +80,7 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
     is 1 mod p, hence a unit, so negative a inverts cleanly.
     """
     require_admissible(p)
+    require_exponent(e)
     if not 0 <= k <= p - 1:
         raise ValueError("k must lie in [0, p-1]")
     mod = p**e
@@ -243,25 +244,18 @@ def _anchor_sides(a: int, p: int) -> tuple[int, int]:
     return prime_context(p).power_sum(a), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
 
 
-def _steps_product(c: int, context) -> int:
-    """prod_{m=1}^{p-2} (1 + c*p/m) modulo context.mod, c = 1 or 2, from the binomial pass."""
-    return context.binomials[c - 1]
-
-
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
-    # C(ap-2, p-1) = (a-1)p/(p-1) * prod_{m=1}^{p-2} (1 + (a-1)p/m), 0 for a = 1
+    # C(ap-2, p-1) = (a-1)p/(p-1) * prod_{m=1}^{p-2} (1 + (a-1)p/m): the binomial
+    # pass forms the product for a = 2, 3; at a = 1 it is scaled by 0 and not formed
     context = prime_context(p, 4)
-    if a == 1:  # the product is scaled by a - 1 = 0
-        rhs = 0
-    else:
-        rhs = (a - 1) * p * context.binomials[3] * _steps_product(a - 1, context)
+    rhs = (a - 1) * p * context.binomials[3] * context.binomials[a - 2] if a > 1 else 0
     return context.power_sum(a) % p**4, rhs % p**4
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
     # C(2p-1, p-1) = prod_{m<p} (1 + p/m): the a = 2 product times 1 + p/(p-1)
     context = prime_context(p, 3)
-    return _steps_product(1, context) * (1 + p * context.binomials[3]) % p**3, 1
+    return context.binomials[0] * (1 + p * context.binomials[3]) % p**3, 1
 
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
@@ -350,12 +344,12 @@ class StaverClaim(NamedTuple):
 
 def theorem_suite(p: int, amin: int = -6, amax: int = 6) -> list[CheckResult]:
     """Direct vs closed form and direct vs expansion, over a range of a."""
-    return [claim.check(p) for claim in theorem_claims(amin, amax)]
+    return check_at(theorem_claims(amin, amax), p)
 
 
 def cai_granville_suite(p: int) -> list[CheckResult]:
-    return [claim.check(p) for claim in CAI_GRANVILLE_CLAIMS]
+    return check_at(CAI_GRANVILLE_CLAIMS, p)
 
 
 def corollary_suite(p: int) -> list[CheckResult]:
-    return [claim.check(p) for claim in COROLLARY_CLAIMS]
+    return check_at(COROLLARY_CLAIMS, p)

@@ -33,8 +33,8 @@ from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition
 from .partitions import partitions_of
-from .report import CheckResult, check_residues
-from .residues import PResidue, batch_inverse, require_admissible
+from .report import CheckResult, check_at, check_residues
+from .residues import PResidue, batch_inverse, is_prime, require_exponent
 
 __all__ = [
     "BASE_CLAIMS",
@@ -311,11 +311,16 @@ def prime_context(p: int, e: int = 6) -> PrimeContext:
     """This thread's context of p modulo p^max(e, 6), new if p or the modulus changed.
 
     The held context is recognised by (p, max(e, 6)), so a hit computes no
-    power of p; every check at p asks for it at least once.
+    power of p; every check at p asks for it at least once.  An exponent
+    below 1 is refused, and so is a p that is not prime when a new context
+    would be built.
     """
+    require_exponent(e)
     top = e if e > 6 else 6
     held = getattr(_local, "held", None)
     if held is None or held[0] != p or held[1] != top:
+        if not is_prime(p):
+            raise ValueError(f"p must be a prime, got {p}")
         held = _local.held = (p, top, PrimeContext(p, p**top))
     return held[2]
 
@@ -428,14 +433,12 @@ SUM_CLAIMS: tuple[CongruenceClaim, ...] = (
 
 def base_congruence_suite(p: int) -> list[CheckResult]:
     """Check every base claim at the prime p."""
-    require_admissible(p)
-    return [claim.check(p) for claim in BASE_CLAIMS]
+    return check_at(BASE_CLAIMS, p)
 
 
 def sum_congruence_suite(p: int) -> list[CheckResult]:
     """Check every sum-of-products claim at the prime p."""
-    require_admissible(p)
-    return [claim.check(p) for claim in SUM_CLAIMS]
+    return check_at(SUM_CLAIMS, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The verify suites as one registry of claims, and one prime-major runner.
 
 A claim has a ``claim_id`` and a ``check`` returning a CheckResult: per-prime
-claims are checked as ``check(p)`` at each prime, the others once.  Checking
-every claim at p before the next prime builds each prime's tables once.
+claims are checked at each prime by ``report.check_at``, the others once.
+Checking every claim at p before the next prime builds each prime's tables once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from . import SUITE_NAMES
 from . import binomial_sums as bs
 from .algebra import expr_equal
 from .congruences import BASE_CLAIMS, SUM_CLAIMS
-from .report import CheckResult
+from .report import CheckResult, check_at
 from .residues import primes_in_range
 from .summation import IdentityRecord, known_identities, partial_sum_oracle, sum_product
 
@@ -82,20 +82,16 @@ def select(suite: str, claim_ids, ranges) -> tuple[list[tuple[Suite, tuple]], li
     return chosen, primes
 
 
-def _check_at(claims: tuple, p: int) -> list[tuple[int, CheckResult]]:
-    """(suite position, result) for each (suite position, claim) at p."""
-    return [(index, claim.check(p)) for index, claim in claims]
-
-
 def run(selection: list[tuple[Suite, tuple]], primes: list[int], fan_out) -> list[CheckResult]:
     """Check a selection over the primes, both as ``select`` made them; results suite by suite.
 
     ``fan_out(worker, primes)`` maps the worker over the primes, in a process
     pool or not, and concatenates the lists it returns in prime order.
     """
-    tagged = [(i, c) for i, (s, claims) in enumerate(selection) for c in claims]
-    per_prime = tuple((i, c) for i, c in tagged if "p" in selection[i][0].reads)
-    results = [(i, c.check()) for i, c in tagged if "p" not in selection[i][0].reads]
-    results += fan_out(functools.partial(_check_at, per_prime), primes)  # no primes: no p suite
-    results.sort(key=lambda pair: pair[0])  # stable: primes stay ascending in a suite
-    return [result for _, result in results]
+    per_prime = tuple(c for s, claims in selection if "p" in s.reads for c in claims)
+    suite_of = [i for i, (s, claims) in enumerate(selection) if "p" in s.reads for _ in claims]
+    by_suite = [[] if "p" in s.reads else [c.check() for c in claims] for s, claims in selection]
+    checked = fan_out(functools.partial(check_at, per_prime), primes)  # no primes: no p suite
+    for k, result in enumerate(checked):  # the list of each prime follows per_prime
+        by_suite[suite_of[k % len(per_prime)]].append(result)
+    return [result for results in by_suite for result in results]

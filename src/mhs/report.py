@@ -1,11 +1,13 @@
-"""Verification report records shared by the congruence and binomial suites."""
+"""Verification report records, and the one runner of the per-prime claims at p."""
 
 from __future__ import annotations
 
 import json
 from typing import NamedTuple, TextIO
 
-__all__ = ["CheckResult", "check_residues", "write_json"]
+from .residues import require_admissible
+
+__all__ = ["CheckResult", "check_at", "check_residues", "write_json"]
 
 
 class CheckResult(NamedTuple):
@@ -33,6 +35,12 @@ def check_residues(claim, p: int) -> CheckResult:
     """The ``check`` of a per-prime claim: ``claim.sides(p)`` gives both sides mod p^exponent."""
     lhs, rhs = claim.sides(p)
     return CheckResult(claim.claim_id, p, p**claim.exponent, lhs, rhs, lhs == rhs)
+
+
+def check_at(claims, p: int) -> list[CheckResult]:
+    """Check each per-prime claim at p, in order, once p is admitted as a prime > 5."""
+    require_admissible(p)
+    return [claim.check(p) for claim in claims]
 
 
 def _json_scalar(value) -> str:

@@ -16,6 +16,7 @@ __all__ = [
     "primes_in_range",
     "reduce_mod",
     "require_admissible",
+    "require_exponent",
 ]
 
 
@@ -43,6 +44,12 @@ def require_admissible(p: int) -> None:
     """Raise ValueError unless p is a prime > 5, the primes every claim covers."""
     if p <= 5 or not is_prime(p):
         raise ValueError(f"p must be a prime > 5, got {p}")
+
+
+def require_exponent(e: int) -> None:
+    """Raise ValueError unless e >= 1, the exponents of the rings Z / p^e."""
+    if e < 1:
+        raise ValueError(f"e must be >= 1, got {e}")
 
 
 def batch_inverse(values: Iterable[int], mod: int) -> list[int]:
@@ -112,6 +119,7 @@ class PResidue:
 
 def reduce_mod(q: Fraction | int, p: int, e: int) -> PResidue:
     """Map a p-integral rational into Z / p^e."""
+    require_exponent(e)
     q = Fraction(q)
     mod = p**e
     if q.denominator % p == 0:

@@ -58,9 +58,11 @@ def _telescope(expansion: dict) -> MhsExpression:
     pairs = {s: tuple(pair) for s, pair in acc.items() if any(pair)}
     polys = {pair: NPolynomial(pair) for pair in set(pairs.values())}
     # Each s is a slice of a valid composition, or one with a part > 1 lowered.
-    return MhsExpression._from_canonical(
-        ((tuple.__new__(Composition, s),) if s else (), polys[pair]) for s, pair in pairs.items()
-    )
+    expr = object.__new__(MhsExpression)  # distinct keys, no zero pair: nothing to merge
+    expr._terms = {
+        (tuple.__new__(Composition, s),) if s else (): polys[pair] for s, pair in pairs.items()
+    }
+    return expr
 
 
 def sum_single(s: Composition) -> MhsExpression:
