@@ -34,7 +34,7 @@ from .bernoulli import bernoulli_invariant_mod
 from .core import Composition
 from .partitions import partitions_of
 from .report import CheckResult, check_at, check_residues
-from .residues import PResidue, batch_inverse, is_prime, require_exponent
+from .residues import PResidue, batch_inverse, require_exponent, require_prime
 
 __all__ = [
     "BASE_CLAIMS",
@@ -54,12 +54,10 @@ __all__ = [
 # time, so a context's memory is bounded by the block, not by p; a prime
 # below it is one block, whose tables every pass at the prime shares.
 _BLOCK = 1 << 14
-# A product-sum miss of weight <= 5 sums every partition of weight <= 5: the
-# sum rows and the p^6 expansion read exactly those.
-_WEIGHT = 5
-# Those partitions, by weight and then by length: the order of
-# PrimeContext.expansion_weights.
-PARTITIONS = tuple(lam for j in range(1, _WEIGHT + 1) for lam in partitions_of(j))
+# The partitions of weight <= 5, which a product-sum miss among them sums
+# together: the sum rows and the p^6 expansion read exactly those.  By weight
+# and then by length: the order of PrimeContext.expansion_weights.
+PARTITIONS = tuple(lam for j in range(1, 6) for lam in partitions_of(j))
 # The exponents a that every power-sum pass forms: the theorem's default range.
 _EXPONENTS = range(-6, 7)
 
@@ -168,11 +166,11 @@ class PrimeContext:
         """
         sums = self.product_sums
         if lam not in sums:
-            lam = tuple(sorted(lam, reverse=True))  # as the walk forms partitions
+            lam = tuple(sorted(lam, reverse=True))  # as the pass keys partitions
             if lam not in sums:
-                if lam[-1] < 1:  # the walk forms no such partition
+                if lam[-1] < 1:  # the pass forms no such partition
                     raise ValueError(f"partition parts must be >= 1, got {lam[-1]}")
-                if sum(lam) <= _WEIGHT:
+                if lam in PARTITIONS:
                     self._sum_harmonic([], [x for x in PARTITIONS if x not in sums])
                 else:
                     self._sum_harmonic([], [lam])
@@ -188,6 +186,10 @@ class PrimeContext:
         in the block before: whole-row passes with one reduction per entry.
         H_{p-1}(s) is the last entry of the row of s when the pass runs one,
         else the sum of the dot products of the row of s[:-1] with k^(-s_d).
+        A partition's row is its prefix's row times H({1}^last), formed only
+        for a prefix that a wanted partition extends; any other partition is
+        summed as a dot product.  Entry 0 of a row is k = start - 1, which the
+        block before summed.
         """
         mod = self.mod
         top = max((lam[0] for lam in partitions), default=0)
@@ -197,10 +199,7 @@ class PrimeContext:
         grown = sorted(carries, key=len)[1:]  # prefixes first; the empty row is all ones
         dots = dict.fromkeys((s for s in compositions if s not in carries), 0)
         totals = dict.fromkeys(partitions, 0)
-        children: dict = {}  # partition prefix -> the parts that extend it
-        for lam in partitions:
-            for d in range(len(lam)):
-                children.setdefault(lam[:d], {})[lam[d]] = None
+        heads = sorted({lam[:d] for lam in partitions for d in range(2, len(lam))}, key=len)
         for block in self._blocks():
             rows = {(): [1] * (block.stop - block.start + 1)}
             for r in grown:
@@ -210,9 +209,17 @@ class PrimeContext:
                 carries[r] = row[-1]
             for s in dots:
                 dots[s] += sum(map(operator.mul, rows[s[:-1]], block.inverse_powers(s[-1])))
-            ones = [rows[(1,) * j] for j in range(top + 1)]
-            for j in children.get((), ()):
-                _walk((j,), ones[j], totals, children, ones, mod)
+            products = {(j,): rows[(1,) * j] for j in range(1, top + 1)}
+            for lam in heads:  # prefixes first
+                head, last = products[lam[:-1]], products[lam[-1:]]
+                products[lam] = [x * y % mod for x, y in zip(head, last)]
+            for lam in totals:
+                row = products.get(lam)
+                if row is not None:
+                    totals[lam] += sum(row) - row[0]
+                else:
+                    head, last = products[lam[:-1]], products[lam[-1:]]
+                    totals[lam] += sum(map(operator.mul, head, last)) - head[0] * last[0]
         for s in compositions:
             self.mhs_sums[s] = (carries[s] if s in carries else dots[s]) % mod
         for lam, total in totals.items():
@@ -237,13 +244,11 @@ class PrimeContext:
         largest wanted |a|, is summed as it passes each wanted exponent.  It
         runs over the half k <= m = (p-1)/2, because u_(p-1-k) = u_k: the
         whole sum is twice the half's, less the middle term u_m^a.  The
-        units come block by block, each from the last one's u.
+        units come block by block, each from the last one's u.  The sum at
+        a = 0 counts them, so its value p checks the half's bookkeeping.
         """
         mod, sums = self.mod, self.power_sums
         missing = {a for a in (*exponents, *_EXPONENTS) if a not in sums}
-        if 0 in missing:
-            sums[0] = self.p % mod  # p ones
-            missing.discard(0)
         if not missing:
             return
         totals = dict.fromkeys(missing, 1)  # k = 0: u_0 = 1
@@ -251,6 +256,8 @@ class PrimeContext:
         half = ([1], [1])  # u_0 and 1/u_0, the carry into the first block
         for block in self._blocks((self.p - 1) // 2):
             half = block.half_units(self.p, half[0][-1])
+            if 0 in totals:
+                totals[0] += len(half[0])  # u^0 = 1
             for sign, bases, top in zip((1, -1), half, tops):
                 row = bases
                 for exponent in range(1, top + 1):
@@ -284,23 +291,6 @@ class PrimeContext:
         return once, twice, (total + central * last) % mod, last
 
 
-def _walk(lam: tuple, row: list, totals: dict, children: dict, ones: list, mod: int) -> None:
-    """Add the block's sum of lam's row to lam's total, then walk each partition extending lam.
-
-    The row of lam + (j,) is lam's row times H({1}^j); it is formed only if
-    a partition extends it further, and otherwise summed as a dot product.
-    Entry 0 of a row is k = start - 1, which the block before summed.
-    """
-    if lam in totals:
-        totals[lam] += sum(row) - row[0]
-    for j in children.get(lam, ()):
-        child = lam + (j,)
-        if child in children:
-            _walk(child, [x * y % mod for x, y in zip(row, ones[j])], totals, children, ones, mod)
-        else:
-            totals[child] += sum(map(operator.mul, row, ones[j])) - row[0] * ones[j][0]
-
-
 # One context per thread, replaced when p or the modulus changes: a
 # prime-major sweep builds each prime's state once and holds one prime's at
 # a time, and no thread reads another's, so nothing needs a lock.
@@ -319,8 +309,7 @@ def prime_context(p: int, e: int = 6) -> PrimeContext:
     top = e if e > 6 else 6
     held = getattr(_local, "held", None)
     if held is None or held[0] != p or held[1] != top:
-        if not is_prime(p):
-            raise ValueError(f"p must be a prime, got {p}")
+        require_prime(p)
         held = _local.held = (p, top, PrimeContext(p, p**top))
     return held[2]
 

@@ -91,7 +91,10 @@ class Composition(tuple):
             count = int(m.group(2)) if m.group(2) is not None else 1
             if value < 1:
                 raise CompositionError(f"composition parts must be >= 1: {value}")
-            parts.extend([value] * count)
+            try:
+                parts.extend([value] * count)
+            except (OverflowError, MemoryError):
+                raise CompositionError(f"cannot repeat a part {count} times: {chunk!r}") from None
         return cls(parts)
 
     def __str__(self) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
@@ -17,6 +16,7 @@ __all__ = [
     "reduce_mod",
     "require_admissible",
     "require_exponent",
+    "require_prime",
 ]
 
 
@@ -25,25 +25,21 @@ class NonPIntegralError(ArithmeticError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
-@lru_cache(maxsize=64, typed=True)  # a refusal raises, so only admissible p are kept
 def require_admissible(p: int) -> None:
     """Raise ValueError unless p is a prime > 5, the primes every claim covers."""
     if p <= 5 or not is_prime(p):
         raise ValueError(f"p must be a prime > 5, got {p}")
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime, the primes of the rings Z / p^e."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 def require_exponent(e: int) -> None:
@@ -118,8 +114,9 @@ class PResidue:
 
 
 def reduce_mod(q: Fraction | int, p: int, e: int) -> PResidue:
-    """Map a p-integral rational into Z / p^e."""
+    """Map a p-integral rational into Z / p^e; p must be a prime and e >= 1."""
     require_exponent(e)
+    require_prime(p)
     q = Fraction(q)
     mod = p**e
     if q.denominator % p == 0:

@@ -2,7 +2,8 @@
 
 A suite runs at a prime p > 5 only, through the one per-prime runner
 ``report.check_at``.  A residue function refuses an exponent e < 1 before
-any work, and a p that is not prime where a new context of p would be built.
+any work, and a p that is not prime where a new context of p would be built;
+``reduce_mod`` refuses a p that is not prime on every call.
 """
 
 from fractions import Fraction
@@ -10,10 +11,10 @@ from math import prod
 
 import pytest
 
-from mhs import binomial_sums, congruences
+from mhs import binomial_sums, congruences, residues
 from mhs.congruences import homogeneous_product_sum_mod, mhs_mod, prime_context
 from mhs.core import eval_mhs
-from mhs.residues import reduce_mod
+from mhs.residues import NonPIntegralError, PResidue, reduce_mod
 
 SUITES = [
     congruences.base_congruence_suite,
@@ -73,7 +74,7 @@ def test_a_held_context_is_not_tested_again(monkeypatch):
     def refuse(n):
         raise AssertionError("primality tested on a hit")
 
-    monkeypatch.setattr(congruences, "is_prime", refuse)
+    monkeypatch.setattr(residues, "is_prime", refuse)
     assert mhs_mod((1,), 101, 2) == expected
 
 
@@ -85,3 +86,19 @@ def test_small_primes_keep_their_exact_values(p, e):
     for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1, 1)]:
         exact = sum(prod(eval_mhs(k, (1,) * part) for part in lam) for k in range(1, p))
         assert homogeneous_product_sum_mod(lam, p, e) == reduce_mod(exact, p, e).value, (lam, p, e)
+
+
+@pytest.mark.parametrize("p", [9, 4, 1, 0, -7])
+def test_reduce_mod_refuses_a_p_that_is_not_prime(p):
+    for q, e in [(Fraction(1, 3), 2), (Fraction(1, 2), 1), (Fraction(1, 2), 3), (5, 1)]:
+        with pytest.raises(ValueError, match=rf"^p must be a prime, got {p}$"):
+            reduce_mod(q, p, e)
+
+
+@pytest.mark.parametrize(
+    "p, q, value", [(2, Fraction(1, 3), 3), (3, Fraction(1, 2), 14), (5, Fraction(1, 3), 42)]
+)
+def test_reduce_mod_keeps_the_small_primes(p, q, value):
+    assert reduce_mod(q, p, 3) == PResidue(value, p, 3)
+    with pytest.raises(NonPIntegralError):
+        reduce_mod(Fraction(1, 2 * p), p, 3)

@@ -478,3 +478,27 @@ def test_derive_long_trailing_ones_needs_no_deep_recursion():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.startswith("(n + 1)*H(1,1,1,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "1^99999999999999999999"],
+        ["stuffle", "1^99999999999999999999", "1"],
+        ["derive", "1^1000000000000"],
+    ],
+)
+def test_a_repeat_count_that_cannot_be_built_is_one_error_line(argv):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "mhs", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    count = argv[1].split("^")[1]
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: cannot repeat a part {count} times: {argv[1]!r}\n"
+    assert "Traceback" not in done.stdout + done.stderr

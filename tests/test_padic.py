@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mhs import congruences, residues
+from mhs import congruences
 from mhs.bernoulli import bernoulli, bernoulli_invariant
 from mhs.congruences import (
     BASE_CLAIMS,
@@ -76,19 +76,9 @@ def test_primality_helpers():
     assert primes_in_range(7, 31) == [7, 11, 13, 17, 19, 23, 29, 31]
 
 
-def test_require_admissible_tests_each_prime_once_and_still_refuses(monkeypatch):
-    tested = []
-
-    def counting_is_prime(n):
-        tested.append(n)
-        return is_prime(n)
-
-    require_admissible.cache_clear()
-    monkeypatch.setattr(residues, "is_prime", counting_is_prime)
-    for _ in range(3):
-        require_admissible(101)
-    assert tested == [101]
-    # with 101 cached, a non-prime and the primes <= 5 are refused on every call
+def test_require_admissible_refuses_all_but_primes_above_5():
+    require_admissible(101)
+    # a non-prime and the primes <= 5 are refused on every call
     for bad in (91, 5, 5, 3, 1, 0, -7, 101**2):
         with pytest.raises(ValueError, match="prime > 5"):
             require_admissible(bad)

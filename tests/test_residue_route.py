@@ -43,6 +43,7 @@ from mhs.congruences import (
 )
 from mhs.core import eval_mhs, mhs_prefix_values
 from mhs.partitions import partitions_of
+from mhs.report import check_at
 from mhs.residues import batch_inverse, primes_in_range, reduce_mod
 from whole_row import WholeRowContext, residue_row
 
@@ -516,6 +517,30 @@ def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
     context.sum_powers(range(-6, 7))
     for a in range(-6, 7):
         assert context.power_sum(a) == _reference_power_sum(a, p, mod), (a, p)
+
+
+def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch):
+    # sum_k u_k^0 = p is counted by the power pass, so a pass that drops u_m
+    # from the half k <= m = (p-1)/2 must fail every a = 0 claim.
+    p = 101
+    ids = [f"binomial-power-sum{route}:a=0" for route in ("", "-expansion", "-anchor")]
+    claims = [claim for claim in theorem_claims() if claim.claim_id in ids]
+    assert [claim.claim_id for claim in claims] == ids
+    monkeypatch.setattr(congruences, "_local", threading.local())  # no context held
+    assert all(r.passed for r in check_at(claims, p))
+    half_units = congruences._Block.half_units
+
+    def without_the_middle(block, p, carry):
+        units, inverted = half_units(block, p, carry)
+        if block.start <= (p - 1) // 2 < block.stop:
+            return units[:-1], inverted[:-1]
+        return units, inverted
+
+    monkeypatch.setattr(congruences, "_local", threading.local())
+    monkeypatch.setattr(congruences._Block, "half_units", without_the_middle)
+    results = check_at(claims, p)
+    assert [r.claim_id for r in results] == ids
+    assert not any(r.passed for r in results)
 
 
 def test_verify_builds_one_context_per_prime(monkeypatch, capsys):
