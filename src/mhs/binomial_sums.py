@@ -67,10 +67,7 @@ def generalized_binomial(a: int, r: int) -> int:
     numerator = 1
     for i in range(r):
         numerator *= a - i
-    quotient, remainder = divmod(numerator, factorial(r))
-    if remainder:
-        raise ArithmeticError(f"falling factorial of {a} is not divisible by {r}!")
-    return quotient
+    return _exact_quotient(numerator, factorial(r))
 
 
 def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:

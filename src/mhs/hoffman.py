@@ -10,7 +10,8 @@ gives the explicit formula
 
 with z_lam = prod_m m^(k_m) * k_m! when m occurs k_m times in lam: an
 integer combination of products of depth-1 harmonic sums, one term per
-partition of d.
+partition of d.  Those terms are counted before any is built, and a d with
+more than TERM_BUDGET of them (d >= 61) is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial
 
-from .algebra import MhsExpression
-from .partitions import partitions_of
+from .algebra import MhsExpression, _exact_quotient
+from .partitions import partition_counts, partitions_of
 
-__all__ = ["hoffman_reduce", "partition_coefficients"]
+__all__ = ["TERM_BUDGET", "hoffman_reduce", "partition_coefficients"]
+
+# The most terms a reduction builds: p(60) = 966,467 fit, p(61) = 1,121,505 do not.
+TERM_BUDGET = 10**6
 
 
 def hoffman_reduce(d: int) -> MhsExpression:
@@ -38,15 +42,18 @@ def partition_coefficients(d: int) -> dict[tuple[int, ...], int]:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    count = partition_counts(d, TERM_BUDGET)[-1]
+    if count > TERM_BUDGET:
+        raise ValueError(
+            f"reducing d={d} needs p({d}) >= {count:,} terms, one per partition of d, "
+            f"over the budget of {TERM_BUDGET:,}"
+        )
     total = factorial(d)
     out = {}
     for lam in partitions_of(d):
         z = 1
         for m, k in Counter(lam).items():
             z *= m**k * factorial(k)
-        coeff, rest = divmod(total, z)
         # z_lam is the order of a centralizer in S_d, so it divides d!.
-        if rest:
-            raise ArithmeticError(f"non-integer coefficient {total}/{z} in reduction of d={d}")
-        out[lam] = (-1) ** (d - len(lam)) * coeff
+        out[lam] = (-1) ** (d - len(lam)) * _exact_quotient(total, z)
     return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial
 
-__all__ = ["arrangement_count", "enumerate_partitions", "partitions_of"]
+__all__ = ["arrangement_count", "enumerate_partitions", "partition_counts", "partitions_of"]
 
 
 def enumerate_partitions(j: int, r: int) -> list[tuple[int, ...]]:
@@ -30,6 +30,23 @@ def enumerate_partitions(j: int, r: int) -> list[tuple[int, ...]]:
 def partitions_of(d: int) -> list[tuple[int, ...]]:
     """All partitions of d, grouped by increasing number of parts."""
     return [lam for r in range(1, d + 1) for lam in enumerate_partitions(d, r)]
+
+
+def partition_counts(d: int, cap: int) -> list[int]:
+    """p(0), p(1), ..., p(m), the numbers of partitions: m = d, or the first m with p(m) > cap.
+
+    Euler's pentagonal recurrence forms them in order, O(m^1.5) steps in all.
+    p grows with m, so a count past cap bounds p(d) below without forming it.
+    """
+    counts = [1]
+    while len(counts) <= d and counts[-1] <= cap:
+        n, total, k = len(counts), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:  # the pentagonal numbers g and g + k
+            term = counts[n - g] + (counts[n - g - k] if g + k <= n else 0)
+            total += term if k % 2 else -term
+            k += 1
+        counts.append(total)
+    return counts
 
 
 def arrangement_count(lam: tuple[int, ...]) -> int:

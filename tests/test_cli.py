@@ -378,16 +378,18 @@ def test_verify_runs_prime_major(monkeypatch, capsys):
     seen = []
 
     def recording(fn):
-        def wrapper(*args, **kwargs):
-            seen.append(args[1])  # the prime: check(self, p), binomial_power_sum(a, p, ...)
-            return fn(*args, **kwargs)
+        def wrapper(self, p):
+            seen.append(p)
+            return fn(self, p)
 
         return wrapper
 
+    # congruence claims and then binomial claims at each prime: a run suite by
+    # suite would come back to p = 7 after p = 31
     monkeypatch.setattr(congruences.CongruenceClaim, "check",
                         recording(congruences.CongruenceClaim.check))
-    monkeypatch.setattr(binomial_sums, "binomial_power_sum",
-                        recording(binomial_sums.binomial_power_sum))
+    monkeypatch.setattr(binomial_sums.BinomialClaim, "check",
+                        recording(binomial_sums.BinomialClaim.check))
     code, out, _ = run(capsys, "verify", "--suite", "all", "--pmin", "7", "--pmax", "31")
     assert code == 0
     assert set(seen) == {7, 11, 13, 17, 19, 23, 29, 31}
@@ -502,3 +504,21 @@ def test_a_repeat_count_that_cannot_be_built_is_one_error_line(argv):
     assert done.stdout == ""
     assert done.stderr == f"error: cannot repeat a part {count} times: {argv[1]!r}\n"
     assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("d", ["200", "1000000000000"])
+def test_a_reduction_past_the_term_budget_is_one_error_line(d):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "mhs", "reduce", d], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: reducing d={d} needs p({d}) >= 1,121,505 terms, one per partition of d, "
+        "over the budget of 1,000,000\n"
+    )

@@ -1,8 +1,25 @@
 """Correctness guards must survive ``python -O``, which strips ``assert``."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
+
+import mhs
+
+PACKAGE = pathlib.Path(mhs.__file__).parent
+
+
+def test_the_package_has_no_assert_statement():
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in {PACKAGE}: {found}"
+
 
 # Each case injects one fault by monkeypatching, then expects the guard's
 # exception from the public function (and, with ``match``, its message).

@@ -5,8 +5,8 @@ import pytest
 
 from mhs.algebra import H, expr_equal, linearize
 from mhs.core import eval_mhs
-from mhs.hoffman import hoffman_reduce, partition_coefficients
-from mhs.partitions import arrangement_count, enumerate_partitions, partitions_of
+from mhs.hoffman import TERM_BUDGET, hoffman_reduce, partition_coefficients
+from mhs.partitions import arrangement_count, enumerate_partitions, partition_counts, partitions_of
 
 
 def test_displayed_reductions():
@@ -79,6 +79,18 @@ def test_enumerate_partitions():
 def test_partitions_of_counts():
     counts = [len(partitions_of(d)) for d in range(1, 8)]
     assert counts == [1, 2, 3, 5, 7, 11, 15]
+
+
+def test_partition_counts_match_the_enumeration():
+    assert partition_counts(25, TERM_BUDGET) == [1] + [len(partitions_of(d)) for d in range(1, 26)]
+    assert partition_counts(200, 10**20)[-1] == 3_972_999_029_388
+
+
+def test_the_term_budget_admits_d_60_and_refuses_d_61():
+    # through the count: d = 60 itself would build its 966,467 terms
+    assert partition_counts(60, TERM_BUDGET)[-1] == 966_467 <= TERM_BUDGET
+    with pytest.raises(ValueError, match=r"d=61 needs p\(61\) >= 1,121,505 terms"):
+        partition_coefficients(61)
 
 
 def test_arrangement_count():
