@@ -20,12 +20,12 @@ the same values after checking p, and return them as PResidue.
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
-C(ap-2, p-1) congruence modulo p^4.  At p, C(ap-2, p-1) and C(2p-1, p-1) are
-products of units 1 + cp/m, and the context of p forms those for c = 1, 2
-in the same pass as the central-binomial sum, so no per-prime check calls
-``math.comb``; the exact functions still do.  The Staver claims compare
-integers over L_n = lcm(1..n), carrying the left side from n to n + 1;
-``staver_identity_holds`` keeps the Fraction route as their oracle.
+C(ap-2, p-1) congruence modulo p^4.  At p, with F_c = prod_{m<p} (1 + cp/m),
+C(2p-1, p-1) = F_1 and C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); the context of
+p forms F_1 and F_2 in the pass of the central-binomial sum, so no per-prime
+check calls ``math.comb``; the exact functions still do.  The Staver claims
+compare integers over L_n = lcm(1..n), carrying the left side from n to
+n + 1; ``staver_identity_holds`` keeps the Fraction route as their oracle.
 """
 
 from __future__ import annotations
@@ -227,8 +227,7 @@ class BinomialClaim(NamedTuple):
 
 def _closed_form_sides(a: int, exponents: range, p: int) -> tuple[int, int]:
     context = prime_context(p)
-    if a not in context.power_sums:
-        context.sum_powers(exponents)  # the whole range in one pass per sign
+    context.sum_powers(exponents)  # the whole range in one pass per sign, on the first a
     return context.power_sums[a], _closed_form(a, p, context.mod, context.invariant)
 
 
@@ -242,17 +241,15 @@ def _anchor_sides(a: int, p: int) -> tuple[int, int]:
 
 
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
-    # C(ap-2, p-1) = (a-1)p/(p-1) * prod_{m=1}^{p-2} (1 + (a-1)p/m): the binomial
-    # pass forms the product for a = 2, 3; at a = 1 it is scaled by 0 and not formed
-    context = prime_context(p, 4)
-    rhs = (a - 1) * p * context.binomials[3] * context.binomials[a - 2] if a > 1 else 0
-    return context.power_sum(a) % p**4, rhs % p**4
+    # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial pass runs
+    context, mod = prime_context(p, 4), p**4
+    rhs = (a - 1) * p * context.binomials[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
+    return context.power_sum(a) % mod, rhs % mod
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
-    # C(2p-1, p-1) = prod_{m<p} (1 + p/m): the a = 2 product times 1 + p/(p-1)
-    context = prime_context(p, 3)
-    return context.binomials[0] * (1 + p * context.binomials[3]) % p**3, 1
+    # C(2p-1, p-1) = F_1 = prod_{m<p} (1 + p/m)
+    return prime_context(p, 3).binomials[0] % p**3, 1
 
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:

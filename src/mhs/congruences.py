@@ -12,11 +12,11 @@ them:
 Left sides are evaluated by streaming modular brute force, never through the
 symbolic engine, so a passing suite is an independent confirmation of the
 identities.  Every residue value at a prime is read from one PrimeContext,
-which this thread keeps until the prime or the modulus changes, and which
-forms its sums in passes over k in blocks of bounded length.  A separate
-symbolic cross-derivation re-obtains the weight <= 3 sum rows by substituting
-the base congruences into the closed-form summation identities, with explicit
-error-term bookkeeping.
+which this thread keeps until the prime or the modulus changes.  It forms
+its sums in passes over k in blocks of bounded length, which share only the
+block's inverses 1/k.  A separate symbolic cross-derivation re-obtains the
+weight <= 3 sum rows by substituting the base congruences into the
+closed-form summation identities, with explicit error-term bookkeeping.
 """
 
 from __future__ import annotations
@@ -52,46 +52,24 @@ __all__ = [
 
 # Entries of k per block.  A pass over k < p holds one block's tables at a
 # time, so a context's memory is bounded by the block, not by p; a prime
-# below it is one block, whose tables every pass at the prime shares.
+# below it is one block, whose inverses every pass at the prime shares.
 _BLOCK = 1 << 14
 # The partitions of weight <= 5, which a product-sum miss among them sums
 # together: the sum rows and the p^6 expansion read exactly those.  By weight
 # and then by length: the order of PrimeContext.expansion_weights.
 PARTITIONS = tuple(lam for j in range(1, 6) for lam in partitions_of(j))
-# The exponents a that every power-sum pass forms: the theorem's default range.
-_EXPONENTS = range(-6, 7)
 
 
-class _Block:
-    """The tables of one block of k, start <= k < stop <= p: 1/k, k^(-s) and the half units."""
+def _half_units(inverses: list, start: int, p: int, carry: int, mod: int) -> tuple[list, list]:
+    """(u, 1/u) over a block's k <= (p-1)/2, u_k = (-1)^k C(p-1, k), from carry = u_(start-1).
 
-    __slots__ = ("start", "stop", "mod", "powers", "units")
-
-    def __init__(self, start: int, stop: int, mod: int):
-        self.start, self.stop, self.mod = start, stop, mod
-        self.powers = {1: batch_inverse(range(start, stop), mod)}  # s -> [k^-s for each k]
-        self.units = None  # (u, 1/u) over the block's k <= (p-1)/2, once a power pass asks
-
-    def inverse_powers(self, s: int) -> list:
-        """[k^-s for start <= k < stop], each table the last times the inverses."""
-        powers, mod = self.powers, self.mod
-        for t in range(len(powers) + 1, s + 1):
-            powers[t] = [x * y % mod for x, y in zip(powers[t - 1], powers[1])]
-        return powers[s]
-
-    def half_units(self, p: int, carry: int) -> tuple[list, list]:
-        """(u, 1/u) over the block's k <= (p-1)/2, u_k = (-1)^k C(p-1, k), from carry = u_(start-1).
-
-        u_k = u_(k-1) * (1 - p/k) runs over the block's inverses; the
-        inverted units are one batch inversion of the block's units.
-        """
-        if self.units is None:
-            mod, u, units = self.mod, carry, []
-            for inverse in self.powers[1][: (p + 1) // 2 - self.start]:
-                u = u * (1 - p * inverse) % mod
-                units.append(u)
-            self.units = units, batch_inverse(units, mod)
-        return self.units
+    u_k = u_(k-1) * (1 - p/k) runs over the inverses 1/k, k >= start; 1/u is one batch inversion.
+    """
+    u, units = carry, []
+    for inverse in inverses[: (p + 1) // 2 - start]:
+        u = u * (1 - p * inverse) % mod
+        units.append(u)
+    return units, batch_inverse(units, mod)
 
 
 class PrimeContext:
@@ -99,15 +77,15 @@ class PrimeContext:
 
     Every check at p modulo p^e reads it through Z/mod -> Z/p^e.  Each value
     is a sum over k < p, formed by a pass over k in blocks of _BLOCK entries
-    (see :meth:`_blocks`).  A block's tables (1/k, k^(-s), the half units)
-    are built once and dropped at the next block.  From block to block a
-    pass carries only the last entry of each running row and its sums.
-    Three passes fill the context, each on the first miss of its sums:
+    (see :meth:`_blocks`).  The passes share a block's inverses 1/k; each
+    builds its other tables from them and drops them at the next block.
+    From block to block a pass carries only the last entry of each running
+    row and its sums.  Three passes fill the context, each on a first miss:
 
     * harmonic: H_{p-1}(s) of the base claims and the product sums of every
-      partition of weight <= 5, which share the rows H_k({1}^j), j <= 5;
+      partition of weight <= 5, which share the rows H_k({1}^j) and k^(-s);
     * powers: sum_k u_k^a over the units u_k = (-1)^k C(p-1, k), for the
-      wanted a and the default range -6..6;
+      wanted a, from each block's half units;
     * binomials: the step products and the central-binomial sum.
 
     A product row is its prefix's row times one row H({1}^j), and H_{p-1}(s)
@@ -121,17 +99,18 @@ class PrimeContext:
         self.mhs_sums: dict = {(): 1}  # composition -> H_{p-1}(s); empty: the empty product
         self.product_sums: dict = {(): (p - 1) % mod}  # partition -> its sum; empty: p - 1 ones
         self.power_sums: dict = {}  # a -> sum_k u_k^a
-        self._held: _Block | None = None  # the block a pass built last
+        self._held: tuple = (0, [])  # (start, inverses) of the block a pass reached last
 
     def _blocks(self, last: int | None = None):
-        """The blocks of k = 1..last (default p - 1) in turn, on one grid for every pass.
+        """(start, [1/k for start <= k < stop]) for the blocks of k = 1..last (default p - 1).
 
-        A block is built when a pass reaches it and held until the next one
-        is built, so a prime of one block builds its tables once.
+        Every pass runs on one grid.  A block's inverses are held until a pass
+        reaches another block, so a prime of one block inverts 1..p-1 once.
         """
         for start in range(1, (self.p - 1 if last is None else last) + 1, _BLOCK):
-            if self._held is None or self._held.start != start:
-                self._held = _Block(start, min(start + _BLOCK, self.p), self.mod)
+            if self._held[0] != start:
+                stop = min(start + _BLOCK, self.p)
+                self._held = start, batch_inverse(range(start, stop), self.mod)
             yield self._held
 
     def mhs(self, s: tuple) -> int:
@@ -200,15 +179,22 @@ class PrimeContext:
         dots = dict.fromkeys((s for s in compositions if s not in carries), 0)
         totals = dict.fromkeys(partitions, 0)
         heads = sorted({lam[:d] for lam in partitions for d in range(2, len(lam))}, key=len)
-        for block in self._blocks():
-            rows = {(): [1] * (block.stop - block.start + 1)}
+
+        def power(t: int) -> list:  # k^-t per k, on first use: tables built ahead raise peak RSS
+            while len(powers) <= t:
+                powers.append([x * y % mod for x, y in zip(powers[-1], powers[1])])
+            return powers[t]
+
+        for _, inverses in self._blocks():
+            powers = [None, inverses]
+            rows = {(): [1] * (len(inverses) + 1)}
             for r in grown:
-                terms = map(operator.mul, rows[r[:-1]], block.inverse_powers(r[-1]))
+                terms = map(operator.mul, rows[r[:-1]], power(r[-1]))
                 sums = accumulate(terms, initial=carries[r])  # unreduced
                 row = rows[r] = list(map(operator.mod, sums, repeat(mod)))
                 carries[r] = row[-1]
             for s in dots:
-                dots[s] += sum(map(operator.mul, rows[s[:-1]], block.inverse_powers(s[-1])))
+                dots[s] += sum(map(operator.mul, rows[s[:-1]], power(s[-1])))
             products = {(j,): rows[(1,) * j] for j in range(1, top + 1)}
             for lam in heads:  # prefixes first
                 head, last = products[lam[:-1]], products[lam[-1:]]
@@ -238,24 +224,27 @@ class PrimeContext:
         return self.power_sums[a]
 
     def sum_powers(self, exponents: Iterable[int]) -> None:
-        """Form sum_k u_k^a for each a in ``exponents`` or in -6..6 that has no sum yet.
+        """Form sum_k u_k^a for each a in ``exponents`` that has no sum yet.
 
         One running row per sign, u, u^2, ... (or 1/u, 1/u^2, ...) up to the
         largest wanted |a|, is summed as it passes each wanted exponent.  It
-        runs over the half k <= m = (p-1)/2, because u_(p-1-k) = u_k: the
-        whole sum is twice the half's, less the middle term u_m^a.  The
-        units come block by block, each from the last one's u.  The sum at
+        runs over the half k <= m = (p-1)/2, because u_(p-1-k) = u_k for an
+        odd p: the whole sum is twice the half's, less the middle term u_m^a.
+        p = 2 is refused with ValueError.  The units come block by block
+        (see :func:`_half_units`), each from the last one's u.  The sum at
         a = 0 counts them, so its value p checks the half's bookkeeping.
         """
-        mod, sums = self.mod, self.power_sums
-        missing = {a for a in (*exponents, *_EXPONENTS) if a not in sums}
+        p, mod, sums = self.p, self.mod, self.power_sums
+        if p == 2:
+            raise ValueError("the power sums need an odd prime, got p = 2")
+        missing = {a for a in exponents if a not in sums}
         if not missing:
             return
         totals = dict.fromkeys(missing, 1)  # k = 0: u_0 = 1
         tops = (max(missing), -min(missing))  # the rows u^1.. and (1/u)^1.. run that far
         half = ([1], [1])  # u_0 and 1/u_0, the carry into the first block
-        for block in self._blocks((self.p - 1) // 2):
-            half = block.half_units(self.p, half[0][-1])
+        for start, inverses in self._blocks((p - 1) // 2):
+            half = _half_units(inverses, start, p, half[0][-1], mod)
             if 0 in totals:
                 totals[0] += len(half[0])  # u^0 = 1
             for sign, bases, top in zip((1, -1), half, tops):
@@ -269,26 +258,23 @@ class PrimeContext:
             sums[a] = (2 * total - pow(half[a < 0][-1], abs(a), mod)) % mod
 
     @cached_property
-    def binomials(self) -> tuple[int, int, int, int]:
-        """(prod (1 + p/m), prod (1 + 2p/m), sum_{k<p} C(2k,k)/k, 1/(p-1)) modulo mod, m <= p-2.
+    def binomials(self) -> tuple[int, int, int]:
+        """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo mod, F_c = prod_{m<p} (1 + cp/m).
 
-        One pass; C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k and the two step
-        products are carried from block to block.
+        One pass over k = 1..p-1; F_c = C(cp+p-1, p-1), C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k,
+        and the two step products are carried from block to block.
         """
         p, mod = self.p, self.mod
         once = twice = central = 1
         total = 0
-        for block in self._blocks():
-            inverses = block.powers[1]
-            for k, inverse in zip(range(block.start, min(block.stop, p - 1)), inverses):
+        for start, inverses in self._blocks():
+            for k, inverse in enumerate(inverses, start):
                 central = central * (4 * k - 2) * inverse % mod
                 total += central * inverse
                 step = p * inverse
                 once = once * (1 + step) % mod
                 twice = twice * (1 + 2 * step) % mod
-        last = inverses[-1]  # 1/(p-1)
-        central = central * (4 * p - 6) * last % mod
-        return once, twice, (total + central * last) % mod, last
+        return once, twice, total % mod
 
 
 # One context per thread, replaced when p or the modulus changes: a

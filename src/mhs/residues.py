@@ -75,7 +75,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def padic_valuation(q: Fraction | int, p: int) -> int | None:
-    """v_p(q); None stands for +infinity (q == 0)."""
+    """v_p(q); None stands for +infinity (q == 0).  A p below 2 raises ValueError."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     q = Fraction(q)
     if q == 0:
         return None

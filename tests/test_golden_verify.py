@@ -3,8 +3,9 @@
 Each golden file ``tests/golden/verify_<name>.<ext>`` holds what the command
 wrote: stdout, then stderr (empty, since every case passes).  The cases
 cover every suite over the default range, a JSON sweep of all suites, the
-theorem's power pass beyond a = -6..6, and a ``--claim`` selection at
-primes above 100.
+theorem's power pass beyond a = -6..6 and over a range without a = 1..3, a
+``--claim`` selection at primes above 100, and the corollaries at a prime
+of two blocks.
 """
 
 import pathlib
@@ -23,6 +24,14 @@ CASES = {
     "claims_json": [
         "--suite", "congruences", "--claim", "S:2,1", "--claim", "H:1,2",
         "--pmin", "101", "--pmax", "103", "--format", "json",
+    ],
+    # a = 1..3 lie outside the range, so their power sums come from passes of their own
+    "theorem_negative": [
+        "--suite", "theorem", "--amin", "-9", "--amax", "-7", "--pmin", "7", "--pmax", "61",
+    ],
+    # p > 2^14: Wolstenholme's product and the central-binomial sum run over two blocks
+    "corollary_two_blocks_json": [
+        "--suite", "corollary", "--pmin", "16411", "--pmax", "16411", "--format", "json",
     ],
 }
 

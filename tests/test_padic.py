@@ -71,6 +71,14 @@ def test_padic_valuation():
     assert padic_valuation(0, 7) is None
 
 
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_padic_valuation_refuses_p_below_2(p):
+    # p = 1 and p = -1 divide every integer, so the count would never end
+    for q in (5, Fraction(3, 4), 0):
+        with pytest.raises(ValueError, match=f"got {p}"):
+            padic_valuation(q, p)
+
+
 def test_primality_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_in_range(7, 31) == [7, 11, 13, 17, 19, 23, 29, 31]

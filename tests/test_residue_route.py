@@ -295,7 +295,7 @@ def test_threads_share_residue_table_safely():
 
 
 def test_residue_work_happens_once_per_prime(monkeypatch):
-    """At a prime of one block the four suites build the block once and run each pass once."""
+    """At a prime of one block the four suites invert the block once and run each pass once."""
     p = 101
     prime_context(97)  # a context of 101 from an earlier test is replaced
     inversions = []
@@ -326,10 +326,8 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     assert harmonic == [(len(BASE_CLAIMS), len(congruences.PARTITIONS))]
     # 1/k for every pass, and the half units' inverses: once for every e at p
     assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6)]
-    block = prime_context(p)._held
-    assert (block.start, block.stop) == (1, p)
-    # one inverse-power table per distinct last part of a base claim
-    assert sorted(block.powers) == sorted({claim.target[-1] for claim in BASE_CLAIMS})
+    start, inverses = prime_context(p)._held
+    assert start == 1 and len(inverses) == p - 1
 
 
 def _reference_rows(p: int, mod: int, depth: int) -> list[list[int]]:
@@ -380,7 +378,7 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
         for a, expected in powers.items():
             assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
         # Fresh contexts, filled in other orders and batches, keep only sums
-        # and the one block their last pass built.
+        # and the inverses of the one block their last pass reached.
         ascending, batched = congruences.PrimeContext(p, mod), congruences.PrimeContext(p, mod)
         batched.sum_powers(range(-8, 9))
         for lam in reversed(KERNEL_PARTITIONS):
@@ -391,9 +389,9 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert ascending.power_sum(a) == batched.power_sum(a) == powers[a], (a, p, e)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
-            block = context._held
-            assert block.stop - block.start <= 10
-            assert set(block.powers) == {1}  # the rows H({1}^j) read 1/k alone
+            start, inverses = context._held
+            assert inverses == [pow(k, -1, mod) for k in range(start, start + len(inverses))]
+            assert 1 <= len(inverses) <= 10
             sums = [*context.product_sums.values(), *context.power_sums.values()]
             assert all(type(total) is int for total in sums)
 
@@ -416,13 +414,16 @@ def test_inverse_power_tables_are_the_powers_of_the_inverses(monkeypatch, p):
     monkeypatch.setattr(congruences, "_BLOCK", 16)
     mod = p**6
     covered = []
-    for block in congruences.PrimeContext(p, mod)._blocks():
-        for s in (3, 1, 5, 2):  # any order; the block fills 1..s
-            expected = [pow(j, -s, mod) for j in range(block.start, block.stop)]
-            assert block.inverse_powers(s) == expected, (s, p, block.start)
-        assert sorted(block.powers) == [1, 2, 3, 4, 5]
-        covered += range(block.start, block.stop)
+    for start, inverses in congruences.PrimeContext(p, mod)._blocks():
+        assert inverses == [pow(k, -1, mod) for k in range(start, start + len(inverses))]
+        covered += range(start, start + len(inverses))
     assert covered == list(range(1, p))
+    # H_{p-1}(s) of one part is the sum of the table k^(-s), which the
+    # harmonic pass builds in each block from the tables below it.
+    monkeypatch.setattr(congruences, "_local", threading.local())  # no context held
+    for s in (3, 1, 5, 2):
+        expected = sum(pow(k, -s, mod) for k in range(1, p)) % mod
+        assert mhs_mod((s,), p, 6).value == expected, (s, p)
 
 
 def test_single_binomial_at_a_1_runs_no_product():
@@ -498,6 +499,26 @@ def test_claim_sides_read_what_the_public_functions_return():
         assert COROLLARY_CLAIMS[0].sides(p) == central_binomial_sum_mod(p), p
 
 
+def test_power_sums_refuse_p_2():
+    # The half range rests on u_(p-1-k) = u_k, which needs an odd p: at p = 2
+    # it would give 1 for every a, not 1 + (-1)^a.
+    context = prime_context(2)  # admitted: mhs_mod and the product sums hold at p = 2
+    for a in (0, 1, 2, -1):
+        with pytest.raises(ValueError, match="p = 2"):
+            context.power_sum(a)
+    with pytest.raises(ValueError, match="p = 2"):
+        context.sum_powers(range(-6, 7))
+    assert context.power_sums == {}
+
+
+@pytest.mark.parametrize("p, sums", [(3, (3, 0, 6, 366)), (5, (5, 0, 70, 5210))])
+def test_power_sums_at_the_odd_primes_below_7(p, sums):
+    """sum_k u_k^a at a = 0, 1, 2, -1 modulo p^6, below the claims' primes."""
+    context = congruences.PrimeContext(p, p**6)
+    assert tuple(context.power_sum(a) for a in (0, 1, 2, -1)) == sums
+    assert sums == tuple(_reference_power_sum(a, p, p**6) for a in (0, 1, 2, -1))
+
+
 @pytest.mark.parametrize("p", [7, 11, 101, 10007])
 def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
     monkeypatch.setattr(congruences, "_BLOCK", 16)
@@ -508,8 +529,8 @@ def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
     assert full == full[::-1]  # u_(p-1-k) = u_k: the half the passes run is all of it
     context = congruences.PrimeContext(p, mod)
     units, inverted = [1], [1]
-    for block in context._blocks((p - 1) // 2):  # each block's half units, as a pass carries them
-        half = block.half_units(p, units[-1])
+    for start, inverses in context._blocks((p - 1) // 2):  # as a pass carries the units
+        half = congruences._half_units(inverses, start, p, units[-1], mod)
         units += half[0]
         inverted += half[1]
     assert units == full[: (p + 1) // 2]
@@ -528,16 +549,16 @@ def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch
     assert [claim.claim_id for claim in claims] == ids
     monkeypatch.setattr(congruences, "_local", threading.local())  # no context held
     assert all(r.passed for r in check_at(claims, p))
-    half_units = congruences._Block.half_units
+    half_units = congruences._half_units
 
-    def without_the_middle(block, p, carry):
-        units, inverted = half_units(block, p, carry)
-        if block.start <= (p - 1) // 2 < block.stop:
+    def without_the_middle(inverses, start, p, carry, mod):
+        units, inverted = half_units(inverses, start, p, carry, mod)
+        if start <= (p - 1) // 2 < start + len(inverses):
             return units[:-1], inverted[:-1]
         return units, inverted
 
     monkeypatch.setattr(congruences, "_local", threading.local())
-    monkeypatch.setattr(congruences._Block, "half_units", without_the_middle)
+    monkeypatch.setattr(congruences, "_half_units", without_the_middle)
     results = check_at(claims, p)
     assert [r.claim_id for r in results] == ids
     assert not any(r.passed for r in results)

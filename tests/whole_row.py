@@ -148,15 +148,14 @@ class WholeRowContext:
         return total
 
     @cached_property
-    def binomials(self) -> tuple[int, int, int, int]:
-        """What the streamed context's ``binomials`` holds, from the whole rows."""
+    def binomials(self) -> tuple[int, int, int]:
+        """What the streamed context's ``binomials`` holds, from the whole rows: m <= p - 1."""
         p, mod, inverses = self.p, self.mod, self.inverses
         central, total = 1, 0
         for k in range(1, p):
             central = central * 2 * (2 * k - 1) * inverses[k] % mod
             total += central * inverses[k]
-        once, twice = self.steps_product(1, p - 2), self.steps_product(2, p - 2)
-        return once, twice, total % mod, inverses[p - 1]
+        return self.steps_product(1, p - 1), self.steps_product(2, p - 1), total % mod
 
     @cached_property
     def expansion_weights(self) -> tuple:
