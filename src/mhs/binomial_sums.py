@@ -10,9 +10,10 @@ independent evaluations of the left side are provided: the direct one powers
 up the product formula (-1)^k C(p-1,k) = prod_{j<=k} (1 - p/j), while the
 expansion route rewrites that product in homogeneous harmonic sums and sums
 over partitions.  Their agreement re-verifies the congruence tables along the
-way.  Both read their residues at p from the context of p
-(congruences.prime_context), which holds X mod p^2 and each sum.  The
-direct route sums u_k^a over half the units, k <= (p-1)/2, since
+way.  Both read their residues at p from the context that holds p
+(congruences.prime_context), which holds X mod p^2 and each sum; in a
+sweep it holds a chunk of primes and forms each sum for all of them in one
+pass.  The direct route sums u_k^a over half the units, k <= (p-1)/2, since
 u_(p-1-k) = u_k; the expansion route is one dot product of the coefficients
 of a with the context's weights (-p)^|lam| * S(lam), formed once per prime.
 The per-prime claims read the context directly; the public functions read
@@ -97,7 +98,7 @@ def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
     a whole range of a at once, which is how the theorem claims fill it.
     """
     require_admissible(p)
-    return PResidue(prime_context(p, e).power_sum(a), p, e)
+    return PResidue(prime_context(p, e).power_sum(a, p), p, e)
 
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
@@ -109,7 +110,7 @@ def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
     require_admissible(p)
     if e > 6:
         raise ValueError("the closed form only holds modulo p^6")
-    return PResidue(_closed_form(a, p, p**e, prime_context(p, e).invariant), p, e)
+    return PResidue(_closed_form(a, p, p**e, prime_context(p, e).invariant(p)), p, e)
 
 
 def _closed_form(a: int, p: int, mod: int, x: int) -> int:
@@ -126,9 +127,9 @@ def _expansion_terms(a: int) -> tuple[int, ...]:
     return tuple(generalized_binomial(a, r) * count for r, count in _SHAPES)
 
 
-def _expansion_sum(terms: tuple, context) -> int:
-    """p + sum of coeff * (-p)^j * S(lam): the terms against the context's expansion weights."""
-    return (context.p + sum(map(mul, terms, context.expansion_weights))) % context.mod
+def _expansion_sum(terms: tuple, p: int) -> int:
+    """p + sum of coeff * (-p)^j * S(lam) modulo p^6: the terms against p's expansion weights."""
+    return (p + sum(map(mul, terms, prime_context(p).expansion_weights(p)))) % p**6
 
 
 def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
@@ -145,7 +146,8 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     require_admissible(p)
     if e > 6:
         raise ValueError("the weight-5 truncation only supports e <= 6")
-    return PResidue(_expansion_sum(_expansion_terms(a), prime_context(p, e)), p, e)
+    require_exponent(e)
+    return PResidue(_expansion_sum(_expansion_terms(a), p), p, e)
 
 
 def alternating_power_sum(n: int, a: int) -> Fraction:
@@ -198,7 +200,7 @@ def cai_granville_holds(a: int, p: int) -> bool:
     if a < 1:
         raise ValueError("a must be >= 1")
     require_admissible(p)
-    return prime_context(p, 4).power_sum(a) % p**4 == comb(a * p - 2, p - 1) % p**4
+    return prime_context(p, 4).power_sum(a, p) % p**4 == comb(a * p - 2, p - 1) % p**4
 
 
 def central_binomial_sum_mod(p: int) -> tuple[int, int]:
@@ -211,8 +213,8 @@ def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     require_admissible(p)
     mod = p**4
     context = prime_context(p, 4)
-    rhs = -16 * pow(3, -1, mod) * p * p * context.invariant
-    return context.binomials[2] % mod, rhs % mod
+    rhs = -16 * pow(3, -1, mod) * p * p * context.invariant(p)
+    return context.binomials(p)[2] % mod, rhs % mod
 
 
 class BinomialClaim(NamedTuple):
@@ -225,41 +227,49 @@ class BinomialClaim(NamedTuple):
     check = check_residues
 
 
-def _closed_form_sides(a: int, exponents: range, p: int) -> tuple[int, int]:
+def _closed_form_sides(a: int, exponents: frozenset, p: int) -> tuple[int, int]:
     context = prime_context(p)
-    context.sum_powers(exponents)  # the whole range in one pass per sign, on the first a
-    return context.power_sums[a], _closed_form(a, p, context.mod, context.invariant)
+    context.sum_powers(exponents)  # the whole range in one pass per chunk, on the first a
+    return context.power_sum(a, p), _closed_form(a, p, p**6, context.invariant(p))
 
 
 def _expansion_sides(a: int, terms: tuple, p: int) -> tuple[int, int]:
-    context = prime_context(p)
-    return _expansion_sum(terms, context), context.power_sum(a)
+    return _expansion_sum(terms, p), prime_context(p).power_sum(a, p)
 
 
 def _anchor_sides(a: int, p: int) -> tuple[int, int]:
-    return prime_context(p).power_sum(a), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
+    return prime_context(p).power_sum(a, p), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
+
+
+_SINGLE_EXPONENTS = (1, 2, 3)  # the a of the C(ap-2, p-1) claims
 
 
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
     # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial pass runs
     context, mod = prime_context(p, 4), p**4
-    rhs = (a - 1) * p * context.binomials[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
-    return context.power_sum(a) % mod, rhs % mod
+    context.sum_powers(_SINGLE_EXPONENTS)  # a pass for the theorem's range formed them
+    rhs = (a - 1) * p * context.binomials(p)[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
+    return context.power_sum(a, p) % mod, rhs % mod
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
     # C(2p-1, p-1) = F_1 = prod_{m<p} (1 + p/m)
-    return prime_context(p, 3).binomials[0] % p**3, 1
+    return prime_context(p, 3).binomials(p)[0] % p**3, 1
 
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
-    """Direct vs closed form and expansion vs direct for each a, then the anchors."""
+    """Direct vs closed form and expansion vs direct for each a, then the anchors.
+
+    The first direct sum forms every a of the range, and the a of the
+    C(ap-2, p-1) claims with them, in one power pass.
+    """
     exponents = range(amin, amax + 1)
+    wanted = frozenset(exponents).union(_SINGLE_EXPONENTS)
     claims = [
         BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides)
         for a in exponents
         for route, sides in (
-            ("", partial(_closed_form_sides, a, exponents)),
+            ("", partial(_closed_form_sides, a, wanted)),
             ("-expansion", partial(_expansion_sides, a, _expansion_terms(a))),  # built once
         )
     ]
@@ -273,7 +283,7 @@ def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
 
 CAI_GRANVILLE_CLAIMS = tuple(
     BinomialClaim(f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a))
-    for a in (1, 2, 3)
+    for a in _SINGLE_EXPONENTS
 )
 
 COROLLARY_CLAIMS = (

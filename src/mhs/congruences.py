@@ -12,11 +12,14 @@ them:
 Left sides are evaluated by streaming modular brute force, never through the
 symbolic engine, so a passing suite is an independent confirmation of the
 identities.  Every residue value at a prime is read from one PrimeContext,
-which this thread keeps until the prime or the modulus changes.  It forms
-its sums in passes over k in blocks of bounded length, which share only the
-block's inverses 1/k.  A separate symbolic cross-derivation re-obtains the
-weight <= 3 sum rows by substituting the base congruences into the
-closed-form summation identities, with explicit error-term bookkeeping.
+which this thread keeps until a prime outside it or another modulus is asked
+for.  A context holds an ascending chunk of primes (a sweep's primes, cut by
+prime_chunks; one prime for the public functions), and forms each sum for
+all of them in one pass over k modulo the product of their p^6, in blocks of
+bounded length that share only the block's inverses 1/k.  A separate
+symbolic cross-derivation re-obtains the weight <= 3 sum rows by
+substituting the base congruences into the closed-form summation
+identities, with explicit error-term bookkeeping.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, repeat
 from math import inf
 from typing import Iterable, NamedTuple
@@ -34,7 +36,7 @@ from .bernoulli import bernoulli_invariant_mod
 from .core import Composition
 from .partitions import partitions_of
 from .report import CheckResult, check_at, check_residues
-from .residues import PResidue, batch_inverse, require_exponent, require_prime
+from .residues import PResidue, batch_inverse, require_admissible, require_exponent, require_prime
 
 __all__ = [
     "BASE_CLAIMS",
@@ -42,45 +44,59 @@ __all__ = [
     "CongruenceClaim",
     "PrimeContext",
     "base_congruence_suite",
+    "check_chunk",
     "cross_derivation_check",
     "homogeneous_product_sum_mod",
     "mhs_mod",
+    "prime_chunks",
     "prime_context",
     "sum_congruence_suite",
 ]
 
 
-# Entries of k per block.  A pass over k < p holds one block's tables at a
-# time, so a context's memory is bounded by the block, not by p; a prime
-# below it is one block, whose inverses every pass at the prime shares.
+# Entries of k per block.  A pass over k holds one block's tables at a time,
+# so a context's memory is bounded by the block, not by p; a prime below it
+# is one block, whose inverses every pass at the prime shares.
 _BLOCK = 1 << 14
+# Bits of a chunk's modulus prod p^6.  A sweep checks its primes in chunks
+# that stay within it.  A chunk's primes share the interpreter's cost per
+# entry, while the cost of the arithmetic grows with the modulus: of 128 to
+# 512 bits, 256 ran the passes fastest from p = 37 to p = 10^5.
+_CHUNK_BITS = 256
 # The partitions of weight <= 5, which a product-sum miss among them sums
 # together: the sum rows and the p^6 expansion read exactly those.  By weight
 # and then by length: the order of PrimeContext.expansion_weights.
 PARTITIONS = tuple(lam for j in range(1, 6) for lam in partitions_of(j))
 
 
-def _half_units(inverses: list, start: int, p: int, carry: int, mod: int) -> tuple[list, list]:
-    """(u, 1/u) over a block's k <= (p-1)/2, u_k = (-1)^k C(p-1, k), from carry = u_(start-1).
+def _half_units(inverses: list, lift: int, carry: int, mod: int) -> tuple[list, list]:
+    """(u, 1/u) over a block's k, u_k = (-1)^k C(p-1, k), from carry = u_(start-1).
 
-    u_k = u_(k-1) * (1 - p/k) runs over the inverses 1/k, k >= start; 1/u is one batch inversion.
+    u_k = u_(k-1) * (1 - p/k) runs over the inverses 1/k, with the lift P in
+    place of p; 1/u is one batch inversion.
     """
     u, units = carry, []
-    for inverse in inverses[: (p + 1) // 2 - start]:
-        u = u * (1 - p * inverse) % mod
+    for inverse in inverses:
+        u = u * (1 - lift * inverse) % mod
         units.append(u)
     return units, batch_inverse(units, mod)
 
 
 class PrimeContext:
-    """The residue sums of one prime p modulo mod = p^max(e, 6), each formed on first use.
+    """The residue sums of an ascending chunk of primes, each p modulo p^top, formed on first use.
 
-    Every check at p modulo p^e reads it through Z/mod -> Z/p^e.  Each value
-    is a sum over k < p, formed by a pass over k in blocks of _BLOCK entries
-    (see :meth:`_blocks`).  The passes share a block's inverses 1/k; each
-    builds its other tables from them and drops them at the next block.
-    From block to block a pass carries only the last entry of each running
-    row and its sums.  Three passes fill the context, each on a first miss:
+    Every check at p modulo p^e reads p's values through Z/p^top -> Z/p^e.
+    Each value is a sum over k < p (k <= (p-1)/2 for the power sums), and a
+    pass forms it for every prime of the chunk at once: it walks k once, up
+    to the largest prime's range, in Z/M with M = prod p^top over the
+    primes above k, and with their CRT lift P = p (mod p^top) in place of
+    p.  At k = p - 1 (k = (p-1)/2 in the power pass) it reads p's sums
+    modulo p^top, and from k = p on p^top is out of M, so every k is a
+    unit.  The passes run in blocks of at most _BLOCK entries (see
+    :meth:`_blocks`), share a block's inverses 1/k, and carry from block to
+    block only the last entry of each running row and its sums.  A chunk
+    of one prime p works modulo p^top with P = p, as a context of one prime
+    did.  Three passes fill the context, each on a first miss:
 
     * harmonic: H_{p-1}(s) of the base claims and the product sums of every
       partition of weight <= 5, which share the rows H_k({1}^j) and k^(-s);
@@ -90,60 +106,93 @@ class PrimeContext:
 
     A product row is its prefix's row times one row H({1}^j), and H_{p-1}(s)
     is the row of s[:-1] against the table k^(-s_d), so no row of s itself
-    is built.  The partition expansion of the theorem at any a is its
-    coefficients against the weights (-p)^|lam| * S(lam), formed once.
+    is built.  X and the weights (-p)^|lam| * S(lam) of the partition
+    expansion are formed per prime, once each.
     """
 
-    def __init__(self, p: int, mod: int):
-        self.p, self.mod = p, mod
-        self.mhs_sums: dict = {(): 1}  # composition -> H_{p-1}(s); empty: the empty product
-        self.product_sums: dict = {(): (p - 1) % mod}  # partition -> its sum; empty: p - 1 ones
-        self.power_sums: dict = {}  # a -> sum_k u_k^a
+    def __init__(self, primes: tuple[int, ...], top: int = 6):
+        if list(primes) != sorted(set(primes)):  # the passes read the primes in this order
+            raise ValueError(f"a chunk's primes must ascend, got {primes}")
+        self.primes, self.top = primes, top
+        # per prime: composition -> H_{p-1}(s), the empty one 1; partition ->
+        # its sum, the empty one p - 1 ones; a -> sum_k u_k^a
+        self.mhs_sums: dict = {p: {(): 1} for p in primes}
+        self.product_sums: dict = {p: {(): p - 1} for p in primes}
+        self.power_sums: dict = {p: {} for p in primes}
+        self.binomial_values: dict = {}  # p -> (F_1, F_2, central)
+        self.invariants: dict = {}  # p -> X mod p^2
+        self.weights: dict = {}  # p -> the expansion weights
         self._held: tuple = (0, [])  # (start, inverses) of the block a pass reached last
 
-    def _blocks(self, last: int | None = None):
-        """(start, [1/k for start <= k < stop]) for the blocks of k = 1..last (default p - 1).
+    def _blocks(self, reads: dict):
+        """(start, inverses, mod, lift, read) for the blocks of a pass over k = 1..max(reads).
 
-        Every pass runs on one grid.  A block's inverses are held until a pass
-        reaches another block, so a prime of one block inverts 1..p-1 once.
+        ``reads`` maps each k at which the pass reads a prime's sums to that
+        prime, and ``read`` is the prime whose sums the block completes, or
+        None.  inverses = [1/k mod M], M = prod p^top over the primes above
+        start and lift = P their CRT lift, so every k of the block is a unit.
+        A block ends after _BLOCK entries, at each k = p - 1 and at each read
+        but the last.  Its inverses are held until a pass reaches another
+        block, so a prime of one block inverts 1..p-1 once.  Every pass
+        starts at k = 1, so no other block can be shared, and a later block
+        also ends at k = max(reads); the pass gets inverses up to there.
         """
-        for start in range(1, (self.p - 1 if last is None else last) + 1, _BLOCK):
-            if self._held[0] != start:
-                stop = min(start + _BLOCK, self.p)
-                self._held = start, batch_inverse(range(start, stop), self.mod)
-            yield self._held
+        primes, top = self.primes, self.top
+        last = max(reads)
+        ends = sorted({k for k in reads if k < last} | {p - 1 for p in primes})
+        mod, lift = 1, 0
+        for p in primes:  # P = p mod p^top, one prime at a time
+            power = p**top
+            lift += mod * ((p - lift) * pow(mod, -1, power) % power)
+            mod *= power
+        start, low = 1, 0  # primes[low] is the least prime above start
+        for end in ends:
+            while start <= min(end, last):
+                while primes[low] <= start:  # no pass reads it any more
+                    mod //= primes[low] ** top
+                    lift %= mod
+                    low += 1
+                stop = min(start + _BLOCK, end + 1)
+                if start > 1:
+                    stop = min(stop, last + 1)
+                if self._held[0] != start or len(self._held[1]) != stop - start:
+                    self._held = start, batch_inverse(range(start, stop), mod)
+                inverses = self._held[1][: last + 1 - start]
+                yield start, inverses, mod, lift, reads.get(start + len(inverses) - 1)
+                start = stop
 
-    def mhs(self, s: tuple) -> int:
+    def mhs(self, s: tuple, p: int) -> int:
         """H_{p-1}(s); the empty composition gives 1.
 
         A miss on a base claim's composition forms every base claim's value
         and every product sum of weight <= 5 in one harmonic pass; any other
         miss forms s alone.
         """
-        sums = self.mhs_sums
+        sums = self.mhs_sums[p]
         if s not in sums:
             if s in _BASE_TARGETS:
                 self._sum_harmonic(
                     [t for t in _BASE_TARGETS if t not in sums],
-                    [lam for lam in PARTITIONS if lam not in self.product_sums],
+                    [lam for lam in PARTITIONS if lam not in self.product_sums[p]],
                 )
             else:
                 self._sum_harmonic([s], [])
         return sums[s]
 
-    @cached_property
-    def invariant(self) -> int:
+    def invariant(self, p: int) -> int:
         """X = bernoulli_invariant(p) modulo p^2."""
-        return bernoulli_invariant_mod(self.p)
+        if p not in self.invariants:
+            self.invariants[p] = bernoulli_invariant_mod(p)
+        return self.invariants[p]
 
-    def product_sum(self, lam: tuple[int, ...]) -> int:
+    def product_sum(self, lam: tuple[int, ...], p: int) -> int:
         """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), for parts lam_i >= 1 in any order.
 
         A miss of weight at most 5 sums every partition of weight at most 5
         in one harmonic pass; a heavier miss sums lam alone.  A part below 1
         raises ValueError.
         """
-        sums = self.product_sums
+        sums = self.product_sums[p]
         if lam not in sums:
             lam = tuple(sorted(lam, reverse=True))  # as the pass keys partitions
             if lam not in sums:
@@ -168,9 +217,8 @@ class PrimeContext:
         A partition's row is its prefix's row times H({1}^last), formed only
         for a prefix that a wanted partition extends; any other partition is
         summed as a dot product.  Entry 0 of a row is k = start - 1, which the
-        block before summed.
+        block before summed.  A block ending at k = p - 1 completes p's sums.
         """
-        mod = self.mod
         top = max((lam[0] for lam in partitions), default=0)
         tips = {s[:-1] for s in compositions} | {(1,) * top}
         carries = {r[:d]: 0 for r in tips for d in range(len(r) + 1)}  # H_(start-1)(r)
@@ -179,13 +227,14 @@ class PrimeContext:
         dots = dict.fromkeys((s for s in compositions if s not in carries), 0)
         totals = dict.fromkeys(partitions, 0)
         heads = sorted({lam[:d] for lam in partitions for d in range(2, len(lam))}, key=len)
+        reads = {p - 1: p for p in self.primes}
 
         def power(t: int) -> list:  # k^-t per k, on first use: tables built ahead raise peak RSS
             while len(powers) <= t:
                 powers.append([x * y % mod for x, y in zip(powers[-1], powers[1])])
             return powers[t]
 
-        for _, inverses in self._blocks():
+        for _, inverses, mod, _, p in self._blocks(reads):
             powers = [None, inverses]
             rows = {(): [1] * (len(inverses) + 1)}
             for r in grown:
@@ -206,45 +255,60 @@ class PrimeContext:
                 else:
                     head, last = products[lam[:-1]], products[lam[-1:]]
                     totals[lam] += sum(map(operator.mul, head, last)) - head[0] * last[0]
-        for s in compositions:
-            self.mhs_sums[s] = (carries[s] if s in carries else dots[s]) % mod
-        for lam, total in totals.items():
-            self.product_sums[lam] = total % mod
+            if p is not None:
+                m = p**self.top
+                for s in compositions:
+                    self.mhs_sums[p][s] = (carries[s] if s in carries else dots[s]) % m
+                for lam, total in totals.items():
+                    self.product_sums[p][lam] = total % m
 
-    @cached_property
-    def expansion_weights(self) -> tuple:
-        """(-p)^|lam| * S(lam) modulo mod for each lam in PARTITIONS, S the product sum."""
-        p, mod = self.p, self.mod
-        return tuple((-p) ** sum(lam) * self.product_sum(lam) % mod for lam in PARTITIONS)
+    def expansion_weights(self, p: int) -> tuple:
+        """(-p)^|lam| * S(lam) modulo p^top for each lam in PARTITIONS, S the product sum."""
+        if p not in self.weights:
+            mod = p**self.top
+            self.weights[p] = tuple(
+                (-p) ** sum(lam) * self.product_sum(lam, p) % mod for lam in PARTITIONS
+            )
+        return self.weights[p]
 
-    def power_sum(self, a: int) -> int:
+    def power_sum(self, a: int, p: int) -> int:
         """sum_{k=0}^{p-1} u_k^a; negative a powers 1/u."""
-        if a not in self.power_sums:
-            self.sum_powers((a,))
-        return self.power_sums[a]
+        sums = self.power_sums[p]
+        if a not in sums:
+            self._sum_powers({a})
+        return sums[a]
 
     def sum_powers(self, exponents: Iterable[int]) -> None:
         """Form sum_k u_k^a for each a in ``exponents`` that has no sum yet.
 
+        A pass forms each sum at every prime of the chunk, so the first
+        prime's sums show which ones are formed.
+        """
+        missing = set(exponents).difference(self.power_sums[self.primes[0]])
+        if missing:
+            self._sum_powers(missing)
+
+    def _sum_powers(self, exponents: set) -> None:
+        """One pass forming sum_k u_k^a for each a in ``exponents``.
+
         One running row per sign, u, u^2, ... (or 1/u, 1/u^2, ...) up to the
         largest wanted |a|, is summed as it passes each wanted exponent.  It
         runs over the half k <= m = (p-1)/2, because u_(p-1-k) = u_k for an
-        odd p: the whole sum is twice the half's, less the middle term u_m^a.
-        p = 2 is refused with ValueError.  The units come block by block
-        (see :func:`_half_units`), each from the last one's u.  The sum at
-        a = 0 counts them, so its value p checks the half's bookkeeping.
+        odd p: the whole sum is twice the half's, less the middle term u_m^a,
+        and a block ending at k = m completes p's sums.  The units come block
+        by block (see :func:`_half_units`), each from the last one's u.  The
+        sum at a = 0 counts them, so its value p checks the half's bookkeeping.
+        p = 2 is refused with ValueError.
         """
-        p, mod, sums = self.p, self.mod, self.power_sums
-        if p == 2:
+        if self.primes[0] == 2:
             raise ValueError("the power sums need an odd prime, got p = 2")
-        missing = {a for a in exponents if a not in sums}
-        if not missing:
-            return
-        totals = dict.fromkeys(missing, 1)  # k = 0: u_0 = 1
-        tops = (max(missing), -min(missing))  # the rows u^1.. and (1/u)^1.. run that far
-        half = ([1], [1])  # u_0 and 1/u_0, the carry into the first block
-        for start, inverses in self._blocks((p - 1) // 2):
-            half = _half_units(inverses, start, p, half[0][-1], mod)
+        totals = dict.fromkeys(exponents, 1)  # k = 0: u_0 = 1
+        tops = (max(exponents), -min(exponents))  # the rows u^1.. and (1/u)^1.. run that far
+        reads = {(p - 1) // 2: p for p in self.primes}
+        carry = 1  # u_0, the carry into the first block
+        for _, inverses, mod, lift, p in self._blocks(reads):
+            half = _half_units(inverses, lift, carry, mod)
+            carry = half[0][-1]
             if 0 in totals:
                 totals[0] += len(half[0])  # u^0 = 1
             for sign, bases, top in zip((1, -1), half, tops):
@@ -254,50 +318,88 @@ class PrimeContext:
                         row = [x * b % mod for x, b in zip(row, bases)]
                     if sign * exponent in totals:
                         totals[sign * exponent] += sum(row)
-        for a, total in totals.items():
-            sums[a] = (2 * total - pow(half[a < 0][-1], abs(a), mod)) % mod
+            if p is not None:
+                m = p**self.top
+                for a, total in totals.items():
+                    self.power_sums[p][a] = (2 * total - pow(half[a < 0][-1], abs(a), m)) % m
 
-    @cached_property
-    def binomials(self) -> tuple[int, int, int]:
-        """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo mod, F_c = prod_{m<p} (1 + cp/m).
+    def binomials(self, p: int) -> tuple[int, int, int]:
+        """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo p^top, F_c = prod_{m<p} (1 + cp/m)."""
+        if p not in self.binomial_values:
+            self._sum_binomials()
+        return self.binomial_values[p]
 
-        One pass over k = 1..p-1; F_c = C(cp+p-1, p-1), C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k,
-        and the two step products are carried from block to block.
+    def _sum_binomials(self) -> None:
+        """One pass over k = 1..p-1 forming every prime's binomials.
+
+        F_c = C(cp+p-1, p-1), C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k, and the two
+        step products are carried from block to block.
         """
-        p, mod = self.p, self.mod
         once = twice = central = 1
         total = 0
-        for start, inverses in self._blocks():
+        reads = {p - 1: p for p in self.primes}
+        for start, inverses, mod, lift, p in self._blocks(reads):
             for k, inverse in enumerate(inverses, start):
                 central = central * (4 * k - 2) * inverse % mod
                 total += central * inverse
-                step = p * inverse
+                step = lift * inverse
                 once = once * (1 + step) % mod
                 twice = twice * (1 + 2 * step) % mod
-        return once, twice, total % mod
+            if p is not None:
+                m = p**self.top
+                self.binomial_values[p] = once % m, twice % m, total % m
 
 
-# One context per thread, replaced when p or the modulus changes: a
-# prime-major sweep builds each prime's state once and holds one prime's at
-# a time, and no thread reads another's, so nothing needs a lock.
+def prime_chunks(primes: Iterable[int]) -> list[tuple[int, ...]]:
+    """The primes, in order, cut into ascending chunks with prod p^6 within _CHUNK_BITS bits.
+
+    A prime that is not above the one before starts a new chunk, and so
+    does a prime whose p^6 alone passes the budget.
+    """
+    chunks, mod = [], 1
+    for p in primes:
+        mod *= p**6
+        if not chunks or p <= chunks[-1][-1] or mod.bit_length() > _CHUNK_BITS:
+            chunks.append(())
+            mod = p**6
+        chunks[-1] += (p,)
+    return chunks
+
+
+# One context per thread, replaced when a prime outside it or another
+# modulus is asked for: a chunk-major sweep builds each chunk's state once
+# and holds one chunk's at a time, and no thread reads another's, so nothing
+# needs a lock.
 _local = threading.local()
 
 
 def prime_context(p: int, e: int = 6) -> PrimeContext:
-    """This thread's context of p modulo p^max(e, 6), new if p or the modulus changed.
+    """This thread's context holding p modulo p^max(e, 6), or a new context of p alone.
 
-    The held context is recognised by (p, max(e, 6)), so a hit computes no
-    power of p; every check at p asks for it at least once.  An exponent
-    below 1 is refused, and so is a p that is not prime when a new context
-    would be built.
+    The held context is kept when it holds p at the exponent max(e, 6), so
+    a hit computes no power of p; every check at p asks for it at least
+    once.  An exponent below 1 is refused, and so is a p that is not prime
+    when a new context would be built.
     """
     require_exponent(e)
     top = e if e > 6 else 6
     held = getattr(_local, "held", None)
-    if held is None or held[0] != p or held[1] != top:
+    if held is None or held.top != top or p not in held.mhs_sums:
         require_prime(p)
-        held = _local.held = (p, top, PrimeContext(p, p**top))
-    return held[2]
+        held = _local.held = PrimeContext((p,), top)
+    return held
+
+
+def check_chunk(claims, primes: tuple[int, ...]) -> list[CheckResult]:
+    """``check_at`` at each prime of an ascending chunk, in order, all reading one context.
+
+    Every prime is admitted before the context is built, since the first
+    pass at any of them forms the sums of all.
+    """
+    for p in primes:
+        require_admissible(p)
+    _local.held = PrimeContext(primes)
+    return [result for p in primes for result in check_at(claims, p)]
 
 
 def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
@@ -308,7 +410,7 @@ def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
     context of p (see :meth:`PrimeContext.mhs`), which every check at p
     shares.
     """
-    return PResidue(prime_context(p, e).mhs(tuple(Composition(s))), p, e)
+    return PResidue(prime_context(p, e).mhs(tuple(Composition(s)), p), p, e)
 
 
 def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
@@ -319,7 +421,7 @@ def homogeneous_product_sum_mod(lam: tuple[int, ...], p: int, e: int) -> int:
     every partition of weight <= 5 in one pass (see
     :meth:`PrimeContext.product_sum`).
     """
-    return prime_context(p, e).product_sum(lam) % p**e
+    return prime_context(p, e).product_sum(lam, p) % p**e
 
 
 class CongruenceClaim(NamedTuple):
@@ -346,13 +448,14 @@ class CongruenceClaim(NamedTuple):
                     f"{self.claim_id}: p^{i}*X^{j} mod p^{e} needs X beyond mod p^2"
                 )
         mod = p**e
-        x = prime_context(p, e).invariant
+        x = prime_context(p, e).invariant(p)
         return sum(coeff * p**i * pow(x, j, mod) for (i, j), coeff in self.rhs_terms) % mod
 
     def sides(self, p: int) -> tuple[int, int]:
         """Both sides in Z / p^e, the left one read from the context of p."""
         context = prime_context(p, self.exponent)
-        lhs = context.mhs(self.target) if self.kind == "mhs" else context.product_sum(self.target)
+        read = context.mhs if self.kind == "mhs" else context.product_sum
+        lhs = read(self.target, p)
         return lhs % p**self.exponent, self.rhs_value(p)
 
 

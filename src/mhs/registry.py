@@ -1,8 +1,9 @@
-"""The verify suites as one registry of claims, and one prime-major runner.
+"""The verify suites as one registry of claims, and one chunk-major runner.
 
 A claim has a ``claim_id`` and a ``check`` returning a CheckResult: per-prime
 claims are checked at each prime by ``report.check_at``, the others once.
-Checking every claim at p before the next prime builds each prime's tables once.
+Checking every claim at each prime of a chunk before the next chunk builds
+each chunk's tables once, in passes that serve all of its primes.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Callable, NamedTuple
 from . import SUITE_NAMES
 from . import binomial_sums as bs
 from .algebra import expr_equal
-from .congruences import BASE_CLAIMS, SUM_CLAIMS
-from .report import CheckResult, check_at
+from .congruences import BASE_CLAIMS, SUM_CLAIMS, check_chunk, prime_chunks
+from .report import CheckResult
 from .residues import primes_in_range
 from .summation import IdentityRecord, known_identities, partial_sum_oracle, sum_product
 
@@ -85,13 +86,18 @@ def select(suite: str, claim_ids, ranges) -> tuple[list[tuple[Suite, tuple]], li
 def run(selection: list[tuple[Suite, tuple]], primes: list[int], fan_out) -> list[CheckResult]:
     """Check a selection over the primes, both as ``select`` made them; results suite by suite.
 
-    ``fan_out(worker, primes)`` maps the worker over the primes, in a process
-    pool or not, and concatenates the lists it returns in prime order.
+    The primes go in ascending chunks (``congruences.prime_chunks``), and
+    ``congruences.check_chunk`` checks every claim at each prime of a chunk
+    from one context, whose passes form the sums of all its primes at once.
+    ``fan_out(worker, chunks)`` maps the worker over the chunks, in a process
+    pool or not, and concatenates the lists it returns in chunk order, which
+    is prime order.
     """
     per_prime = tuple(c for s, claims in selection if "p" in s.reads for c in claims)
     suite_of = [i for i, (s, claims) in enumerate(selection) if "p" in s.reads for _ in claims]
     by_suite = [[] if "p" in s.reads else [c.check() for c in claims] for s, claims in selection]
-    checked = fan_out(functools.partial(check_at, per_prime), primes)  # no primes: no p suite
+    chunks = prime_chunks(primes)  # no primes: no p suite
+    checked = fan_out(functools.partial(check_chunk, per_prime), chunks)
     for k, result in enumerate(checked):  # the list of each prime follows per_prime
         by_suite[suite_of[k % len(per_prime)]].append(result)
     return [result for results in by_suite for result in results]

@@ -142,7 +142,7 @@ def test_power_sum_computed_once_per_a_and_prime():
 
     p = 17
     prime_context(13)  # a context of 17 from an earlier test is replaced
-    prime_context(p).power_sums = RecordingSums()
+    prime_context(p).power_sums[p] = RecordingSums()
     results = binomial_sums.theorem_suite(p) + binomial_sums.cai_granville_suite(p)
     assert len(results) == 31 and all(r.passed for r in results)
     # one direct sum per a in [-6, 6], formed in one batch; the anchors and the

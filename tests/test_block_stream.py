@@ -1,82 +1,172 @@
-"""The block-streamed prime context against the whole-row one it replaced.
+"""The block-streamed, chunked prime context against the whole-row one it replaced.
 
 Every value a per-prime claim reads is compared with the whole-row oracle
-(tests/whole_row.py): H_{p-1}(s) of the base claims, every product sum of
-weight <= 5 and the expansion weights, the power sums for -6 <= a <= 6,
-the step products over m <= p - 1 and the central-binomial sum.  At the
-default block length every prime below 2000 and p = 10007 is one block,
-and p = 100003 is seven.  With the block length patched small, small
-primes run multi-block passes, a short last block, and a half range of
-units that ends inside a block.
+(tests/whole_row.py), which works at one prime: H_{p-1}(s) of the base
+claims, every product sum of weight <= 5 and the expansion weights, the
+power sums for -6 <= a <= 6, the step products over m <= p - 1 and the
+central-binomial sum.  A context holds an ascending chunk of primes and
+forms each sum for all of them in one pass modulo the product of their
+p^6; each prime is compared in chunks of one, two and three primes and in
+the chunks a sweep cuts (``prime_chunks``).  At the default block length
+every prime below 2000 and p = 10007 is one block, and p = 100003 is
+seven.  With the block length patched small, small primes run
+multi-block passes, a short last block, block ends that fall between the
+points where a chunk reads its primes, and a half range of units that
+ends inside a block.
 """
 
-from math import comb
+import threading
+from math import comb, prod
 
 import pytest
 
 from mhs import congruences
 from mhs.binomial_sums import cai_granville_holds, signed_binomial_power
-from mhs.congruences import BASE_CLAIMS, PARTITIONS, PrimeContext
+from mhs.congruences import BASE_CLAIMS, PARTITIONS, PrimeContext, prime_chunks, prime_context
 from mhs.residues import primes_in_range
 from whole_row import WholeRowContext
 
 EXPONENTS = range(-6, 7)
 
 
-def _claim_values(context) -> dict:
-    """Every value the per-prime claims read from a context."""
-    values = {("mhs", claim.target): context.mhs(claim.target) for claim in BASE_CLAIMS}
-    values.update((("sum", lam), context.product_sum(lam)) for lam in PARTITIONS)
-    values.update((("power", a), context.power_sum(a)) for a in EXPONENTS)
-    values["binomials"] = context.binomials
-    values["expansion"] = context.expansion_weights
+def _streamed_values(context: PrimeContext, p: int) -> dict:
+    """Every value the per-prime claims read at p from a context holding p."""
+    values = {("mhs", claim.target): context.mhs(claim.target, p) for claim in BASE_CLAIMS}
+    values.update((("sum", lam), context.product_sum(lam, p)) for lam in PARTITIONS)
+    values.update((("power", a), context.power_sum(a, p)) for a in EXPONENTS)
+    values["binomials"] = context.binomials(p)
+    values["expansion"] = context.expansion_weights(p)
     return values
 
 
-def _assert_stream_matches(p: int, e: int = 6) -> None:
-    mod = p ** max(e, 6)
-    context = PrimeContext(p, mod)
-    context.sum_powers(EXPONENTS)  # one power pass, as the theorem claims ask
-    streamed, whole = _claim_values(context), _claim_values(WholeRowContext(p, mod))
-    assert streamed.keys() == whole.keys()
-    for key, value in whole.items():
-        assert streamed[key] == value, (p, e, key)
+def _whole_values(p: int, mod: int) -> dict:
+    """The same values from the whole-row oracle of p modulo mod."""
+    whole = WholeRowContext(p, mod)
+    values = {("mhs", claim.target): whole.mhs(claim.target) for claim in BASE_CLAIMS}
+    values.update((("sum", lam), whole.product_sum(lam)) for lam in PARTITIONS)
+    values.update((("power", a), whole.power_sum(a)) for a in EXPONENTS)
+    values["binomials"] = whole.binomials
+    values["expansion"] = whole.expansion_weights
+    return values
+
+
+def _chunkings(primes: list) -> list:
+    """The primes in chunks of one, two and three, and as a sweep cuts them."""
+    sized = [[tuple(primes[i : i + n]) for i in range(0, len(primes), n)] for n in (1, 2, 3)]
+    return [*sized, prime_chunks(primes)]
+
+
+def _assert_chunks_match(chunks, oracle: dict, e: int = 6) -> None:
+    """Each chunk's context, filled as the claims fill it, against the oracle at each prime."""
+    top = max(e, 6)
+    for chunk in chunks:
+        context = PrimeContext(tuple(chunk), top)
+        context.sum_powers(EXPONENTS)  # one power pass, as the theorem claims ask
+        for p in chunk:
+            streamed, whole = _streamed_values(context, p), oracle[p]
+            assert streamed.keys() == whole.keys()
+            for key, value in whole.items():
+                assert streamed[key] == value, (chunk, p, e, key)
 
 
 def test_stream_matches_whole_rows_at_every_prime_to_2000():
-    for p in primes_in_range(7, 2000):
-        _assert_stream_matches(p)
+    primes = primes_in_range(7, 2000)
+    oracle = {p: _whole_values(p, p**6) for p in primes}
+    chunkings = _chunkings(primes)
+    assert max(map(len, chunkings[-1])) > 3  # the sweep's chunks are longer still
+    for chunks in chunkings:
+        _assert_chunks_match(chunks, oracle)
 
 
-@pytest.mark.parametrize("p", [10007, 100003])
-def test_stream_matches_whole_rows_at_large_primes(p):
-    _assert_stream_matches(p)
+@pytest.mark.parametrize(
+    "primes", [[10007], [9973, 10007, 10009], [100003]], ids=["10007", "9973-10009", "100003"]
+)
+def test_stream_matches_whole_rows_at_large_primes(primes):
+    _assert_chunks_match([primes], {p: _whole_values(p, p**6) for p in primes})
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 10])
 def test_stream_matches_whole_rows_in_short_blocks(monkeypatch, block):
     monkeypatch.setattr(congruences, "_BLOCK", block)
-    for p in primes_in_range(7, 60 if block == 1 else 150):
-        for e in (6, 8):
-            _assert_stream_matches(p, e)
+    primes = primes_in_range(7, 60 if block == 1 else 150)
+    for e in (6, 8):
+        oracle = {p: _whole_values(p, p ** max(e, 6)) for p in primes}
+        chunkings = _chunkings(primes) if e == 6 else [[(p,) for p in primes]]
+        for chunks in chunkings:
+            _assert_chunks_match(chunks, oracle, e)
+
+
+def test_an_exponent_above_6_reads_a_chunk_of_one(monkeypatch):
+    """p^8 is not what a sweep's chunk holds, so p gets a context of its own."""
+    monkeypatch.setattr(congruences, "_local", threading.local())
+    chunk = prime_chunks(primes_in_range(7, 61))[0]
+    congruences._local.held = held = PrimeContext(chunk)
+    p = chunk[1]
+    assert prime_context(p) is held
+    alone = prime_context(p, 8)
+    assert (alone.primes, alone.top) == ((p,), 8)
 
 
 @pytest.mark.parametrize("block", [4, 1 << 14])
 def test_stream_matches_whole_rows_off_the_claims(monkeypatch, block):
-    """Compositions and partitions no claim reads, and exponents outside -6..6."""
+    """Compositions and partitions no claim reads, and exponents outside -6..6.
+
+    The chunk spans more than a factor of 2, so its harmonic read-off
+    points fall inside the range of the power pass.
+    """
     monkeypatch.setattr(congruences, "_BLOCK", block)
     shapes = [(2, 1), (3, 1, 2), (1, 4, 1), (5,), (2, 2, 2, 2)]
     heavy = [(7, 2, 1), (6,), (3, 3, 1), (12, 1, 1)]
-    for p in (7, 11, 37, 101):
-        mod = p**6
-        streamed, whole = PrimeContext(p, mod), WholeRowContext(p, mod)
-        for s in shapes:
-            assert streamed.mhs(s) == whole.mhs(s), (p, s)
-        for lam in heavy:
-            assert streamed.product_sum(lam) == whole.product_sum(lam), (p, lam)
+    chunk = (7, 11, 37, 101)
+    for streamed in [PrimeContext(chunk)] + [PrimeContext((p,)) for p in chunk]:
         streamed.sum_powers([9, -11])
-        for a in (9, 8, -11, -7):
-            assert streamed.power_sum(a) == whole.power_sum(a), (p, a)
+        for p in streamed.primes:
+            whole = WholeRowContext(p, p**6)
+            for s in shapes:
+                assert streamed.mhs(s, p) == whole.mhs(s), (p, s)
+            for lam in heavy:
+                assert streamed.product_sum(lam, p) == whole.product_sum(lam), (p, lam)
+            for a in (9, 8, -11, -7):
+                assert streamed.power_sum(a, p) == whole.power_sum(a), (p, a)
+
+
+@pytest.mark.parametrize("block", [2, 5, 1 << 14])
+def test_each_block_works_modulo_the_primes_above_its_start(monkeypatch, block):
+    """M is prod p^6 over the chunk's primes above the block's start, P their CRT lift."""
+    monkeypatch.setattr(congruences, "_BLOCK", block)
+    chunk = (7, 11, 13, 29, 31)
+    context = PrimeContext(chunk)
+    for reads in ({p - 1: p for p in chunk}, {(p - 1) // 2: p for p in chunk}):
+        covered = []
+        for start, inverses, mod, lift, read in context._blocks(reads):
+            assert read == reads.get(start + len(inverses) - 1), (start, reads)
+            above = [p for p in chunk if p > start]
+            assert mod == prod(p**6 for p in above), (start, reads)
+            assert 0 <= lift < mod and all(lift % p**6 == p for p in above), (start, reads)
+            assert inverses == [pow(k, -1, mod) for k in range(start, start + len(inverses))]
+            assert start == 1 or context._held[1] == inverses  # none inverted past max(reads)
+            covered += range(start, start + len(inverses))
+        assert covered == list(range(1, max(reads) + 1))
+        read = [p for *_, p in context._blocks(reads) if p is not None]
+        assert read == list(chunk)  # each prime once, where a block ends
+
+
+@pytest.mark.parametrize("chunk", [(11, 7), (7, 7), (7, 11, 11, 13)])
+def test_a_chunk_must_ascend(chunk):
+    with pytest.raises(ValueError, match="must ascend"):
+        PrimeContext(chunk)
+
+
+def test_prime_chunks_keep_order_and_budget():
+    primes = primes_in_range(7, 2000)
+    chunks = prime_chunks(primes)
+    assert [p for chunk in chunks for p in chunk] == primes
+    for chunk in chunks:
+        assert prod(p**6 for p in chunk).bit_length() <= congruences._CHUNK_BITS
+    for before, after in zip(chunks, chunks[1:]):  # each chunk is as long as the budget allows
+        assert prod(p**6 for p in before + after[:1]).bit_length() > congruences._CHUNK_BITS
+    assert prime_chunks([11, 7, 7, 13]) == [(11,), (7,), (7, 13)]  # ascending runs only
+    assert prime_chunks([]) == []
 
 
 def test_signed_binomial_power_matches_comb():

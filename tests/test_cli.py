@@ -313,7 +313,8 @@ def test_jobs_capped_at_cpus_and_items(monkeypatch, capsys):
     assert cli._fan_out(lambda x: [x], [1, 2], 10**6) == [1, 2]  # serial
     assert _RecordingPool.seen == [2, 4]
 
-    argv = ["verify", "--suite", "corollary", "--pmin", "7", "--pmax", "31", "--format", "json"]
+    # 7..199 is several chunks of primes, and the pool maps over chunks
+    argv = ["verify", "--suite", "corollary", "--pmin", "7", "--pmax", "199", "--format", "json"]
     serial = run(capsys, *argv)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     fanned = run(capsys, *argv, "--jobs", str(10**6))
@@ -434,7 +435,7 @@ def test_verify_builds_the_primes_once(monkeypatch, capsys, listing):
 def test_verify_all_fans_out_once(monkeypatch, capsys):
     from mhs import cli
 
-    argv = ["verify", "--suite", "all", "--pmin", "7", "--pmax", "31"]
+    argv = ["verify", "--suite", "all", "--pmin", "7", "--pmax", "199"]  # several chunks
     serial = run(capsys, *argv)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "seen", [])

@@ -5,14 +5,18 @@ wrote: stdout, then stderr (empty, since every case passes).  The cases
 cover every suite over the default range, a JSON sweep of all suites, the
 theorem's power pass beyond a = -6..6 and over a range without a = 1..3, a
 ``--claim`` selection at primes above 100, and the corollaries at a prime
-of two blocks.
+of two blocks.  A JSON sweep of several chunks of primes is pinned by its
+length and sha256, as the context of one prime at a time wrote it.
 """
 
+import hashlib
 import pathlib
 
 import pytest
 
 from mhs.cli import main
+from mhs.congruences import prime_chunks
+from mhs.residues import primes_in_range
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -25,7 +29,7 @@ CASES = {
         "--suite", "congruences", "--claim", "S:2,1", "--claim", "H:1,2",
         "--pmin", "101", "--pmax", "103", "--format", "json",
     ],
-    # a = 1..3 lie outside the range, so their power sums come from passes of their own
+    # a = 1..3 lie outside the range: the range's power pass forms them too
     "theorem_negative": [
         "--suite", "theorem", "--amin", "-9", "--amax", "-7", "--pmin", "7", "--pmax", "61",
     ],
@@ -45,3 +49,17 @@ def test_verify_matches_golden(capsys, name):
     assert captured.err == ""
     golden = GOLDEN / f"verify_{name}.{'json' if 'json' in argv else 'txt'}"
     assert captured.out + captured.err == golden.read_text(encoding="utf-8")
+
+
+# (bytes, sha256) of `verify --suite all --pmin 7 --pmax 199 --format json`
+SWEEP_7_199 = (336022, "961fbe0939a82deee9bbfd41b37f0a7ccca2f70c4d9003db5c4bc53e93896f47")
+
+
+def test_a_sweep_of_several_chunks_matches_its_digest(capsys):
+    assert len(prime_chunks(primes_in_range(7, 199))) > 1
+    code = main(["verify", "--suite", "all", "--pmin", "7", "--pmax", "199", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    out = captured.out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == SWEEP_7_199

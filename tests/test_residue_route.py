@@ -229,7 +229,7 @@ def _interleaved_schedule():
 def test_residue_table_matches_exact_interleaved():
     exact = {p: _exact_tables(p) for p in TABLE_PRIMES}
     for p, e in _interleaved_schedule():
-        prime_context(p, e).product_sums.clear()  # recompute from the rows
+        prime_context(p, e).product_sums[p].clear()  # recompute from the rows
         mhs, sums = exact[p]
         for s in SHAPES:
             assert mhs_mod(s, p, e) == reduce_mod(mhs[s], p, e), (s, p, e)
@@ -361,7 +361,17 @@ def _reference_power_sum(a: int, p: int, mod: int) -> int:
 
 
 KERNEL_PARTITIONS = [lam for w in range(1, 6) for lam in partitions_of(w)] + [(3, 2, 1)]
-KEPT = {"p", "mod", "mhs_sums", "product_sums", "power_sums", "_held"}
+KEPT = {
+    "primes",
+    "top",
+    "mhs_sums",
+    "product_sums",
+    "power_sums",
+    "binomial_values",
+    "invariants",
+    "weights",
+    "_held",
+}
 
 
 @pytest.mark.parametrize("p", [7, 11, 101])
@@ -379,20 +389,21 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
         # Fresh contexts, filled in other orders and batches, keep only sums
         # and the inverses of the one block their last pass reached.
-        ascending, batched = congruences.PrimeContext(p, mod), congruences.PrimeContext(p, mod)
+        top = max(e, 6)
+        ascending, batched = congruences.PrimeContext((p,), top), congruences.PrimeContext((p,), top)
         batched.sum_powers(range(-8, 9))
         for lam in reversed(KERNEL_PARTITIONS):
-            assert batched.product_sum(lam) == products[lam], (lam, p, e)
+            assert batched.product_sum(lam, p) == products[lam], (lam, p, e)
         for lam in KERNEL_PARTITIONS:
-            assert ascending.product_sum(lam[::-1]) == products[lam], (lam, p, e)
+            assert ascending.product_sum(lam[::-1], p) == products[lam], (lam, p, e)
         for a in range(-8, 9):
-            assert ascending.power_sum(a) == batched.power_sum(a) == powers[a], (a, p, e)
+            assert ascending.power_sum(a, p) == batched.power_sum(a, p) == powers[a], (a, p, e)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
             start, inverses = context._held
             assert inverses == [pow(k, -1, mod) for k in range(start, start + len(inverses))]
             assert 1 <= len(inverses) <= 10
-            sums = [*context.product_sums.values(), *context.power_sums.values()]
+            sums = [*context.product_sums[p].values(), *context.power_sums[p].values()]
             assert all(type(total) is int for total in sums)
 
 
@@ -406,7 +417,7 @@ def test_a_heavy_product_sum_sums_its_partition_alone(lam):
     for e in (1, 6):
         assert homogeneous_product_sum_mod(lam, p, e) == reduce_mod(total, p, e).value, e
         assert homogeneous_product_sum_mod(lam[::-1], p, e) == reduce_mod(total, p, e).value, e
-    assert set(prime_context(p).product_sums) == {(), lam}
+    assert set(prime_context(p).product_sums[p]) == {(), lam}
 
 
 @pytest.mark.parametrize("p", [7, 101])
@@ -414,7 +425,8 @@ def test_inverse_power_tables_are_the_powers_of_the_inverses(monkeypatch, p):
     monkeypatch.setattr(congruences, "_BLOCK", 16)
     mod = p**6
     covered = []
-    for start, inverses in congruences.PrimeContext(p, mod)._blocks():
+    for start, inverses, *block in congruences.PrimeContext((p,))._blocks({p - 1: p}):
+        assert block == [mod, p, None if start + len(inverses) < p else p]  # Z/p^6, P = p
         assert inverses == [pow(k, -1, mod) for k in range(start, start + len(inverses))]
         covered += range(start, start + len(inverses))
     assert covered == list(range(1, p))
@@ -431,7 +443,7 @@ def test_single_binomial_at_a_1_runs_no_product():
     claim = next(c for c in CAI_GRANVILLE_CLAIMS if c.claim_id.endswith(":a=1"))
     result = claim.check(101)
     assert result.passed and result.rhs == 0
-    assert "binomials" not in vars(prime_context(101))  # a product scaled by a - 1 = 0
+    assert 101 not in prime_context(101).binomial_values  # a product scaled by a - 1 = 0
 
 
 def test_binomials_without_comb_match_comb():
@@ -505,17 +517,17 @@ def test_power_sums_refuse_p_2():
     context = prime_context(2)  # admitted: mhs_mod and the product sums hold at p = 2
     for a in (0, 1, 2, -1):
         with pytest.raises(ValueError, match="p = 2"):
-            context.power_sum(a)
+            context.power_sum(a, 2)
     with pytest.raises(ValueError, match="p = 2"):
         context.sum_powers(range(-6, 7))
-    assert context.power_sums == {}
+    assert context.power_sums == {2: {}}
 
 
 @pytest.mark.parametrize("p, sums", [(3, (3, 0, 6, 366)), (5, (5, 0, 70, 5210))])
 def test_power_sums_at_the_odd_primes_below_7(p, sums):
     """sum_k u_k^a at a = 0, 1, 2, -1 modulo p^6, below the claims' primes."""
-    context = congruences.PrimeContext(p, p**6)
-    assert tuple(context.power_sum(a) for a in (0, 1, 2, -1)) == sums
+    context = congruences.PrimeContext((p,))
+    assert tuple(context.power_sum(a, p) for a in (0, 1, 2, -1)) == sums
     assert sums == tuple(_reference_power_sum(a, p, p**6) for a in (0, 1, 2, -1))
 
 
@@ -527,17 +539,17 @@ def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
     for k in range(1, p):
         full.append(full[-1] * (1 - p * pow(k, -1, mod)) % mod)
     assert full == full[::-1]  # u_(p-1-k) = u_k: the half the passes run is all of it
-    context = congruences.PrimeContext(p, mod)
+    context = congruences.PrimeContext((p,))
     units, inverted = [1], [1]
-    for start, inverses in context._blocks((p - 1) // 2):  # as a pass carries the units
-        half = congruences._half_units(inverses, start, p, units[-1], mod)
+    for _, inverses, _, lift, _ in context._blocks({(p - 1) // 2: p}):  # as the pass does
+        half = congruences._half_units(inverses, lift, units[-1], mod)
         units += half[0]
         inverted += half[1]
     assert units == full[: (p + 1) // 2]
     assert inverted == [pow(u, -1, mod) for u in units]
     context.sum_powers(range(-6, 7))
     for a in range(-6, 7):
-        assert context.power_sum(a) == _reference_power_sum(a, p, mod), (a, p)
+        assert context.power_sum(a, p) == _reference_power_sum(a, p, mod), (a, p)
 
 
 def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch):
@@ -551,11 +563,9 @@ def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch
     assert all(r.passed for r in check_at(claims, p))
     half_units = congruences._half_units
 
-    def without_the_middle(inverses, start, p, carry, mod):
-        units, inverted = half_units(inverses, start, p, carry, mod)
-        if start <= (p - 1) // 2 < start + len(inverses):
-            return units[:-1], inverted[:-1]
-        return units, inverted
+    def without_the_middle(inverses, lift, carry, mod):
+        units, inverted = half_units(inverses, lift, carry, mod)
+        return units[:-1], inverted[:-1]  # p < _BLOCK: one block, which ends at the middle
 
     monkeypatch.setattr(congruences, "_local", threading.local())
     monkeypatch.setattr(congruences, "_half_units", without_the_middle)
@@ -564,17 +574,50 @@ def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch
     assert not any(r.passed for r in results)
 
 
-def test_verify_builds_one_context_per_prime(monkeypatch, capsys):
-    prime_context(97)  # no context of a prime in the run is held
-    built = []
+def test_verify_builds_one_context_per_chunk(monkeypatch, capsys):
+    """Each prime of a run lies in exactly one chunk, and each pass runs once per chunk."""
+    built, passes = [], []
 
     class Counting(congruences.PrimeContext):
-        def __init__(self, p, mod):
-            built.append(p)
-            super().__init__(p, mod)
+        def __init__(self, primes, top=6):
+            built.append(primes)
+            super().__init__(primes, top)
+
+        def _sum_harmonic(self, compositions, partitions):
+            passes.append(("harmonic", self.primes))
+            super()._sum_harmonic(compositions, partitions)
+
+        def _sum_powers(self, exponents):
+            passes.append(("powers", self.primes))
+            super()._sum_powers(exponents)
+
+        def _sum_binomials(self):
+            passes.append(("binomials", self.primes))
+            super()._sum_binomials()
 
     monkeypatch.setattr(congruences, "PrimeContext", Counting)
-    code = cli.main(["verify", "--suite", "all", "--pmin", "7", "--pmax", "61"])
+    code = cli.main(["verify", "--suite", "all", "--pmin", "7", "--pmax", "199"])
     assert code == 0
-    assert capsys.readouterr().out.endswith("951/951 checks passed\n")
-    assert built == primes_in_range(7, 61)
+    assert capsys.readouterr().out.endswith("2659/2659 checks passed\n")
+    assert [p for chunk in built for p in chunk] == primes_in_range(7, 199)
+    assert built == congruences.prime_chunks(primes_in_range(7, 199)) and len(built) > 2
+    assert all(list(chunk) == sorted(set(chunk)) for chunk in built)
+    names = ("harmonic", "powers", "binomials")
+    assert sorted(passes) == sorted((name, chunk) for chunk in built for name in names)
+
+
+def test_a_theorem_range_without_1_to_3_runs_one_power_pass_per_chunk(monkeypatch):
+    """The single-binomial claims read a = 1, 2, 3 from the pass of the theorem's range."""
+    runs = []
+    real = congruences.PrimeContext._sum_powers
+
+    def counting(self, exponents):
+        runs.append((self.primes, frozenset(exponents)))
+        return real(self, exponents)
+
+    monkeypatch.setattr(congruences.PrimeContext, "_sum_powers", counting)
+    argv = ["verify", "--suite", "theorem", "--amin", "-9", "--amax", "-7"]
+    assert cli.main([*argv, "--pmin", "7", "--pmax", "199"]) == 0
+    chunks = congruences.prime_chunks(primes_in_range(7, 199))
+    assert len(chunks) > 1
+    assert runs == [(chunk, frozenset({-9, -8, -7, 1, 2, 3})) for chunk in chunks]
