@@ -146,10 +146,6 @@ def _fan_out(worker, items, jobs: int) -> list:
 def _cmd_verify(args) -> int:
     from . import registry
 
-    if args.pmin <= 5:
-        raise ValueError("pmin must be > 5")
-    if args.pmin > args.pmax:
-        raise ValueError("pmin must not exceed pmax")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
 

@@ -15,8 +15,9 @@ identities.  Every residue value at a prime is read from one PrimeContext,
 which this thread keeps until a prime outside it or another modulus is asked
 for.  A context holds an ascending chunk of primes (a sweep's primes, cut by
 prime_chunks; one prime for the public functions), and forms each sum for
-all of them in one pass over k modulo the product of their p^6, in blocks of
-bounded length that share only the block's inverses 1/k.  A separate
+all of them in one pass over k in blocks of bounded length, modulo the
+product of p^6 over the primes the pass has yet to read.  The passes share
+only the inverses 1/k of the chunk's first block.  A separate
 symbolic cross-derivation re-obtains the weight <= 3 sum rows by
 substituting the base congruences into the closed-form summation
 identities, with explicit error-term bookkeeping.
@@ -28,7 +29,7 @@ import operator
 import threading
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import inf
+from math import inf, prod
 from typing import Iterable, NamedTuple
 
 from .algebra import NPolynomial
@@ -88,15 +89,15 @@ class PrimeContext:
     Every check at p modulo p^e reads p's values through Z/p^top -> Z/p^e.
     Each value is a sum over k < p (k <= (p-1)/2 for the power sums), and a
     pass forms it for every prime of the chunk at once: it walks k once, up
-    to the largest prime's range, in Z/M with M = prod p^top over the
-    primes above k, and with their CRT lift P = p (mod p^top) in place of
-    p.  At k = p - 1 (k = (p-1)/2 in the power pass) it reads p's sums
-    modulo p^top, and from k = p on p^top is out of M, so every k is a
-    unit.  The passes run in blocks of at most _BLOCK entries (see
-    :meth:`_blocks`), share a block's inverses 1/k, and carry from block to
-    block only the last entry of each running row and its sums.  A chunk
-    of one prime p works modulo p^top with P = p, as a context of one prime
-    did.  Three passes fill the context, each on a first miss:
+    to the largest prime's range, in Z/M with the CRT lift P = p (mod
+    p^top) in place of p.  At k = p - 1 (k = (p-1)/2 in the power pass) it
+    reads p's sums modulo p^top, and p leaves M and P right after the block
+    that reads it, so M = prod p^top over the primes not yet read and every
+    k is a unit.  The passes run in blocks of at most _BLOCK entries (see
+    :meth:`_blocks`), share the first block's inverses 1/k, and carry from
+    block to block only the last entry of each running row and its sums.
+    A chunk of one prime p works modulo p^top with P = p.  Three passes
+    fill the context, each on a first miss:
 
     * harmonic: H_{p-1}(s) of the base claims and the product sums of every
       partition of weight <= 5, which share the rows H_k({1}^j) and k^(-s);
@@ -122,44 +123,37 @@ class PrimeContext:
         self.binomial_values: dict = {}  # p -> (F_1, F_2, central)
         self.invariants: dict = {}  # p -> X mod p^2
         self.weights: dict = {}  # p -> the expansion weights
-        self._held: tuple = (0, [])  # (start, inverses) of the block a pass reached last
+        mod = self.mod = prod(p**top for p in primes)  # M; the CRT lift P is p mod each p^top
+        self.lift = sum(p * (m := mod // p**top) * pow(m, -1, p**top) for p in primes) % mod
+        self._first: list = []  # 1/k mod M over the first block, once a pass has built it
 
     def _blocks(self, reads: dict):
         """(start, inverses, mod, lift, read) for the blocks of a pass over k = 1..max(reads).
 
         ``reads`` maps each k at which the pass reads a prime's sums to that
-        prime, and ``read`` is the prime whose sums the block completes, or
-        None.  inverses = [1/k mod M], M = prod p^top over the primes above
-        start and lift = P their CRT lift, so every k of the block is a unit.
-        A block ends after _BLOCK entries, at each k = p - 1 and at each read
-        but the last.  Its inverses are held until a pass reaches another
-        block, so a prime of one block inverts 1..p-1 once.  Every pass
-        starts at k = 1, so no other block can be shared, and a later block
-        also ends at k = max(reads); the pass gets inverses up to there.
+        prime, in ascending order, and ``read`` is the prime whose sums the
+        block completes, or None.  A block ends at each read and after
+        _BLOCK entries.  inverses = [1/k mod M] and lift = P for M = prod
+        p^top over the primes not yet read: a prime leaves M right after
+        the block that reads it, so every k of a block is a unit.  The first
+        block, k = 1..min(_BLOCK, p_1 - 1) modulo the whole M, is inverted
+        once for all passes, and each takes a prefix of it; every later
+        block is inverted by the pass that walks it.
         """
-        primes, top = self.primes, self.top
-        last = max(reads)
-        ends = sorted({k for k in reads if k < last} | {p - 1 for p in primes})
-        mod, lift = 1, 0
-        for p in primes:  # P = p mod p^top, one prime at a time
-            power = p**top
-            lift += mod * ((p - lift) * pow(mod, -1, power) % power)
-            mod *= power
-        start, low = 1, 0  # primes[low] is the least prime above start
-        for end in ends:
-            while start <= min(end, last):
-                while primes[low] <= start:  # no pass reads it any more
-                    mod //= primes[low] ** top
-                    lift %= mod
-                    low += 1
+        mod, lift, start = self.mod, self.lift, 1
+        for end, p in reads.items():
+            while start <= end:
                 stop = min(start + _BLOCK, end + 1)
                 if start > 1:
-                    stop = min(stop, last + 1)
-                if self._held[0] != start or len(self._held[1]) != stop - start:
-                    self._held = start, batch_inverse(range(start, stop), mod)
-                inverses = self._held[1][: last + 1 - start]
-                yield start, inverses, mod, lift, reads.get(start + len(inverses) - 1)
+                    inverses = batch_inverse(range(start, stop), mod)
+                else:  # a prefix of the first block, built again if _BLOCK has grown since
+                    if len(self._first) < stop - 1:
+                        self._first = batch_inverse(range(1, min(_BLOCK + 1, self.primes[0])), mod)
+                    inverses = self._first[: stop - 1]
+                yield start, inverses, mod, lift, p if stop > end else None
                 start = stop
+            mod //= p**self.top
+            lift %= mod
 
     def mhs(self, s: tuple, p: int) -> int:
         """H_{p-1}(s); the empty composition gives 1.

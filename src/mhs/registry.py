@@ -63,7 +63,8 @@ def select(suite: str, claim_ids, ranges) -> tuple[list[tuple[Suite, tuple]], li
 
     ``suite`` may be "all".  Given ``claim_ids``, each suite keeps only those
     claims and is dropped if none is left; an id that no selected suite owns
-    raises ValueError.  So does an empty range that a selected suite reads.
+    raises ValueError.  So does an empty range that a selected suite reads,
+    and a prime window with pmin at most 5 or above pmax.
     """
     chosen = [(s, s.claims(ranges)) for s in SUITES if suite in ("all", s.name)]
     if claim_ids:
@@ -72,10 +73,15 @@ def select(suite: str, claim_ids, ranges) -> tuple[list[tuple[Suite, tuple]], li
         if missing:
             raise ValueError(f"unknown claim ids: {sorted(missing)}")
         chosen = [(s, claims) for s, claims in chosen if claims]
-    reads = "".join(s.reads for s, _ in chosen)
-    primes = primes_in_range(ranges.pmin, ranges.pmax) if "p" in reads else []
-    if "p" in reads and not primes:
-        raise ValueError(f"no primes in [{ranges.pmin}, {ranges.pmax}]")
+    reads, primes = "".join(s.reads for s, _ in chosen), []
+    if "p" in reads:
+        if ranges.pmin <= 5:
+            raise ValueError("pmin must be > 5")
+        if ranges.pmin > ranges.pmax:
+            raise ValueError("pmin must not exceed pmax")
+        primes = primes_in_range(ranges.pmin, ranges.pmax)
+        if not primes:
+            raise ValueError(f"no primes in [{ranges.pmin}, {ranges.pmax}]")
     if "n" in reads and ranges.nmax < 1:
         raise ValueError("--nmax must be >= 1")
     if "a" in reads and ranges.amin > ranges.amax:

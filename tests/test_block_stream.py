@@ -131,24 +131,76 @@ def test_stream_matches_whole_rows_off_the_claims(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", [2, 5, 1 << 14])
-def test_each_block_works_modulo_the_primes_above_its_start(monkeypatch, block):
-    """M is prod p^6 over the chunk's primes above the block's start, P their CRT lift."""
+def test_each_block_works_modulo_the_primes_not_yet_read(monkeypatch, block):
+    """M is prod p^6 over the primes read at or after the block's last k, P their CRT lift."""
     monkeypatch.setattr(congruences, "_BLOCK", block)
     chunk = (7, 11, 13, 29, 31)
     context = PrimeContext(chunk)
     for reads in ({p - 1: p for p in chunk}, {(p - 1) // 2: p for p in chunk}):
         covered = []
         for start, inverses, mod, lift, read in context._blocks(reads):
-            assert read == reads.get(start + len(inverses) - 1), (start, reads)
-            above = [p for p in chunk if p > start]
-            assert mod == prod(p**6 for p in above), (start, reads)
-            assert 0 <= lift < mod and all(lift % p**6 == p for p in above), (start, reads)
-            assert inverses == [pow(k, -1, mod) for k in range(start, start + len(inverses))]
-            assert start == 1 or context._held[1] == inverses  # none inverted past max(reads)
-            covered += range(start, start + len(inverses))
+            last = start + len(inverses) - 1
+            assert read == reads.get(last), (start, reads)
+            assert read is not None or len(inverses) == block  # it ends at a read or when full
+            unread = [p for k, p in reads.items() if k >= last]
+            assert mod == prod(p**6 for p in unread), (start, reads)
+            assert 0 <= lift < mod and all(lift % p**6 == p for p in unread), (start, reads)
+            assert inverses == [pow(k, -1, mod) for k in range(start, last + 1)]
+            assert start > 1 or inverses == context._first[: len(inverses)]  # a prefix of it
+            covered += range(start, last + 1)
         assert covered == list(range(1, max(reads) + 1))
         read = [p for *_, p in context._blocks(reads) if p is not None]
         assert read == list(chunk)  # each prime once, where a block ends
+    assert len(context._first) == min(block, chunk[0] - 1)
+
+
+# One pass of each kind, as the first claim of --suite all, theorem and corollary asks.
+PASSES = {
+    "harmonic": lambda context: context.mhs(BASE_CLAIMS[0].target, context.primes[0]),
+    "power": lambda context: context.sum_powers(EXPONENTS),
+    "binomial": lambda context: context.binomials(context.primes[0]),
+}
+
+
+@pytest.mark.parametrize(
+    "chunk",
+    [(101,), (10007,), (16411,), (9973, 10007, 10009)],
+    ids=["101", "10007", "16411", "9973-10009"],
+)
+def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, chunk):
+    """Every pass takes a prefix of the one first block; p = 16411 is two blocks."""
+    firsts = []
+
+    def recording(values, mod, real=congruences.batch_inverse):
+        values = list(values)
+        if values == list(range(1, len(values) + 1)):  # 1/k over a block from k = 1
+            firsts.append((len(values), mod))
+        return real(values, mod)
+
+    monkeypatch.setattr(congruences, "batch_inverse", recording)
+    oracle = {p: _whole_values(p, p**6) for p in chunk}
+    order = list(PASSES)
+    for i in range(len(order)):
+        firsts.clear()
+        context = PrimeContext(chunk)
+        for name in order[i:] + order[:i]:
+            PASSES[name](context)
+        for p in chunk:
+            assert _streamed_values(context, p) == oracle[p], (order[i], p)
+        first = min(congruences._BLOCK, chunk[0] - 1)
+        assert firsts == [(first, prod(p**6 for p in chunk))], order[i]
+
+
+def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypatch):
+    """A context held over a change of _BLOCK does not pass a short first block off as whole."""
+    p = 101
+    context = PrimeContext((p,))
+    with monkeypatch.context() as patched:
+        patched.setattr(congruences, "_BLOCK", 4)
+        context.sum_powers(EXPONENTS)
+    assert len(context._first) == 4
+    assert _streamed_values(context, p) == _whole_values(p, p**6)
+    assert len(context._first) == p - 1
 
 
 @pytest.mark.parametrize("chunk", [(11, 7), (7, 7), (7, 11, 11, 13)])

@@ -232,12 +232,21 @@ def test_verify_refuses_vacuous_runs(capsys, argv):
         (["--suite", "identities", "--nmax", "0"], "--nmax must be >= 1"),
         (["--suite", "congruences", "--pmin", "24", "--pmax", "28"], "no primes in [24, 28]"),
         (["--suite", "theorem", "--amin", "3", "--amax", "1"], "--amin must not exceed --amax"),
+        (["--suite", "corollary", "--pmin", "3", "--pmax", "11"], "pmin must be > 5"),
+        (["--suite", "congruences", "--pmin", "13", "--pmax", "11"], "pmin must not exceed pmax"),
     ],
 )
 def test_verify_list_is_refused_with_the_run(capsys, argv, message):
     for listing in ([], ["--list"]):
         code, out, err = run(capsys, "verify", *listing, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("window", [["--pmin", "3"], ["--pmin", "13", "--pmax", "11"]])
+def test_verify_a_suite_without_primes_ignores_the_prime_window(capsys, window):
+    code, out, err = run(capsys, "verify", "--suite", "staver", "--nmax", "5", *window)
+    assert (code, err) == (0, "")
+    assert out.endswith("5/5 checks passed\n")
 
 
 @pytest.mark.parametrize(

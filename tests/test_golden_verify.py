@@ -4,8 +4,8 @@ Each golden file ``tests/golden/verify_<name>.<ext>`` holds what the command
 wrote: stdout, then stderr (empty, since every case passes).  The cases
 cover every suite over the default range, a JSON sweep of all suites, the
 theorem's power pass beyond a = -6..6 and over a range without a = 1..3, a
-``--claim`` selection at primes above 100, and the corollaries at a prime
-of two blocks.  A JSON sweep of several chunks of primes is pinned by its
+``--claim`` selection at primes above 100, and the corollaries and the
+theorem at a prime of two blocks.  A JSON sweep of several chunks of primes is pinned by its
 length and sha256, as the context of one prime at a time wrote it.
 """
 
@@ -36,6 +36,10 @@ CASES = {
     # p > 2^14: Wolstenholme's product and the central-binomial sum run over two blocks
     "corollary_two_blocks_json": [
         "--suite", "corollary", "--pmin", "16411", "--pmax", "16411", "--format", "json",
+    ],
+    # the power pass runs first and builds the first block, which the later passes share
+    "theorem_two_blocks_json": [
+        "--suite", "theorem", "--pmin", "16411", "--pmax", "16411", "--format", "json",
     ],
 }
 

@@ -326,8 +326,7 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     assert harmonic == [(len(BASE_CLAIMS), len(congruences.PARTITIONS))]
     # 1/k for every pass, and the half units' inverses: once for every e at p
     assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6)]
-    start, inverses = prime_context(p)._held
-    assert start == 1 and len(inverses) == p - 1
+    assert len(prime_context(p)._first) == p - 1
 
 
 def _reference_rows(p: int, mod: int, depth: int) -> list[list[int]]:
@@ -370,7 +369,9 @@ KEPT = {
     "binomial_values",
     "invariants",
     "weights",
-    "_held",
+    "mod",
+    "lift",
+    "_first",
 }
 
 
@@ -387,8 +388,8 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert homogeneous_product_sum_mod(lam, p, e) == expected % p**e, (lam, p, e)
         for a, expected in powers.items():
             assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
-        # Fresh contexts, filled in other orders and batches, keep only sums
-        # and the inverses of the one block their last pass reached.
+        # Fresh contexts, filled in other orders and batches, keep only sums,
+        # M, the lift and the inverses of their first block.
         top = max(e, 6)
         ascending, batched = congruences.PrimeContext((p,), top), congruences.PrimeContext((p,), top)
         batched.sum_powers(range(-8, 9))
@@ -400,9 +401,7 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert ascending.power_sum(a, p) == batched.power_sum(a, p) == powers[a], (a, p, e)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
-            start, inverses = context._held
-            assert inverses == [pow(k, -1, mod) for k in range(start, start + len(inverses))]
-            assert 1 <= len(inverses) <= 10
+            assert context._first == [pow(k, -1, mod) for k in range(1, min(10, p - 1) + 1)]
             sums = [*context.product_sums[p].values(), *context.power_sums[p].values()]
             assert all(type(total) is int for total in sums)
 
