@@ -22,11 +22,12 @@ the same values after checking p, and return them as PResidue.
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
 C(ap-2, p-1) congruence modulo p^4.  At p, with F_c = prod_{m<p} (1 + cp/m),
-C(2p-1, p-1) = F_1 and C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); the context of
-p forms F_1 and F_2 in the pass of the central-binomial sum, so no per-prime
-check calls ``math.comb``; the exact functions still do.  The Staver claims
-compare integers over L_n = lcm(1..n), carrying the left side from n to
-n + 1; ``staver_identity_holds`` keeps the Fraction route as their oracle.
+C(2p-1, p-1) = F_1 and C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); the context
+of p forms F_1 and F_2 from the rows H({1}^j) that the congruence claims
+also read, so no per-prime check calls ``math.comb``; the exact functions
+still do.  The Staver claims compare integers over L_n = lcm(1..n),
+carrying the left side from n to n + 1; ``staver_identity_holds`` keeps the
+Fraction route as their oracle.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     """(lhs, rhs) of the central-binomial congruence, both in Z / p^4.
 
     The left side streams C(2k,k) by the unit factor 2(2k-1)/k in the
-    binomial pass of the context of p, so no step divides by p; the right
+    harmonic pass of the context of p, so no step divides by p; the right
     side needs only X modulo p^2.
     """
     require_admissible(p)
@@ -223,6 +224,7 @@ class BinomialClaim(NamedTuple):
     claim_id: str
     exponent: int
     sides: Callable[[int], tuple[int, int]]
+    harmonic: str = ""  # the group of PrimeContext's harmonic pass that ``sides`` reads
 
     check = check_residues
 
@@ -245,7 +247,7 @@ _SINGLE_EXPONENTS = (1, 2, 3)  # the a of the C(ap-2, p-1) claims
 
 
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
-    # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial pass runs
+    # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial is read
     context, mod = prime_context(p, 4), p**4
     context.sum_powers(_SINGLE_EXPONENTS)  # a pass for the theorem's range formed them
     rhs = (a - 1) * p * context.binomials(p)[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
@@ -266,11 +268,11 @@ def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
     exponents = range(amin, amax + 1)
     wanted = frozenset(exponents).union(_SINGLE_EXPONENTS)
     claims = [
-        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides)
+        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides, harmonic)
         for a in exponents
-        for route, sides in (
-            ("", partial(_closed_form_sides, a, wanted)),
-            ("-expansion", partial(_expansion_sides, a, _expansion_terms(a))),  # built once
+        for route, sides, harmonic in (
+            ("", partial(_closed_form_sides, a, wanted), ""),
+            ("-expansion", partial(_expansion_sides, a, _expansion_terms(a)), "sum"),  # built once
         )
     ]
     claims += [
@@ -282,13 +284,13 @@ def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
 
 
 CAI_GRANVILLE_CLAIMS = tuple(
-    BinomialClaim(f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a))
-    for a in _SINGLE_EXPONENTS
+    BinomialClaim(f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a), read)
+    for a, read in zip(_SINGLE_EXPONENTS, ("", "binomials", "binomials"))  # a = 1 reads no F_c
 )
 
 COROLLARY_CLAIMS = (
-    BinomialClaim("central-binomial-sum", 4, central_binomial_sum_mod),
-    BinomialClaim("wolstenholme", 3, _wolstenholme_sides),
+    BinomialClaim("central-binomial-sum", 4, central_binomial_sum_mod, "binomials"),
+    BinomialClaim("wolstenholme", 3, _wolstenholme_sides, "binomials"),
 )
 
 

@@ -16,8 +16,8 @@ which this thread keeps until a prime outside it or another modulus is asked
 for.  A context holds an ascending chunk of primes (a sweep's primes, cut by
 prime_chunks; one prime for the public functions), and forms each sum for
 all of them in one pass over k in blocks of bounded length, modulo the
-product of p^6 over the primes the pass has yet to read.  The passes share
-only the inverses 1/k of the chunk's first block.  A separate
+product of p^6 over the primes the pass has yet to read.  Its two passes
+share only the inverses 1/k of the chunk's first block.  A separate
 symbolic cross-derivation re-obtains the weight <= 3 sum rows by
 substituting the base congruences into the closed-form summation
 identities, with explicit error-term bookkeeping.
@@ -90,31 +90,28 @@ class PrimeContext:
     Each value is a sum over k < p (k <= (p-1)/2 for the power sums), and a
     pass forms it for every prime of the chunk at once: it walks k once, up
     to the largest prime's range, in Z/M with the CRT lift P = p (mod
-    p^top) in place of p.  At k = p - 1 (k = (p-1)/2 in the power pass) it
-    reads p's sums modulo p^top, and p leaves M and P right after the block
-    that reads it, so M = prod p^top over the primes not yet read and every
-    k is a unit.  The passes run in blocks of at most _BLOCK entries (see
-    :meth:`_blocks`), share the first block's inverses 1/k, and carry from
-    block to block only the last entry of each running row and its sums.
-    A chunk of one prime p works modulo p^top with P = p.  Three passes
-    fill the context, each on a first miss:
+    p^top) in place of p, and reads p's sums modulo p^top at k = p - 1
+    (k = (p-1)/2 in the power pass).  The passes run in blocks of at most
+    _BLOCK entries, each modulo the primes not yet read (see :meth:`_blocks`),
+    share the first block's inverses 1/k, and carry from block to block only
+    the last entry of each running row and its sums.  A chunk of one prime p
+    works modulo p^top with P = p.  X and the expansion weights
+    (-p)^|lam| * S(lam) are formed per prime, once each.  Two passes fill the
+    context, each on a first miss:
 
-    * harmonic: H_{p-1}(s) of the base claims and the product sums of every
-      partition of weight <= 5, which share the rows H_k({1}^j) and k^(-s);
+    * harmonic: the groups "mhs" (H_{p-1}(s) of the base claims), "sum" (the
+      product sums of every partition of weight <= 5) and "binomials", which
+      share the rows H_k({1}^j) and k^(-s).  A miss forms its group and
+      those in ``harmonic``: a sweep's chunk names what its claims read (see
+      :func:`check_chunk`), any other context all three;
     * powers: sum_k u_k^a over the units u_k = (-1)^k C(p-1, k), for the
-      wanted a, from each block's half units;
-    * binomials: the step products and the central-binomial sum.
-
-    A product row is its prefix's row times one row H({1}^j), and H_{p-1}(s)
-    is the row of s[:-1] against the table k^(-s_d), so no row of s itself
-    is built.  X and the weights (-p)^|lam| * S(lam) of the partition
-    expansion are formed per prime, once each.
+      wanted a, from each block's half units.
     """
 
-    def __init__(self, primes: tuple[int, ...], top: int = 6):
+    def __init__(self, primes: tuple[int, ...], top: int = 6, harmonic=("mhs", "sum", "binomials")):
         if list(primes) != sorted(set(primes)):  # the passes read the primes in this order
             raise ValueError(f"a chunk's primes must ascend, got {primes}")
-        self.primes, self.top = primes, top
+        self.primes, self.top, self.harmonic = primes, top, frozenset(harmonic)
         # per prime: composition -> H_{p-1}(s), the empty one 1; partition ->
         # its sum, the empty one p - 1 ones; a -> sum_k u_k^a
         self.mhs_sums: dict = {p: {(): 1} for p in primes}
@@ -158,19 +155,15 @@ class PrimeContext:
     def mhs(self, s: tuple, p: int) -> int:
         """H_{p-1}(s); the empty composition gives 1.
 
-        A miss on a base claim's composition forms every base claim's value
-        and every product sum of weight <= 5 in one harmonic pass; any other
-        miss forms s alone.
+        A miss on a base claim's composition forms every base claim's value,
+        and the groups the context wants, in one harmonic pass; any other miss
+        forms s alone.
         """
         sums = self.mhs_sums[p]
-        if s not in sums:
-            if s in _BASE_TARGETS:
-                self._sum_harmonic(
-                    [t for t in _BASE_TARGETS if t not in sums],
-                    [lam for lam in PARTITIONS if lam not in self.product_sums[p]],
-                )
-            else:
-                self._sum_harmonic([s], [])
+        if s in _BASE_TARGETS and s not in sums:
+            self._sum_wanted("mhs", p)
+        elif s not in sums:
+            self._sum_harmonic([s], [], False)
         return sums[s]
 
     def invariant(self, p: int) -> int:
@@ -183,7 +176,7 @@ class PrimeContext:
         """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), for parts lam_i >= 1 in any order.
 
         A miss of weight at most 5 sums every partition of weight at most 5
-        in one harmonic pass; a heavier miss sums lam alone.  A part below 1
+        as :meth:`mhs` does; a heavier miss sums lam alone.  A part below 1
         raises ValueError.
         """
         sums = self.product_sums[p]
@@ -193,42 +186,62 @@ class PrimeContext:
                 if lam[-1] < 1:  # the pass forms no such partition
                     raise ValueError(f"partition parts must be >= 1, got {lam[-1]}")
                 if lam in PARTITIONS:
-                    self._sum_harmonic([], [x for x in PARTITIONS if x not in sums])
+                    self._sum_wanted("sum", p)
                 else:
-                    self._sum_harmonic([], [lam])
+                    self._sum_harmonic([], [lam], False)
         return sums[lam]
 
-    def _sum_harmonic(self, compositions: list, partitions: list) -> None:
-        """One pass forming H_{p-1}(s) for each composition and the product sum of each partition.
+    def binomials(self, p: int) -> tuple[int, int, int]:
+        """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo p^top, F_c = prod_{m<p} (1 + cp/m)."""
+        if p not in self.binomial_values:
+            self._sum_wanted("binomials", p)
+        return self.binomial_values[p]
+
+    def _sum_wanted(self, group: str, p: int) -> None:
+        """One harmonic pass forming what p misses of ``group`` and of the groups wanted."""
+        groups = self.harmonic | {group}
+        self._sum_harmonic(
+            [s for s in _BASE_TARGETS if s not in self.mhs_sums[p]] if "mhs" in groups else [],
+            [x for x in PARTITIONS if x not in self.product_sums[p]] if "sum" in groups else [],
+            "binomials" in groups and p not in self.binomial_values,
+        )
+
+    def _sum_harmonic(self, compositions: list, partitions: list, binomials: bool) -> None:
+        """One pass forming the H_{p-1}(s), the product sums and, if asked, the binomials.
 
         In each block the pass runs the rows [H_(start-1)(r), ..., H_(stop-1)(r)]
         of every r a value reads: the prefixes s[:-1] and the rows H({1}^j)
-        up to the largest part, with their own prefixes.  A row grows from
-        its prefix row times the table k^(-r_d), summed from its last entry
-        in the block before: whole-row passes with one reduction per entry.
-        H_{p-1}(s) is the last entry of the row of s when the pass runs one,
-        else the sum of the dot products of the row of s[:-1] with k^(-s_d).
-        A partition's row is its prefix's row times H({1}^last), formed only
-        for a prefix that a wanted partition extends; any other partition is
-        summed as a dot product.  Entry 0 of a row is k = start - 1, which the
-        block before summed.  A block ending at k = p - 1 completes p's sums.
+        up to the largest part (j = top - 1 for the binomials), with their own
+        prefixes.  A row grows from its prefix row times the table k^(-r_d),
+        summed from its last entry in the block before: whole-row passes with
+        one reduction per entry.  H_{p-1}(s) is the last entry of the row of s
+        when the pass runs one, else the sum of the dot products of the row of
+        s[:-1] with k^(-s_d).  A partition sums its largest part's row times
+        the row of the rest, which is formed only for a rest of a longer
+        wanted partition.  Entry 0 of a row is k = start - 1, which the block
+        before summed.  A block ending at k = p - 1 completes p's sums.  F_c
+        needs no row of its own: prod_{m<p} (1 + x/m) = sum_j x^j H_{p-1}({1}^j),
+        whose terms j >= top vanish mod p^top at x = cp.  C(2k, k) =
+        C(2k-2, k-1) * 2(2k-1)/k and its sum over 1/k run k by k.
         """
-        top = max((lam[0] for lam in partitions), default=0)
+        # the rows H({1}^j) run to the largest part, and to j = top - 1 for F_c
+        top = max([lam[0] for lam in partitions] + [self.top - 1] * binomials, default=0)
         tips = {s[:-1] for s in compositions} | {(1,) * top}
         carries = {r[:d]: 0 for r in tips for d in range(len(r) + 1)}  # H_(start-1)(r)
         carries[()] = 1
         grown = sorted(carries, key=len)[1:]  # prefixes first; the empty row is all ones
         dots = dict.fromkeys((s for s in compositions if s not in carries), 0)
         totals = dict.fromkeys(partitions, 0)
-        heads = sorted({lam[:d] for lam in partitions for d in range(2, len(lam))}, key=len)
+        rests = sorted({lam[d:] for lam in partitions for d in range(1, len(lam) - 1)}, key=len)
         reads = {p - 1: p for p in self.primes}
+        central, quotients = 1, 0  # C(2k, k) and sum_k C(2k, k)/k
 
         def power(t: int) -> list:  # k^-t per k, on first use: tables built ahead raise peak RSS
             while len(powers) <= t:
                 powers.append([x * y % mod for x, y in zip(powers[-1], powers[1])])
             return powers[t]
 
-        for _, inverses, mod, _, p in self._blocks(reads):
+        for start, inverses, mod, _, p in self._blocks(reads):
             powers = [None, inverses]
             rows = {(): [1] * (len(inverses) + 1)}
             for r in grown:
@@ -239,22 +252,30 @@ class PrimeContext:
             for s in dots:
                 dots[s] += sum(map(operator.mul, rows[s[:-1]], power(s[-1])))
             products = {(j,): rows[(1,) * j] for j in range(1, top + 1)}
-            for lam in heads:  # prefixes first
-                head, last = products[lam[:-1]], products[lam[-1:]]
-                products[lam] = [x * y % mod for x, y in zip(head, last)]
+            for lam in rests:  # shortest first
+                first, rest = products[lam[:1]], products[lam[1:]]
+                products[lam] = [x * y % mod for x, y in zip(first, rest)]
             for lam in totals:
                 row = products.get(lam)
                 if row is not None:
                     totals[lam] += sum(row) - row[0]
                 else:
-                    head, last = products[lam[:-1]], products[lam[-1:]]
-                    totals[lam] += sum(map(operator.mul, head, last)) - head[0] * last[0]
+                    first, rest = products[lam[:1]], products[lam[1:]]
+                    totals[lam] += sum(map(operator.mul, first, rest)) - first[0] * rest[0]
+            if binomials:
+                for k, inverse in enumerate(inverses, start):
+                    central = central * (4 * k - 2) * inverse % mod
+                    quotients += central * inverse
             if p is not None:
                 m = p**self.top
                 for s in compositions:
                     self.mhs_sums[p][s] = (carries[s] if s in carries else dots[s]) % m
                 for lam, total in totals.items():
                     self.product_sums[p][lam] = total % m
+                if binomials:
+                    ones = [carries[(1,) * j] * p**j for j in range(self.top)]  # F_1's terms
+                    twice = sum(x << j for j, x in enumerate(ones))  # F_2's: times 2^j
+                    self.binomial_values[p] = sum(ones) % m, twice % m, quotients % m
 
     def expansion_weights(self, p: int) -> tuple:
         """(-p)^|lam| * S(lam) modulo p^top for each lam in PARTITIONS, S the product sum."""
@@ -317,32 +338,6 @@ class PrimeContext:
                 for a, total in totals.items():
                     self.power_sums[p][a] = (2 * total - pow(half[a < 0][-1], abs(a), m)) % m
 
-    def binomials(self, p: int) -> tuple[int, int, int]:
-        """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo p^top, F_c = prod_{m<p} (1 + cp/m)."""
-        if p not in self.binomial_values:
-            self._sum_binomials()
-        return self.binomial_values[p]
-
-    def _sum_binomials(self) -> None:
-        """One pass over k = 1..p-1 forming every prime's binomials.
-
-        F_c = C(cp+p-1, p-1), C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k, and the two
-        step products are carried from block to block.
-        """
-        once = twice = central = 1
-        total = 0
-        reads = {p - 1: p for p in self.primes}
-        for start, inverses, mod, lift, p in self._blocks(reads):
-            for k, inverse in enumerate(inverses, start):
-                central = central * (4 * k - 2) * inverse % mod
-                total += central * inverse
-                step = lift * inverse
-                once = once * (1 + step) % mod
-                twice = twice * (1 + 2 * step) % mod
-            if p is not None:
-                m = p**self.top
-                self.binomial_values[p] = once % m, twice % m, total % m
-
 
 def prime_chunks(primes: Iterable[int]) -> list[tuple[int, ...]]:
     """The primes, in order, cut into ascending chunks with prod p^6 within _CHUNK_BITS bits.
@@ -388,11 +383,12 @@ def check_chunk(claims, primes: tuple[int, ...]) -> list[CheckResult]:
     """``check_at`` at each prime of an ascending chunk, in order, all reading one context.
 
     Every prime is admitted before the context is built, since the first
-    pass at any of them forms the sums of all.
+    pass at any of them forms the sums of all; its harmonic pass forms the
+    groups that the claims read (``claim.harmonic``), and no other.
     """
     for p in primes:
         require_admissible(p)
-    _local.held = PrimeContext(primes)
+    _local.held = PrimeContext(primes, harmonic={claim.harmonic for claim in claims})
     return [result for p in primes for result in check_at(claims, p)]
 
 
@@ -428,6 +424,7 @@ class CongruenceClaim(NamedTuple):
     exponent: int
 
     check = check_residues
+    harmonic = property(operator.attrgetter("kind"))  # the group of PrimeContext it reads
 
     def rhs_value(self, p: int) -> int:
         """The right side in Z / p^e, from X modulo p^2 only.

@@ -3,8 +3,9 @@
 Every value a per-prime claim reads is compared with the whole-row oracle
 (tests/whole_row.py), which works at one prime: H_{p-1}(s) of the base
 claims, every product sum of weight <= 5 and the expansion weights, the
-power sums for -6 <= a <= 6, the step products over m <= p - 1 and the
-central-binomial sum.  A context holds an ascending chunk of primes and
+power sums for -6 <= a <= 6, F_1 and F_2 (which the stream sums from the
+rows H_{p-1}({1}^j) and the oracle multiplies as step products over
+m <= p - 1) and the central-binomial sum.  A context holds an ascending chunk of primes and
 forms each sum for all of them in one pass modulo the product of their
 p^6; each prime is compared in chunks of one, two and three primes and in
 the chunks a sweep cuts (``prime_chunks``).  At the default block length
@@ -154,7 +155,8 @@ def test_each_block_works_modulo_the_primes_not_yet_read(monkeypatch, block):
     assert len(context._first) == min(block, chunk[0] - 1)
 
 
-# One pass of each kind, as the first claim of --suite all, theorem and corollary asks.
+# The first read of --suite all, theorem and corollary.  There are two passes:
+# the binomials come from the harmonic one, as the base claims do.
 PASSES = {
     "harmonic": lambda context: context.mhs(BASE_CLAIMS[0].target, context.primes[0]),
     "power": lambda context: context.sum_powers(EXPONENTS),
@@ -168,8 +170,12 @@ PASSES = {
     ids=["101", "10007", "16411", "9973-10009"],
 )
 def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, chunk):
-    """Every pass takes a prefix of the one first block; p = 16411 is two blocks."""
-    firsts = []
+    """Every pass takes a prefix of the one first block; p = 16411 is two blocks.
+
+    Whichever read comes first, k is walked twice: once by the harmonic pass
+    and once by the power pass.
+    """
+    firsts, walks = [], []
 
     def recording(values, mod, real=congruences.batch_inverse):
         values = list(values)
@@ -177,11 +183,21 @@ def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, 
             firsts.append((len(values), mod))
         return real(values, mod)
 
+    def counting(name, real):
+        def walk(self, *args):
+            walks.append(name)
+            return real(self, *args)
+
+        return walk
+
     monkeypatch.setattr(congruences, "batch_inverse", recording)
+    for name in ("_sum_harmonic", "_sum_powers"):
+        monkeypatch.setattr(PrimeContext, name, counting(name, getattr(PrimeContext, name)))
     oracle = {p: _whole_values(p, p**6) for p in chunk}
     order = list(PASSES)
     for i in range(len(order)):
         firsts.clear()
+        walks.clear()
         context = PrimeContext(chunk)
         for name in order[i:] + order[:i]:
             PASSES[name](context)
@@ -189,6 +205,7 @@ def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, 
             assert _streamed_values(context, p) == oracle[p], (order[i], p)
         first = min(congruences._BLOCK, chunk[0] - 1)
         assert firsts == [(first, prod(p**6 for p in chunk))], order[i]
+        assert sorted(walks) == ["_sum_harmonic", "_sum_powers"], order[i]
 
 
 def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypatch):

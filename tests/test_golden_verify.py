@@ -4,8 +4,9 @@ Each golden file ``tests/golden/verify_<name>.<ext>`` holds what the command
 wrote: stdout, then stderr (empty, since every case passes).  The cases
 cover every suite over the default range, a JSON sweep of all suites, the
 theorem's power pass beyond a = -6..6 and over a range without a = 1..3, a
-``--claim`` selection at primes above 100, and the corollaries and the
-theorem at a prime of two blocks.  A JSON sweep of several chunks of primes is pinned by its
+``--claim`` selection at primes above 100, the corollaries and the theorem
+at a prime of two blocks, and every suite on one chunk whose first prime is
+one block and whose last is two.  A JSON sweep of several chunks of primes is pinned by its
 length and sha256, as the context of one prime at a time wrote it.
 """
 
@@ -40,6 +41,10 @@ CASES = {
     # the power pass runs first and builds the first block, which the later passes share
     "theorem_two_blocks_json": [
         "--suite", "theorem", "--pmin", "16411", "--pmax", "16411", "--format", "json",
+    ],
+    # one chunk from 16381, one block, to 16411, two: a block ends between the primes
+    "all_block_edge_json": [
+        "--suite", "all", "--pmin", "16381", "--pmax", "16411", "--format", "json",
     ],
 }
 

@@ -306,9 +306,11 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
         inversions.append((len(values), mod))
         return batch_inverse(values, mod)
 
-    def counting_pass(self, compositions, partitions, real=congruences.PrimeContext._sum_harmonic):
-        harmonic.append((len(compositions), len(partitions)))
-        return real(self, compositions, partitions)
+    def counting_pass(
+        self, compositions, partitions, binomials, real=congruences.PrimeContext._sum_harmonic
+    ):
+        harmonic.append((len(compositions), len(partitions), binomials))
+        return real(self, compositions, partitions, binomials)
 
     monkeypatch.setattr(congruences, "batch_inverse", counting_inverse)
     monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", counting_pass)
@@ -321,9 +323,10 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     )
     assert results and all(r.passed for r in results)
 
-    # One harmonic pass forms every base claim's H_{p-1}(s) and every
-    # product sum of weight <= 5: each base claim's prefix is a row H({1}^j).
-    assert harmonic == [(len(BASE_CLAIMS), len(congruences.PARTITIONS))]
+    # One harmonic pass forms every base claim's H_{p-1}(s), every product
+    # sum of weight <= 5 and the binomials: each base claim's prefix is a row
+    # H({1}^j), and so is every term of F_1 and F_2.
+    assert harmonic == [(len(BASE_CLAIMS), len(congruences.PARTITIONS), True)]
     # 1/k for every pass, and the half units' inverses: once for every e at p
     assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6)]
     assert len(prime_context(p)._first) == p - 1
@@ -363,6 +366,7 @@ KERNEL_PARTITIONS = [lam for w in range(1, 6) for lam in partitions_of(w)] + [(3
 KEPT = {
     "primes",
     "top",
+    "harmonic",
     "mhs_sums",
     "product_sums",
     "power_sums",
@@ -573,36 +577,81 @@ def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch
     assert not any(r.passed for r in results)
 
 
-def test_verify_builds_one_context_per_chunk(monkeypatch, capsys):
-    """Each prime of a run lies in exactly one chunk, and each pass runs once per chunk."""
+def _passes_of_a_sweep(monkeypatch, capsys, suite: str, checks: int) -> tuple[list, list]:
+    """The chunks that ``verify --suite <suite>`` over 7..199 builds, and each pass it runs."""
     built, passes = [], []
 
     class Counting(congruences.PrimeContext):
-        def __init__(self, primes, top=6):
+        def __init__(self, primes, *args, **kwargs):
             built.append(primes)
-            super().__init__(primes, top)
+            super().__init__(primes, *args, **kwargs)
 
-        def _sum_harmonic(self, compositions, partitions):
-            passes.append(("harmonic", self.primes))
-            super()._sum_harmonic(compositions, partitions)
+        def _sum_harmonic(self, compositions, partitions, binomials):
+            passes.append(("harmonic", self.primes, len(compositions), len(partitions), binomials))
+            super()._sum_harmonic(compositions, partitions, binomials)
 
         def _sum_powers(self, exponents):
             passes.append(("powers", self.primes))
             super()._sum_powers(exponents)
 
-        def _sum_binomials(self):
-            passes.append(("binomials", self.primes))
-            super()._sum_binomials()
-
     monkeypatch.setattr(congruences, "PrimeContext", Counting)
-    code = cli.main(["verify", "--suite", "all", "--pmin", "7", "--pmax", "199"])
+    code = cli.main(["verify", "--suite", suite, "--pmin", "7", "--pmax", "199"])
     assert code == 0
-    assert capsys.readouterr().out.endswith("2659/2659 checks passed\n")
+    assert capsys.readouterr().out.endswith(f"{checks}/{checks} checks passed\n")
     assert [p for chunk in built for p in chunk] == primes_in_range(7, 199)
     assert built == congruences.prime_chunks(primes_in_range(7, 199)) and len(built) > 2
     assert all(list(chunk) == sorted(set(chunk)) for chunk in built)
-    names = ("harmonic", "powers", "binomials")
-    assert sorted(passes) == sorted((name, chunk) for chunk in built for name in names)
+    return built, passes
+
+
+def test_verify_builds_one_context_per_chunk(monkeypatch, capsys):
+    """Each prime of a run lies in exactly one chunk, and `all` walks k twice per chunk.
+
+    One harmonic walk forms the base claims, the product sums and the
+    binomials together, and one power walk forms the power sums.
+    """
+    built, passes = _passes_of_a_sweep(monkeypatch, capsys, "all", 2659)
+    everything = (len(BASE_CLAIMS), len(congruences.PARTITIONS), True)
+    expected = [("harmonic", chunk, *everything) for chunk in built]
+    expected += [("powers", chunk) for chunk in built]
+    assert sorted(passes) == sorted(expected)
+
+
+def test_verify_corollary_forms_no_product_sums(monkeypatch, capsys):
+    """The corollaries read only the binomials: rows H({1}^j) and the central loop, no partition."""
+    built, passes = _passes_of_a_sweep(monkeypatch, capsys, "corollary", 2 * 43)
+    assert passes == [("harmonic", chunk, 0, 0, True) for chunk in built]
+
+
+def test_verify_congruences_runs_no_central_loop(monkeypatch, capsys):
+    """No congruence claim reads the binomials, so no harmonic walk forms them."""
+    built, passes = _passes_of_a_sweep(monkeypatch, capsys, "congruences", 28 * 43)
+    everything = (len(BASE_CLAIMS), len(congruences.PARTITIONS), False)
+    assert passes == [("harmonic", chunk, *everything) for chunk in built]
+    assert congruences._local.held.binomial_values == {}
+
+
+def test_each_claim_names_the_harmonic_group_it_reads(monkeypatch):
+    """A claim's ``harmonic`` is the group of the harmonic pass that its sides read, or "".
+
+    ``check_chunk`` builds a chunk's context from these names, so a claim
+    that named too little would cost a second walk, and one that named too
+    much a walk that no claim reads.
+    """
+    p, read = 101, set()
+
+    def recording(self, group, p, real=congruences.PrimeContext._sum_wanted):
+        read.add(group)
+        return real(self, group, p)
+
+    monkeypatch.setattr(congruences.PrimeContext, "_sum_wanted", recording)
+    monkeypatch.setattr(congruences, "_local", threading.local())
+    claims = BASE_CLAIMS + SUM_CLAIMS + theorem_claims() + CAI_GRANVILLE_CLAIMS + COROLLARY_CLAIMS
+    for claim in claims:
+        read.clear()
+        congruences._local.held = congruences.PrimeContext((p,), harmonic=())
+        assert claim.check(p).passed, claim.claim_id
+        assert read == {claim.harmonic} - {""}, claim.claim_id
 
 
 def test_a_theorem_range_without_1_to_3_runs_one_power_pass_per_chunk(monkeypatch):
