@@ -95,8 +95,8 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
     """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route), once per a at p.
 
-    The sum is read from the context of p; ``PrimeContext.sum_powers`` forms
-    a whole range of a at once, which is how the theorem claims fill it.
+    The sum is read from the context of p; ``PrimeContext.fill`` forms a
+    whole range of a in one pass, as the runner does for the theorem claims.
     """
     require_admissible(p)
     return PResidue(prime_context(p, e).power_sum(a, p), p, e)
@@ -141,8 +141,8 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     Valid modulo p^6 since dropped terms carry at least six powers of p.
     The sums of products, times (-p)^j, are formed once per prime as the
     weights of the context of p, so each a costs one dot product of its
-    coefficients with them.  Shares nothing with :func:`binomial_power_sum`
-    beyond residue arithmetic and the inverses 1/j of the context of p.
+    coefficients with them.  Shares no table with :func:`binomial_power_sum`:
+    each pass of the context of p inverts its own 1/j.
     """
     require_admissible(p)
     if e > 6:
@@ -225,13 +225,13 @@ class BinomialClaim(NamedTuple):
     exponent: int
     sides: Callable[[int], tuple[int, int]]
     harmonic: str = ""  # the group of PrimeContext's harmonic pass that ``sides`` reads
+    powers: tuple[int, ...] = ()  # the a of the power sums that ``sides`` reads
 
     check = check_residues
 
 
-def _closed_form_sides(a: int, exponents: frozenset, p: int) -> tuple[int, int]:
+def _closed_form_sides(a: int, p: int) -> tuple[int, int]:
     context = prime_context(p)
-    context.sum_powers(exponents)  # the whole range in one pass per chunk, on the first a
     return context.power_sum(a, p), _closed_form(a, p, p**6, context.invariant(p))
 
 
@@ -243,13 +243,9 @@ def _anchor_sides(a: int, p: int) -> tuple[int, int]:
     return prime_context(p).power_sum(a, p), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
 
 
-_SINGLE_EXPONENTS = (1, 2, 3)  # the a of the C(ap-2, p-1) claims
-
-
 def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
     # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial is read
     context, mod = prime_context(p, 4), p**4
-    context.sum_powers(_SINGLE_EXPONENTS)  # a pass for the theorem's range formed them
     rhs = (a - 1) * p * context.binomials(p)[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
     return context.power_sum(a, p) % mod, rhs % mod
 
@@ -262,21 +258,21 @@ def _wolstenholme_sides(p: int) -> tuple[int, int]:
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
     """Direct vs closed form and expansion vs direct for each a, then the anchors.
 
-    The first direct sum forms every a of the range, and the a of the
-    C(ap-2, p-1) claims with them, in one power pass.
+    Each claim declares the one a it reads, so the runner forms the whole
+    range, and the a of the C(ap-2, p-1) claims run with it, in one power
+    pass.
     """
     exponents = range(amin, amax + 1)
-    wanted = frozenset(exponents).union(_SINGLE_EXPONENTS)
     claims = [
-        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides, harmonic)
+        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides, harmonic, (a,))
         for a in exponents
         for route, sides, harmonic in (
-            ("", partial(_closed_form_sides, a, wanted), ""),
+            ("", partial(_closed_form_sides, a), ""),
             ("-expansion", partial(_expansion_sides, a, _expansion_terms(a)), "sum"),  # built once
         )
     ]
     claims += [
-        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a))
+        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a), "", (a,))
         for a in (0, 1)
         if amin <= a <= amax
     ]
@@ -284,8 +280,10 @@ def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
 
 
 CAI_GRANVILLE_CLAIMS = tuple(
-    BinomialClaim(f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a), read)
-    for a, read in zip(_SINGLE_EXPONENTS, ("", "binomials", "binomials"))  # a = 1 reads no F_c
+    BinomialClaim(
+        f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a), read, (a,)
+    )
+    for a, read in zip((1, 2, 3), ("", "binomials", "binomials"))  # a = 1 reads no F_c
 )
 
 COROLLARY_CLAIMS = (

@@ -17,10 +17,10 @@ for.  A context holds an ascending chunk of primes (a sweep's primes, cut by
 prime_chunks; one prime for the public functions), and forms each sum for
 all of them in one pass over k in blocks of bounded length, modulo the
 product of p^6 over the primes the pass has yet to read.  Its two passes
-share only the inverses 1/k of the chunk's first block.  A separate
-symbolic cross-derivation re-obtains the weight <= 3 sum rows by
-substituting the base congruences into the closed-form summation
-identities, with explicit error-term bookkeeping.
+share no table: each inverts its own blocks.  A separate symbolic
+cross-derivation re-obtains the weight <= 3 sum rows by substituting the
+base congruences into the closed-form summation identities, with explicit
+error-term bookkeeping.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
 
 # Entries of k per block.  A pass over k holds one block's tables at a time,
 # so a context's memory is bounded by the block, not by p; a prime below it
-# is one block, whose inverses every pass at the prime shares.
+# is one block in each pass.
 _BLOCK = 1 << 14
 # Bits of a chunk's modulus prod p^6.  A sweep checks its primes in chunks
 # that stay within it.  A chunk's primes share the interpreter's cost per
@@ -84,7 +84,7 @@ def _half_units(inverses: list, lift: int, carry: int, mod: int) -> tuple[list, 
 
 
 class PrimeContext:
-    """The residue sums of an ascending chunk of primes, each p modulo p^top, formed on first use.
+    """The residue sums of an ascending chunk of primes, each p modulo p^top.
 
     Every check at p modulo p^e reads p's values through Z/p^top -> Z/p^e.
     Each value is a sum over k < p (k <= (p-1)/2 for the power sums), and a
@@ -93,19 +93,18 @@ class PrimeContext:
     p^top) in place of p, and reads p's sums modulo p^top at k = p - 1
     (k = (p-1)/2 in the power pass).  The passes run in blocks of at most
     _BLOCK entries, each modulo the primes not yet read (see :meth:`_blocks`),
-    share the first block's inverses 1/k, and carry from block to block only
-    the last entry of each running row and its sums.  A chunk of one prime p
-    works modulo p^top with P = p.  X and the expansion weights
-    (-p)^|lam| * S(lam) are formed per prime, once each.  Two passes fill the
-    context, each on a first miss:
+    and carry from block to block only the last entry of each running row
+    and its sums.  A chunk of one prime p works modulo p^top with P = p.  X
+    and the expansion weights (-p)^|lam| * S(lam) are formed per prime, once
+    each.  :meth:`fill` runs two passes, which share no table:
 
     * harmonic: the groups "mhs" (H_{p-1}(s) of the base claims), "sum" (the
       product sums of every partition of weight <= 5) and "binomials", which
-      share the rows H_k({1}^j) and k^(-s).  A miss forms its group and
-      those in ``harmonic``: a sweep's chunk names what its claims read (see
-      :func:`check_chunk`), any other context all three;
+      share the rows H_k({1}^j) and k^(-s).  It forms the groups asked and
+      those in ``harmonic``: none for a sweep's chunk (see
+      :func:`check_chunk`), all three for any other context;
     * powers: sum_k u_k^a over the units u_k = (-1)^k C(p-1, k), for the
-      wanted a, from each block's half units.
+      asked a, from each block's half units.
     """
 
     def __init__(self, primes: tuple[int, ...], top: int = 6, harmonic=("mhs", "sum", "binomials")):
@@ -122,7 +121,6 @@ class PrimeContext:
         self.weights: dict = {}  # p -> the expansion weights
         mod = self.mod = prod(p**top for p in primes)  # M; the CRT lift P is p mod each p^top
         self.lift = sum(p * (m := mod // p**top) * pow(m, -1, p**top) for p in primes) % mod
-        self._first: list = []  # 1/k mod M over the first block, once a pass has built it
 
     def _blocks(self, reads: dict):
         """(start, inverses, mod, lift, read) for the blocks of a pass over k = 1..max(reads).
@@ -132,21 +130,14 @@ class PrimeContext:
         block completes, or None.  A block ends at each read and after
         _BLOCK entries.  inverses = [1/k mod M] and lift = P for M = prod
         p^top over the primes not yet read: a prime leaves M right after
-        the block that reads it, so every k of a block is a unit.  The first
-        block, k = 1..min(_BLOCK, p_1 - 1) modulo the whole M, is inverted
-        once for all passes, and each takes a prefix of it; every later
-        block is inverted by the pass that walks it.
+        the block that reads it, so every k of a block is a unit.  Each
+        block is inverted for the pass that walks it, and for no other.
         """
         mod, lift, start = self.mod, self.lift, 1
         for end, p in reads.items():
             while start <= end:
                 stop = min(start + _BLOCK, end + 1)
-                if start > 1:
-                    inverses = batch_inverse(range(start, stop), mod)
-                else:  # a prefix of the first block, built again if _BLOCK has grown since
-                    if len(self._first) < stop - 1:
-                        self._first = batch_inverse(range(1, min(_BLOCK + 1, self.primes[0])), mod)
-                    inverses = self._first[: stop - 1]
+                inverses = batch_inverse(range(start, stop), mod)
                 yield start, inverses, mod, lift, p if stop > end else None
                 start = stop
             mod //= p**self.top
@@ -155,13 +146,12 @@ class PrimeContext:
     def mhs(self, s: tuple, p: int) -> int:
         """H_{p-1}(s); the empty composition gives 1.
 
-        A miss on a base claim's composition forms every base claim's value,
-        and the groups the context wants, in one harmonic pass; any other miss
-        forms s alone.
+        A miss on a base claim's composition fills the group "mhs"; any other
+        miss forms s alone.
         """
         sums = self.mhs_sums[p]
         if s in _BASE_TARGETS and s not in sums:
-            self._sum_wanted("mhs", p)
+            self.fill(p, ["mhs"])
         elif s not in sums:
             self._sum_harmonic([s], [], False)
         return sums[s]
@@ -175,8 +165,8 @@ class PrimeContext:
     def product_sum(self, lam: tuple[int, ...], p: int) -> int:
         """sum_{k=1}^{p-1} prod_i H_k({1}^lam_i), for parts lam_i >= 1 in any order.
 
-        A miss of weight at most 5 sums every partition of weight at most 5
-        as :meth:`mhs` does; a heavier miss sums lam alone.  A part below 1
+        A miss of weight at most 5 fills the group "sum", every partition of
+        weight at most 5; a heavier miss sums lam alone.  A part below 1
         raises ValueError.
         """
         sums = self.product_sums[p]
@@ -186,7 +176,7 @@ class PrimeContext:
                 if lam[-1] < 1:  # the pass forms no such partition
                     raise ValueError(f"partition parts must be >= 1, got {lam[-1]}")
                 if lam in PARTITIONS:
-                    self._sum_wanted("sum", p)
+                    self.fill(p, ["sum"])
                 else:
                     self._sum_harmonic([], [lam], False)
         return sums[lam]
@@ -194,24 +184,35 @@ class PrimeContext:
     def binomials(self, p: int) -> tuple[int, int, int]:
         """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo p^top, F_c = prod_{m<p} (1 + cp/m)."""
         if p not in self.binomial_values:
-            self._sum_wanted("binomials", p)
+            self.fill(p, ["binomials"])
         return self.binomial_values[p]
 
-    def _sum_wanted(self, group: str, p: int) -> None:
-        """One harmonic pass forming what p misses of ``group`` and of the groups wanted."""
-        groups = self.harmonic | {group}
-        self._sum_harmonic(
-            [s for s in _BASE_TARGETS if s not in self.mhs_sums[p]] if "mhs" in groups else [],
-            [x for x in PARTITIONS if x not in self.product_sums[p]] if "sum" in groups else [],
-            "binomials" in groups and p not in self.binomial_values,
-        )
+    def fill(self, p: int, groups: Iterable[str] = (), exponents: Iterable[int] = ()) -> None:
+        """Form what p misses of the harmonic ``groups`` and of sum_k u_k^a, a in ``exponents``.
+
+        A group ("" names none) brings those in ``harmonic`` along.  At most
+        one harmonic and one power pass run, each forming its sums at every
+        prime of the chunk.
+        """
+        groups = set(groups) - {""}
+        if groups:
+            groups |= self.harmonic
+        sums, products = self.mhs_sums[p], self.product_sums[p]
+        compositions = [s for s in _BASE_TARGETS if s not in sums] if "mhs" in groups else []
+        partitions = [x for x in PARTITIONS if x not in products] if "sum" in groups else []
+        binomials = "binomials" in groups and p not in self.binomial_values
+        if compositions or partitions or binomials:
+            self._sum_harmonic(compositions, partitions, binomials)
+        exponents = set(exponents).difference(self.power_sums[p])
+        if exponents:
+            self._sum_powers(exponents)
 
     def _sum_harmonic(self, compositions: list, partitions: list, binomials: bool) -> None:
         """One pass forming the H_{p-1}(s), the product sums and, if asked, the binomials.
 
         In each block the pass runs the rows [H_(start-1)(r), ..., H_(stop-1)(r)]
         of every r a value reads: the prefixes s[:-1] and the rows H({1}^j)
-        up to the largest part (j = top - 1 for the binomials), with their own
+        up to the largest part and the last term of F_c, with their own
         prefixes.  A row grows from its prefix row times the table k^(-r_d),
         summed from its last entry in the block before: whole-row passes with
         one reduction per entry.  H_{p-1}(s) is the last entry of the row of s
@@ -221,12 +222,13 @@ class PrimeContext:
         wanted partition.  Entry 0 of a row is k = start - 1, which the block
         before summed.  A block ending at k = p - 1 completes p's sums.  F_c
         needs no row of its own: prod_{m<p} (1 + x/m) = sum_j x^j H_{p-1}({1}^j),
-        whose terms j >= top vanish mod p^top at x = cp.  C(2k, k) =
-        C(2k-2, k-1) * 2(2k-1)/k and its sum over 1/k run k by k.
+        whose terms j >= top - 1 vanish mod p^top at x = cp unless p = top, as
+        H_{p-1}({1}^j) is 0 for j >= p and 0 mod p for 0 < j < p - 1.
+        C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k and its sum over 1/k run k by k.
         """
-        # the rows H({1}^j) run to the largest part, and to j = top - 1 for F_c
-        top = max([lam[0] for lam in partitions] + [self.top - 1] * binomials, default=0)
-        tips = {s[:-1] for s in compositions} | {(1,) * top}
+        needed = self.top - (self.top not in self.primes)  # F_c's terms are j < needed
+        depth = max([lam[0] for lam in partitions] + [needed - 1] * binomials, default=0)
+        tips = {s[:-1] for s in compositions} | {(1,) * depth}
         carries = {r[:d]: 0 for r in tips for d in range(len(r) + 1)}  # H_(start-1)(r)
         carries[()] = 1
         grown = sorted(carries, key=len)[1:]  # prefixes first; the empty row is all ones
@@ -251,7 +253,7 @@ class PrimeContext:
                 carries[r] = row[-1]
             for s in dots:
                 dots[s] += sum(map(operator.mul, rows[s[:-1]], power(s[-1])))
-            products = {(j,): rows[(1,) * j] for j in range(1, top + 1)}
+            products = {(j,): rows[(1,) * j] for j in range(1, depth + 1)}
             for lam in rests:  # shortest first
                 first, rest = products[lam[:1]], products[lam[1:]]
                 products[lam] = [x * y % mod for x, y in zip(first, rest)]
@@ -273,7 +275,7 @@ class PrimeContext:
                 for lam, total in totals.items():
                     self.product_sums[p][lam] = total % m
                 if binomials:
-                    ones = [carries[(1,) * j] * p**j for j in range(self.top)]  # F_1's terms
+                    ones = [carries[(1,) * j] * p**j for j in range(needed)]  # F_1's terms
                     twice = sum(x << j for j, x in enumerate(ones))  # F_2's: times 2^j
                     self.binomial_values[p] = sum(ones) % m, twice % m, quotients % m
 
@@ -290,18 +292,8 @@ class PrimeContext:
         """sum_{k=0}^{p-1} u_k^a; negative a powers 1/u."""
         sums = self.power_sums[p]
         if a not in sums:
-            self._sum_powers({a})
+            self.fill(p, exponents=[a])
         return sums[a]
-
-    def sum_powers(self, exponents: Iterable[int]) -> None:
-        """Form sum_k u_k^a for each a in ``exponents`` that has no sum yet.
-
-        A pass forms each sum at every prime of the chunk, so the first
-        prime's sums show which ones are formed.
-        """
-        missing = set(exponents).difference(self.power_sums[self.primes[0]])
-        if missing:
-            self._sum_powers(missing)
 
     def _sum_powers(self, exponents: set) -> None:
         """One pass forming sum_k u_k^a for each a in ``exponents``.
@@ -383,12 +375,13 @@ def check_chunk(claims, primes: tuple[int, ...]) -> list[CheckResult]:
     """``check_at`` at each prime of an ascending chunk, in order, all reading one context.
 
     Every prime is admitted before the context is built, since the first
-    pass at any of them forms the sums of all; its harmonic pass forms the
-    groups that the claims read (``claim.harmonic``), and no other.
+    pass at any of them forms the sums of all.  The context wants no
+    harmonic group of its own, so ``check_at`` at the first prime fills it
+    with what the claims declare and no more, for every prime.
     """
     for p in primes:
         require_admissible(p)
-    _local.held = PrimeContext(primes, harmonic={claim.harmonic for claim in claims})
+    _local.held = PrimeContext(primes, harmonic=())
     return [result for p in primes for result in check_at(claims, p)]
 
 
@@ -425,6 +418,7 @@ class CongruenceClaim(NamedTuple):
 
     check = check_residues
     harmonic = property(operator.attrgetter("kind"))  # the group of PrimeContext it reads
+    powers = ()  # it reads no power sum
 
     def rhs_value(self, p: int) -> int:
         """The right side in Z / p^e, from X modulo p^2 only.

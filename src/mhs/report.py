@@ -38,8 +38,15 @@ def check_residues(claim, p: int) -> CheckResult:
 
 
 def check_at(claims, p: int) -> list[CheckResult]:
-    """Check each per-prime claim at p, in order, once p is admitted as a prime > 5."""
+    """Check each per-prime claim at p, in order, once p is admitted as a prime > 5.
+
+    The context of p first forms, in one call, all that the claims declare
+    they read (``claim.harmonic``, ``claim.powers``): no check starts a pass.
+    """
     require_admissible(p)
+    from .congruences import prime_context  # which imports this module
+
+    prime_context(p).fill(p, {c.harmonic for c in claims}, {a for c in claims for a in c.powers})
     return [claim.check(p) for claim in claims]
 
 

@@ -62,7 +62,7 @@ def _assert_chunks_match(chunks, oracle: dict, e: int = 6) -> None:
     top = max(e, 6)
     for chunk in chunks:
         context = PrimeContext(tuple(chunk), top)
-        context.sum_powers(EXPONENTS)  # one power pass, as the theorem claims ask
+        context.fill(chunk[0], exponents=EXPONENTS)  # one power pass, as the theorem claims ask
         for p in chunk:
             streamed, whole = _streamed_values(context, p), oracle[p]
             assert streamed.keys() == whole.keys()
@@ -120,7 +120,7 @@ def test_stream_matches_whole_rows_off_the_claims(monkeypatch, block):
     heavy = [(7, 2, 1), (6,), (3, 3, 1), (12, 1, 1)]
     chunk = (7, 11, 37, 101)
     for streamed in [PrimeContext(chunk)] + [PrimeContext((p,)) for p in chunk]:
-        streamed.sum_powers([9, -11])
+        streamed.fill(streamed.primes[0], exponents=[9, -11])
         for p in streamed.primes:
             whole = WholeRowContext(p, p**6)
             for s in shapes:
@@ -147,19 +147,17 @@ def test_each_block_works_modulo_the_primes_not_yet_read(monkeypatch, block):
             assert mod == prod(p**6 for p in unread), (start, reads)
             assert 0 <= lift < mod and all(lift % p**6 == p for p in unread), (start, reads)
             assert inverses == [pow(k, -1, mod) for k in range(start, last + 1)]
-            assert start > 1 or inverses == context._first[: len(inverses)]  # a prefix of it
             covered += range(start, last + 1)
         assert covered == list(range(1, max(reads) + 1))
         read = [p for *_, p in context._blocks(reads) if p is not None]
         assert read == list(chunk)  # each prime once, where a block ends
-    assert len(context._first) == min(block, chunk[0] - 1)
 
 
 # The first read of --suite all, theorem and corollary.  There are two passes:
 # the binomials come from the harmonic one, as the base claims do.
 PASSES = {
     "harmonic": lambda context: context.mhs(BASE_CLAIMS[0].target, context.primes[0]),
-    "power": lambda context: context.sum_powers(EXPONENTS),
+    "power": lambda context: context.fill(context.primes[0], exponents=EXPONENTS),
     "binomial": lambda context: context.binomials(context.primes[0]),
 }
 
@@ -170,10 +168,11 @@ PASSES = {
     ids=["101", "10007", "16411", "9973-10009"],
 )
 def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, chunk):
-    """Every pass takes a prefix of the one first block; p = 16411 is two blocks.
+    """Each pass inverts the first block it walks, once, and shares it with no other pass.
 
     Whichever read comes first, k is walked twice: once by the harmonic pass
-    and once by the power pass.
+    over k < p_1, and once by the power pass over k <= (p_1 - 1)/2.  At
+    p = 16411 the harmonic pass is two blocks.
     """
     firsts, walks = [], []
 
@@ -203,21 +202,55 @@ def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, 
             PASSES[name](context)
         for p in chunk:
             assert _streamed_values(context, p) == oracle[p], (order[i], p)
-        first = min(congruences._BLOCK, chunk[0] - 1)
-        assert firsts == [(first, prod(p**6 for p in chunk))], order[i]
+        lengths = {"_sum_harmonic": chunk[0] - 1, "_sum_powers": (chunk[0] - 1) // 2}
+        mod = prod(p**6 for p in chunk)
+        expected = [(min(congruences._BLOCK, lengths[name]), mod) for name in walks]
+        assert firsts == expected, order[i]
         assert sorted(walks) == ["_sum_harmonic", "_sum_powers"], order[i]
 
 
 def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypatch):
-    """A context held over a change of _BLOCK does not pass a short first block off as whole."""
-    p = 101
+    """A context held over a change of _BLOCK does not pass a short first block off as whole.
+
+    No pass reads a block that another inverted, so the harmonic pass run
+    after a power pass of blocks of 4 inverts its own first block, whole.
+    """
+    p, firsts = 101, []
+
+    def recording(values, mod, real=congruences.batch_inverse):
+        values = list(values)
+        if values[:1] == [1]:  # 1/k over a block from k = 1
+            firsts.append(len(values))
+        return real(values, mod)
+
+    monkeypatch.setattr(congruences, "batch_inverse", recording)
     context = PrimeContext((p,))
     with monkeypatch.context() as patched:
         patched.setattr(congruences, "_BLOCK", 4)
-        context.sum_powers(EXPONENTS)
-    assert len(context._first) == 4
+        context.fill(p, exponents=EXPONENTS)
+    assert firsts == [4]
     assert _streamed_values(context, p) == _whole_values(p, p**6)
-    assert len(context._first) == p - 1
+    assert firsts == [4, p - 1]
+
+
+@pytest.mark.parametrize(
+    "e, primes", [(6, primes_in_range(7, 400)), (7, [7, 11]), (8, [7, 11])], ids=["6", "7", "8"]
+)
+def test_the_binomials_alone_match_the_step_products(e, primes):
+    """F_1 and F_2 from a pass that forms no product sum, against prod (1 + cp/m).
+
+    Its rows H({1}^j) stop at j = top - 2: the term j = top - 1 of F_c
+    vanishes mod p^top unless p = top, as at p = 7 for e = 7, where the
+    row j = 6 is kept.
+    """
+    chunks = [(p,) for p in primes] + (prime_chunks(primes) if e == 6 else [])
+    for chunk in chunks:
+        context = PrimeContext(chunk, e, harmonic=())
+        for p in chunk:
+            whole = WholeRowContext(p, p**e)
+            steps = whole.steps_product(1, p - 1), whole.steps_product(2, p - 1)
+            assert context.binomials(p)[:2] == steps, (chunk, p, e)
+        assert context.product_sums == {p: {(): p - 1} for p in chunk}  # no partition formed
 
 
 @pytest.mark.parametrize("chunk", [(11, 7), (7, 7), (7, 11, 11, 13)])

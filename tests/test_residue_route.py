@@ -295,7 +295,7 @@ def test_threads_share_residue_table_safely():
 
 
 def test_residue_work_happens_once_per_prime(monkeypatch):
-    """At a prime of one block the four suites invert the block once and run each pass once."""
+    """At a prime of one block the four suites run each pass once, which inverts its own block."""
     p = 101
     prime_context(97)  # a context of 101 from an earlier test is replaced
     inversions = []
@@ -327,9 +327,9 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     # sum of weight <= 5 and the binomials: each base claim's prefix is a row
     # H({1}^j), and so is every term of F_1 and F_2.
     assert harmonic == [(len(BASE_CLAIMS), len(congruences.PARTITIONS), True)]
-    # 1/k for every pass, and the half units' inverses: once for every e at p
-    assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6)]
-    assert len(prime_context(p)._first) == p - 1
+    # 1/k for the harmonic pass, 1/k and the half units' inverses for the
+    # power pass: once for every e at p
+    assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6), ((p - 1) // 2, p**6)]
 
 
 def _reference_rows(p: int, mod: int, depth: int) -> list[list[int]]:
@@ -375,7 +375,6 @@ KEPT = {
     "weights",
     "mod",
     "lift",
-    "_first",
 }
 
 
@@ -393,10 +392,10 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
         for a, expected in powers.items():
             assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
         # Fresh contexts, filled in other orders and batches, keep only sums,
-        # M, the lift and the inverses of their first block.
+        # M and the lift: no table outlives its pass.
         top = max(e, 6)
         ascending, batched = congruences.PrimeContext((p,), top), congruences.PrimeContext((p,), top)
-        batched.sum_powers(range(-8, 9))
+        batched.fill(p, exponents=range(-8, 9))
         for lam in reversed(KERNEL_PARTITIONS):
             assert batched.product_sum(lam, p) == products[lam], (lam, p, e)
         for lam in KERNEL_PARTITIONS:
@@ -405,7 +404,6 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert ascending.power_sum(a, p) == batched.power_sum(a, p) == powers[a], (a, p, e)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
-            assert context._first == [pow(k, -1, mod) for k in range(1, min(10, p - 1) + 1)]
             sums = [*context.product_sums[p].values(), *context.power_sums[p].values()]
             assert all(type(total) is int for total in sums)
 
@@ -522,7 +520,7 @@ def test_power_sums_refuse_p_2():
         with pytest.raises(ValueError, match="p = 2"):
             context.power_sum(a, 2)
     with pytest.raises(ValueError, match="p = 2"):
-        context.sum_powers(range(-6, 7))
+        context.fill(2, exponents=range(-6, 7))
     assert context.power_sums == {2: {}}
 
 
@@ -550,7 +548,7 @@ def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
         inverted += half[1]
     assert units == full[: (p + 1) // 2]
     assert inverted == [pow(u, -1, mod) for u in units]
-    context.sum_powers(range(-6, 7))
+    context.fill(p, exponents=range(-6, 7))
     for a in range(-6, 7):
         assert context.power_sum(a, p) == _reference_power_sum(a, p, mod), (a, p)
 
@@ -632,26 +630,111 @@ def test_verify_congruences_runs_no_central_loop(monkeypatch, capsys):
 
 
 def test_each_claim_names_the_harmonic_group_it_reads(monkeypatch):
-    """A claim's ``harmonic`` is the group of the harmonic pass that its sides read, or "".
+    """A claim's ``harmonic`` and ``powers`` are what its sides read, and no more.
 
-    ``check_chunk`` builds a chunk's context from these names, so a claim
-    that named too little would cost a second walk, and one that named too
-    much a walk that no claim reads.
+    ``harmonic`` is the group of the harmonic pass ("" for none) and
+    ``powers`` the a of the power sums.  ``check_at`` fills a context with
+    these before the first check, so a claim that named too little would
+    start a pass of its own, and one that named too much a pass that no
+    claim reads.  Each claim is checked alone, without ``check_at``, in a
+    fresh context that wants no group: its reads ask ``fill`` for exactly
+    what it names.
     """
-    p, read = 101, set()
+    p, asked = 101, []
 
-    def recording(self, group, p, real=congruences.PrimeContext._sum_wanted):
-        read.add(group)
-        return real(self, group, p)
+    def recording(self, p, groups=(), exponents=(), real=congruences.PrimeContext.fill):
+        asked.append((set(groups) - {""}, set(exponents)))
+        return real(self, p, groups, exponents)
 
-    monkeypatch.setattr(congruences.PrimeContext, "_sum_wanted", recording)
+    monkeypatch.setattr(congruences.PrimeContext, "fill", recording)
     monkeypatch.setattr(congruences, "_local", threading.local())
     claims = BASE_CLAIMS + SUM_CLAIMS + theorem_claims() + CAI_GRANVILLE_CLAIMS + COROLLARY_CLAIMS
     for claim in claims:
-        read.clear()
+        asked.clear()
         congruences._local.held = congruences.PrimeContext((p,), harmonic=())
         assert claim.check(p).passed, claim.claim_id
-        assert read == {claim.harmonic} - {""}, claim.claim_id
+        groups = set().union(*(group for group, _ in asked))
+        exponents = set().union(*(exponent for _, exponent in asked))
+        assert groups == {claim.harmonic} - {""}, claim.claim_id
+        assert exponents == set(claim.powers), claim.claim_id
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "all"],
+        *(["--suite", name] for name in ("identities", "congruences", "theorem", "corollary")),
+        ["--suite", "staver"],
+        ["--claim", "binomial-power-sum:a=2"],
+        ["--suite", "theorem", "--amin", "-9", "--amax", "-7"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_no_check_starts_a_pass_once_the_runner_has_filled_the_context(monkeypatch, capsys, argv):
+    """The declarations are complete: after the first fill of a chunk's context, a pass raises.
+
+    ``check_at`` fills the context at each prime before its checks, so the
+    first fill of a chunk's context is the runner's, and any later pass
+    would be one that a check started.
+    """
+
+    def refuse(*args):
+        raise AssertionError(f"a check started a pass: {args}")
+
+    class Sealed(congruences.PrimeContext):
+        def fill(self, p, groups=(), exponents=()):
+            super().fill(p, groups, exponents)
+            self._sum_harmonic = self._sum_powers = refuse  # for every later call
+
+    monkeypatch.setattr(congruences, "PrimeContext", Sealed)
+    monkeypatch.setattr(congruences, "_local", threading.local())
+    assert cli.main(["verify", *argv, "--pmin", "7", "--pmax", "199"]) == 0
+    tail = capsys.readouterr().out.splitlines()[-1]
+    passed, total = tail.removesuffix(" checks passed").split("/")
+    assert passed == total and int(total) > 0, tail
+
+
+@pytest.mark.parametrize("chunk", [(101,), (9973, 10007, 10009)], ids=["101", "9973-10009"])
+def test_the_theorem_routes_share_no_table(monkeypatch, chunk):
+    """Wrong inverses in one pass fail the route that reads that pass, and only that route.
+
+    With every inverse that the harmonic pass builds perturbed, every
+    expansion claim fails and every direct claim passes.  With those of the
+    power pass perturbed (1/k and 1/u), every direct claim fails, while the expansion route's value
+    still equals the closed form (its claims fail too, as their right side
+    is the direct sum).  a = 0 reads neither: the power pass counts p
+    units, and C(0, r) = 0 for r >= 1 leaves the expansion at p.
+    """
+    def perturbing(name, real_inverse=congruences.batch_inverse):
+        real = getattr(congruences.PrimeContext, name)
+
+        def walk(self, *args):  # every inversion while this pass runs, and no other
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    congruences, "batch_inverse", lambda *a: [x + 1 for x in real_inverse(*a)]
+                )
+                return real(self, *args)
+
+        return walk
+
+    claims = theorem_claims()
+    for name in ("_sum_harmonic", "_sum_powers"):
+        with monkeypatch.context() as patched:
+            patched.setattr(congruences, "_local", threading.local())
+            patched.setattr(congruences.PrimeContext, name, perturbing(name))
+            results = congruences.check_chunk(claims, chunk)
+        by_id = {(r.claim_id, r.p): r for r in results}
+        for p in chunk:
+            for a in range(-6, 7):
+                direct = by_id[f"binomial-power-sum:a={a}", p]
+                expansion = by_id[f"binomial-power-sum-expansion:a={a}", p]
+                if a == 0:
+                    assert direct.passed and expansion.passed, (name, p)
+                elif name == "_sum_harmonic":
+                    assert direct.passed and not expansion.passed, (name, p, a)
+                else:
+                    assert not direct.passed, (name, p, a)
+                    assert expansion.lhs == direct.rhs, (name, p, a)  # expansion = closed form
 
 
 def test_a_theorem_range_without_1_to_3_runs_one_power_pass_per_chunk(monkeypatch):
