@@ -224,7 +224,7 @@ class BinomialClaim(NamedTuple):
     claim_id: str
     exponent: int
     sides: Callable[[int], tuple[int, int]]
-    harmonic: str = ""  # the group of PrimeContext's harmonic pass that ``sides`` reads
+    harmonic: tuple[str, ...] = ()  # the groups of PrimeContext's harmonic pass ``sides`` reads
     powers: tuple[int, ...] = ()  # the a of the power sums that ``sides`` reads
 
     check = check_residues
@@ -267,12 +267,12 @@ def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
         BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides, harmonic, (a,))
         for a in exponents
         for route, sides, harmonic in (
-            ("", partial(_closed_form_sides, a), ""),
-            ("-expansion", partial(_expansion_sides, a, _expansion_terms(a)), "sum"),  # built once
+            ("", partial(_closed_form_sides, a), ()),
+            ("-expansion", partial(_expansion_sides, a, _expansion_terms(a)), ("sum",)),  # built once
         )
     ]
     claims += [
-        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a), "", (a,))
+        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a), (), (a,))
         for a in (0, 1)
         if amin <= a <= amax
     ]
@@ -283,12 +283,12 @@ CAI_GRANVILLE_CLAIMS = tuple(
     BinomialClaim(
         f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a), read, (a,)
     )
-    for a, read in zip((1, 2, 3), ("", "binomials", "binomials"))  # a = 1 reads no F_c
+    for a, read in zip((1, 2, 3), ((), ("binomials",), ("binomials",)))  # a = 1 reads no F_c
 )
 
 COROLLARY_CLAIMS = (
-    BinomialClaim("central-binomial-sum", 4, central_binomial_sum_mod, "binomials"),
-    BinomialClaim("wolstenholme", 3, _wolstenholme_sides, "binomials"),
+    BinomialClaim("central-binomial-sum", 4, central_binomial_sum_mod, ("binomials",)),
+    BinomialClaim("wolstenholme", 3, _wolstenholme_sides, ("binomials",)),
 )
 
 

@@ -30,7 +30,7 @@ import threading
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import inf, prod
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
@@ -96,21 +96,20 @@ class PrimeContext:
     and carry from block to block only the last entry of each running row
     and its sums.  A chunk of one prime p works modulo p^top with P = p.  X
     and the expansion weights (-p)^|lam| * S(lam) are formed per prime, once
-    each.  :meth:`fill` runs two passes, which share no table:
+    each.  :meth:`fill` runs two passes, which share no table.  Each forms
+    what it is asked and nothing else, in a chunk as at one prime:
 
-    * harmonic: the groups "mhs" (H_{p-1}(s) of the base claims), "sum" (the
-      product sums of every partition of weight <= 5) and "binomials", which
-      share the rows H_k({1}^j) and k^(-s).  It forms the groups asked and
-      those in ``harmonic``: none for a sweep's chunk (see
-      :func:`check_chunk`), all three for any other context;
+    * harmonic: any of the groups "mhs" (H_{p-1}(s) of the base claims),
+      "sum" (the product sums of every partition of weight <= 5) and
+      "binomials", which share the rows H_k({1}^j) and k^(-s);
     * powers: sum_k u_k^a over the units u_k = (-1)^k C(p-1, k), for the
       asked a, from each block's half units.
     """
 
-    def __init__(self, primes: tuple[int, ...], top: int = 6, harmonic=("mhs", "sum", "binomials")):
+    def __init__(self, primes: tuple[int, ...], top: int = 6):
         if list(primes) != sorted(set(primes)):  # the passes read the primes in this order
             raise ValueError(f"a chunk's primes must ascend, got {primes}")
-        self.primes, self.top, self.harmonic = primes, top, frozenset(harmonic)
+        self.primes, self.top = primes, top
         # per prime: composition -> H_{p-1}(s), the empty one 1; partition ->
         # its sum, the empty one p - 1 ones; a -> sum_k u_k^a
         self.mhs_sums: dict = {p: {(): 1} for p in primes}
@@ -187,16 +186,12 @@ class PrimeContext:
             self.fill(p, ["binomials"])
         return self.binomial_values[p]
 
-    def fill(self, p: int, groups: Iterable[str] = (), exponents: Iterable[int] = ()) -> None:
+    def fill(self, p: int, groups: Collection[str] = (), exponents: Iterable[int] = ()) -> None:
         """Form what p misses of the harmonic ``groups`` and of sum_k u_k^a, a in ``exponents``.
 
-        A group ("" names none) brings those in ``harmonic`` along.  At most
-        one harmonic and one power pass run, each forming its sums at every
-        prime of the chunk.
+        No other group or exponent is formed.  At most one harmonic and one
+        power pass run, each forming its sums at every prime of the chunk.
         """
-        groups = set(groups) - {""}
-        if groups:
-            groups |= self.harmonic
         sums, products = self.mhs_sums[p], self.product_sums[p]
         compositions = [s for s in _BASE_TARGETS if s not in sums] if "mhs" in groups else []
         partitions = [x for x in PARTITIONS if x not in products] if "sum" in groups else []
@@ -375,13 +370,12 @@ def check_chunk(claims, primes: tuple[int, ...]) -> list[CheckResult]:
     """``check_at`` at each prime of an ascending chunk, in order, all reading one context.
 
     Every prime is admitted before the context is built, since the first
-    pass at any of them forms the sums of all.  The context wants no
-    harmonic group of its own, so ``check_at`` at the first prime fills it
-    with what the claims declare and no more, for every prime.
+    pass at any of them forms the sums of all: ``check_at`` at the first
+    prime fills the context with what the claims declare, for every prime.
     """
     for p in primes:
         require_admissible(p)
-    _local.held = PrimeContext(primes, harmonic=())
+    _local.held = PrimeContext(primes)
     return [result for p in primes for result in check_at(claims, p)]
 
 
@@ -417,7 +411,7 @@ class CongruenceClaim(NamedTuple):
     exponent: int
 
     check = check_residues
-    harmonic = property(operator.attrgetter("kind"))  # the group of PrimeContext it reads
+    harmonic = property(lambda self: (self.kind,))  # the group of PrimeContext it reads
     powers = ()  # it reads no power sum
 
     def rhs_value(self, p: int) -> int:

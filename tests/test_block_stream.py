@@ -28,6 +28,7 @@ from mhs.residues import primes_in_range
 from whole_row import WholeRowContext
 
 EXPONENTS = range(-6, 7)
+HARMONIC = ("mhs", "sum", "binomials")  # every group of the harmonic pass, as `all` reads them
 
 
 def _streamed_values(context: PrimeContext, p: int) -> dict:
@@ -62,7 +63,7 @@ def _assert_chunks_match(chunks, oracle: dict, e: int = 6) -> None:
     top = max(e, 6)
     for chunk in chunks:
         context = PrimeContext(tuple(chunk), top)
-        context.fill(chunk[0], exponents=EXPONENTS)  # one power pass, as the theorem claims ask
+        context.fill(chunk[0], HARMONIC, EXPONENTS)  # as the runner fills it for `all`
         for p in chunk:
             streamed, whole = _streamed_values(context, p), oracle[p]
             assert streamed.keys() == whole.keys()
@@ -153,12 +154,11 @@ def test_each_block_works_modulo_the_primes_not_yet_read(monkeypatch, block):
         assert read == list(chunk)  # each prime once, where a block ends
 
 
-# The first read of --suite all, theorem and corollary.  There are two passes:
-# the binomials come from the harmonic one, as the base claims do.
+# The two passes of --suite all: the binomials come from the harmonic one, as
+# the base claims and the product sums do.
 PASSES = {
-    "harmonic": lambda context: context.mhs(BASE_CLAIMS[0].target, context.primes[0]),
+    "harmonic": lambda context: context.fill(context.primes[0], HARMONIC),
     "power": lambda context: context.fill(context.primes[0], exponents=EXPONENTS),
-    "binomial": lambda context: context.binomials(context.primes[0]),
 }
 
 
@@ -170,7 +170,7 @@ PASSES = {
 def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, chunk):
     """Each pass inverts the first block it walks, once, and shares it with no other pass.
 
-    Whichever read comes first, k is walked twice: once by the harmonic pass
+    Whichever pass runs first, k is walked twice: once by the harmonic pass
     over k < p_1, and once by the power pass over k <= (p_1 - 1)/2.  At
     p = 16411 the harmonic pass is two blocks.
     """
@@ -213,7 +213,8 @@ def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypat
     """A context held over a change of _BLOCK does not pass a short first block off as whole.
 
     No pass reads a block that another inverted, so the harmonic pass run
-    after a power pass of blocks of 4 inverts its own first block, whole.
+    after a power pass of blocks of 4 inverts its own first block, whole,
+    once for all three of its groups.
     """
     p, firsts = 101, []
 
@@ -229,6 +230,7 @@ def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypat
         patched.setattr(congruences, "_BLOCK", 4)
         context.fill(p, exponents=EXPONENTS)
     assert firsts == [4]
+    context.fill(p, HARMONIC)
     assert _streamed_values(context, p) == _whole_values(p, p**6)
     assert firsts == [4, p - 1]
 
@@ -245,7 +247,7 @@ def test_the_binomials_alone_match_the_step_products(e, primes):
     """
     chunks = [(p,) for p in primes] + (prime_chunks(primes) if e == 6 else [])
     for chunk in chunks:
-        context = PrimeContext(chunk, e, harmonic=())
+        context = PrimeContext(chunk, e)
         for p in chunk:
             whole = WholeRowContext(p, p**e)
             steps = whole.steps_product(1, p - 1), whole.steps_product(2, p - 1)

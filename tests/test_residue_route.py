@@ -295,41 +295,65 @@ def test_threads_share_residue_table_safely():
 
 
 def test_residue_work_happens_once_per_prime(monkeypatch):
-    """At a prime of one block the four suites run each pass once, which inverts its own block."""
+    """At a prime of one block the five suites' claims, checked together, run each pass once.
+
+    Each pass inverts its own block.  Checked one suite at a time in fresh
+    contexts, each suite forms the groups and exponents it declares and no
+    others.
+    """
     p = 101
-    prime_context(97)  # a context of 101 from an earlier test is replaced
-    inversions = []
-    harmonic = []
+    inversions, passes = [], []
 
     def counting_inverse(values, mod):
         values = list(values)
         inversions.append((len(values), mod))
         return batch_inverse(values, mod)
 
-    def counting_pass(
+    def counting_harmonic(
         self, compositions, partitions, binomials, real=congruences.PrimeContext._sum_harmonic
     ):
-        harmonic.append((len(compositions), len(partitions), binomials))
+        passes.append((len(compositions), len(partitions), binomials))
         return real(self, compositions, partitions, binomials)
 
+    def counting_powers(self, exponents, real=congruences.PrimeContext._sum_powers):
+        passes.append(sorted(exponents))
+        return real(self, exponents)
+
     monkeypatch.setattr(congruences, "batch_inverse", counting_inverse)
-    monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", counting_pass)
-    results = (  # in the registry's order, as verify checks them
-        base_congruence_suite(p)
-        + sum_congruence_suite(p)
-        + theorem_suite(p)
-        + cai_granville_suite(p)
-        + corollary_suite(p)
-    )
-    assert results and all(r.passed for r in results)
+    monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", counting_harmonic)
+    monkeypatch.setattr(congruences.PrimeContext, "_sum_powers", counting_powers)
+    prime_context(97)  # a context of 101 from an earlier test is replaced
+    suites = {  # in the registry's order, as verify checks them
+        base_congruence_suite: BASE_CLAIMS,
+        sum_congruence_suite: SUM_CLAIMS,
+        theorem_suite: theorem_claims(),
+        cai_granville_suite: CAI_GRANVILLE_CLAIMS,
+        corollary_suite: COROLLARY_CLAIMS,
+    }
+    results = check_at([claim for claims in suites.values() for claim in claims], p)
+    assert len(results) == sum(map(len, suites.values())) and all(r.passed for r in results)
 
     # One harmonic pass forms every base claim's H_{p-1}(s), every product
     # sum of weight <= 5 and the binomials: each base claim's prefix is a row
     # H({1}^j), and so is every term of F_1 and F_2.
-    assert harmonic == [(len(BASE_CLAIMS), len(congruences.PARTITIONS), True)]
+    everything = len(BASE_CLAIMS), len(congruences.PARTITIONS)
+    assert passes == [(*everything, True), list(range(-6, 7))]
     # 1/k for the harmonic pass, 1/k and the half units' inverses for the
     # power pass: once for every e at p
     assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6), ((p - 1) // 2, p**6)]
+
+    alone = {
+        base_congruence_suite: [(len(BASE_CLAIMS), 0, False)],
+        sum_congruence_suite: [(0, len(congruences.PARTITIONS), False)],
+        theorem_suite: [(0, len(congruences.PARTITIONS), False), list(range(-6, 7))],
+        cai_granville_suite: [(0, 0, True), [1, 2, 3]],
+        corollary_suite: [(0, 0, True)],
+    }
+    for suite, expected in alone.items():
+        prime_context(97)
+        passes.clear()
+        assert all(r.passed for r in suite(p)), suite.__name__
+        assert passes == expected, suite.__name__
 
 
 def _reference_rows(p: int, mod: int, depth: int) -> list[list[int]]:
@@ -366,7 +390,6 @@ KERNEL_PARTITIONS = [lam for w in range(1, 6) for lam in partitions_of(w)] + [(3
 KEPT = {
     "primes",
     "top",
-    "harmonic",
     "mhs_sums",
     "product_sums",
     "power_sums",
@@ -406,6 +429,61 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             assert set(vars(context)) == KEPT
             sums = [*context.product_sums[p].values(), *context.power_sums[p].values()]
             assert all(type(total) is int for total in sums)
+
+
+def _library_oracle(p: int) -> dict:
+    """H_{p-1}(1,2) mod p^2, S(2,1) mod p^3, the central-binomial sum mod p^4 and sum_k u_k^2.
+
+    The exact rationals at p = 101; at p = 10007 they take about 50 s on a
+    2-vCPU VM, so the whole-row oracle stands in.  At every p,
+    sum_k C(p-1, k)^2 = C(2p-2, p-1) by Vandermonde.
+    """
+    if p > 1000:
+        whole = WholeRowContext(p, p**6)
+        values = whole.mhs((1, 2)), whole.product_sum((2, 1)), whole.binomials[2]
+    else:
+        product = sum(eval_mhs(k, (1, 1)) * eval_mhs(k, (1,)) for k in range(1, p))
+        values = eval_mhs(p - 1, (1, 2)), product, central_binomial_sum_exact(p)[0]
+    residues = (reduce_mod(value, p, e).value for value, e in zip(values, (2, 3, 4)))
+    return dict(zip(("mhs", "sum", "central"), residues), power=comb(2 * p - 2, p - 1) % p**6)
+
+
+@pytest.mark.parametrize("p", [101, 10007])
+def test_a_library_read_forms_only_the_group_it_reads(monkeypatch, p):
+    """At a fresh prime, a public residue function forms its value's group and no other.
+
+    Each read starts from a context that holds nothing, and the value it
+    returns still equals the oracle's.
+    """
+    oracle = _library_oracle(p)
+    nothing = {"mhs": {()}, "sum": {()}, "binomials": False, "powers": {}}
+
+    def fresh(read):
+        """read() in an empty context, and what the context then holds at p."""
+        monkeypatch.setattr(congruences, "_local", threading.local())
+        value = read()
+        held = congruences._local.held
+        return value, {
+            "mhs": set(held.mhs_sums[p]),
+            "sum": set(held.product_sums[p]),
+            "binomials": p in held.binomial_values,
+            "powers": held.power_sums[p],
+        }
+
+    value, formed = fresh(lambda: central_binomial_sum_mod(p)[0])
+    assert value == oracle["central"] and formed == {**nothing, "binomials": True}
+    value, formed = fresh(lambda: mhs_mod((1, 2), p, 2).value)
+    targets = {(), *(claim.target for claim in BASE_CLAIMS)}
+    assert value == oracle["mhs"] and formed == {**nothing, "mhs": targets}
+    value, formed = fresh(lambda: homogeneous_product_sum_mod((2, 1), p, 3))
+    assert value == oracle["sum"] and formed == {**nothing, "sum": {(), *congruences.PARTITIONS}}
+
+    def refuse(*args):
+        raise AssertionError("a power sum ran a harmonic pass")
+
+    monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", refuse)
+    value, formed = fresh(lambda: binomial_power_sum(2, p).value)
+    assert value == oracle["power"] and formed == {**nothing, "powers": {2: value}}
 
 
 @pytest.mark.parametrize("lam", [(30,), (7, 2, 1)])
@@ -632,30 +710,32 @@ def test_verify_congruences_runs_no_central_loop(monkeypatch, capsys):
 def test_each_claim_names_the_harmonic_group_it_reads(monkeypatch):
     """A claim's ``harmonic`` and ``powers`` are what its sides read, and no more.
 
-    ``harmonic`` is the group of the harmonic pass ("" for none) and
-    ``powers`` the a of the power sums.  ``check_at`` fills a context with
-    these before the first check, so a claim that named too little would
-    start a pass of its own, and one that named too much a pass that no
-    claim reads.  Each claim is checked alone, without ``check_at``, in a
-    fresh context that wants no group: its reads ask ``fill`` for exactly
+    ``harmonic`` is a tuple of the groups of the harmonic pass and
+    ``powers`` one of the a of the power sums.  ``check_at`` fills a
+    context with these before the first check, so a claim that named too
+    little would start a pass of its own, and one that named too much a
+    pass that no claim reads.  Each claim is checked alone, without
+    ``check_at``, in a fresh context: its reads ask ``fill`` for exactly
     what it names.
     """
     p, asked = 101, []
 
     def recording(self, p, groups=(), exponents=(), real=congruences.PrimeContext.fill):
-        asked.append((set(groups) - {""}, set(exponents)))
+        asked.append((set(groups), set(exponents)))
         return real(self, p, groups, exponents)
 
     monkeypatch.setattr(congruences.PrimeContext, "fill", recording)
     monkeypatch.setattr(congruences, "_local", threading.local())
     claims = BASE_CLAIMS + SUM_CLAIMS + theorem_claims() + CAI_GRANVILLE_CLAIMS + COROLLARY_CLAIMS
     for claim in claims:
+        # a bare string would declare its letters: "sum" the groups s, u and m
+        assert type(claim.harmonic) is tuple and type(claim.powers) is tuple, claim.claim_id
         asked.clear()
-        congruences._local.held = congruences.PrimeContext((p,), harmonic=())
+        congruences._local.held = congruences.PrimeContext((p,))
         assert claim.check(p).passed, claim.claim_id
         groups = set().union(*(group for group, _ in asked))
         exponents = set().union(*(exponent for _, exponent in asked))
-        assert groups == {claim.harmonic} - {""}, claim.claim_id
+        assert groups == set(claim.harmonic), claim.claim_id
         assert exponents == set(claim.powers), claim.claim_id
 
 
