@@ -13,11 +13,11 @@ over partitions.  Their agreement re-verifies the congruence tables along the
 way.  Both read their residues at p from the context that holds p
 (congruences.prime_context), which holds X mod p^2 and each sum; in a
 sweep it holds a chunk of primes and forms each sum for all of them in one
-pass.  The direct route sums u_k^a over half the units, k <= (p-1)/2, since
-u_(p-1-k) = u_k; the expansion route is one dot product of the coefficients
-of a with the context's weights (-p)^|lam| * S(lam), formed once per prime.
-The per-prime claims read the context directly; the public functions read
-the same values after checking p, and return them as PResidue.
+pass.  Each route gives every a as sum_{r<6} C(a, r) c_r from six moments
+c_r = sum_k (u_k - 1)^r: the direct route sums them over the units
+k <= (p-1)/2, since u_(p-1-k) = u_k, and the expansion route from the
+product sums.  The per-prime claims read the context directly; the public
+functions read the same values after checking p, as PResidue.
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
@@ -35,14 +35,13 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, gcd
-from operator import mul
+from math import comb, gcd
 from typing import Callable, NamedTuple
 
 from .algebra import _exact_quotient
 from .bernoulli import bernoulli_invariant
-from .congruences import PARTITIONS, prime_context
-from .partitions import arrangement_count
+from .congruences import moment_sum, prime_context
+from .partitions import generalized_binomial
 from .report import CheckResult, check_at, check_residues
 from .residues import PResidue, is_prime, padic_valuation, require_admissible, require_exponent
 
@@ -60,16 +59,6 @@ __all__ = [
     "staver_identity_holds",
     "wolstenholme_holds",
 ]
-
-
-def generalized_binomial(a: int, r: int) -> int:
-    """C(a, r) = a(a-1)...(a-r+1) / r! for any integer a, always an integer."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    numerator = 1
-    for i in range(r):
-        numerator *= a - i
-    return _exact_quotient(numerator, factorial(r))
 
 
 def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
@@ -93,10 +82,10 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
 
 
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
-    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route), once per a at p.
+    """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route).
 
-    The sum is read from the context of p; ``PrimeContext.fill`` forms a
-    whole range of a in one pass, as the runner does for the theorem claims.
+    The sum is read from the moments of the context of p, which one power
+    pass forms for every a (see ``PrimeContext.power_sum``).
     """
     require_admissible(p)
     return PResidue(prime_context(p, e).power_sum(a, p), p, e)
@@ -119,36 +108,23 @@ def _closed_form(a: int, p: int, mod: int, x: int) -> int:
     return (a - 1) * p * pow(a * p - 1, -1, mod) * bracket % mod
 
 
-# (r, arrangements of lam) for each lam of j <= 5 into r parts, in the order of PARTITIONS
-_SHAPES = tuple((len(lam), arrangement_count(lam)) for lam in PARTITIONS)
-
-
-def _expansion_terms(a: int) -> tuple[int, ...]:
-    """C(a, r) * arrangements of lam for each lam in PARTITIONS, lam of j into r parts."""
-    return tuple(generalized_binomial(a, r) * count for r, count in _SHAPES)
-
-
-def _expansion_sum(terms: tuple, p: int) -> int:
-    """p + sum of coeff * (-p)^j * S(lam) modulo p^6: the terms against p's expansion weights."""
-    return (p + sum(map(mul, terms, prime_context(p).expansion_weights(p)))) % p**6
-
-
 def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     """The same sum through the partition expansion of prod (1 - p/j)^a.
 
     Expands (1 + sum_{j=1}^5 (-p)^j H_k({1}^j))^a with generalized binomials
     and sums each product of homogeneous harmonic sums by brute force mod p^e.
     Valid modulo p^6 since dropped terms carry at least six powers of p.
-    The sums of products, times (-p)^j, are formed once per prime as the
-    weights of the context of p, so each a costs one dot product of its
-    coefficients with them.  Shares no table with :func:`binomial_power_sum`:
-    each pass of the context of p inverts its own 1/j.
+    The sums of products, times (-p)^j, are grouped once per prime into
+    the six moments of the context of p (``PrimeContext.expansion_moments``)
+    that each a sums with C(a, r).  Shares no table with
+    :func:`binomial_power_sum`: each pass of the context of p inverts its
+    own 1/j.
     """
     require_admissible(p)
     if e > 6:
         raise ValueError("the weight-5 truncation only supports e <= 6")
     require_exponent(e)
-    return PResidue(_expansion_sum(_expansion_terms(a), p), p, e)
+    return PResidue(moment_sum(a, prime_context(p).expansion_moments(p), p**6), p, e)
 
 
 def alternating_power_sum(n: int, a: int) -> Fraction:
@@ -219,13 +195,12 @@ def central_binomial_sum_mod(p: int) -> tuple[int, int]:
 
 
 class BinomialClaim(NamedTuple):
-    """A per-prime claim whose two sides come from the function ``sides``."""
+    """A per-prime claim whose two sides come from ``sides``, which reads only its ``groups``."""
 
     claim_id: str
     exponent: int
     sides: Callable[[int], tuple[int, int]]
-    harmonic: tuple[str, ...] = ()  # the groups of PrimeContext's harmonic pass ``sides`` reads
-    powers: tuple[int, ...] = ()  # the a of the power sums that ``sides`` reads
+    groups: tuple[str, ...] = ()  # the groups of PrimeContext that ``sides`` reads
 
     check = check_residues
 
@@ -235,8 +210,9 @@ def _closed_form_sides(a: int, p: int) -> tuple[int, int]:
     return context.power_sum(a, p), _closed_form(a, p, p**6, context.invariant(p))
 
 
-def _expansion_sides(a: int, terms: tuple, p: int) -> tuple[int, int]:
-    return _expansion_sum(terms, p), prime_context(p).power_sum(a, p)
+def _expansion_sides(a: int, p: int) -> tuple[int, int]:
+    context = prime_context(p)
+    return moment_sum(a, context.expansion_moments(p), p**6), context.power_sum(a, p)
 
 
 def _anchor_sides(a: int, p: int) -> tuple[int, int]:
@@ -258,21 +234,20 @@ def _wolstenholme_sides(p: int) -> tuple[int, int]:
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
     """Direct vs closed form and expansion vs direct for each a, then the anchors.
 
-    Each claim declares the one a it reads, so the runner forms the whole
-    range, and the a of the C(ap-2, p-1) claims run with it, in one power
-    pass.
+    Every claim reads the group "powers", whose one pass serves every a, and
+    the expansion claims the product sums too.
     """
-    exponents = range(amin, amax + 1)
+    powers = ("powers",)
     claims = [
-        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides, harmonic, (a,))
-        for a in exponents
-        for route, sides, harmonic in (
-            ("", partial(_closed_form_sides, a), ()),
-            ("-expansion", partial(_expansion_sides, a, _expansion_terms(a)), ("sum",)),  # built once
+        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, partial(sides, a), groups)
+        for a in range(amin, amax + 1)
+        for route, sides, groups in (
+            ("", _closed_form_sides, powers),
+            ("-expansion", _expansion_sides, ("sum", "powers")),
         )
     ]
     claims += [
-        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a), (), (a,))
+        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a), powers)
         for a in (0, 1)
         if amin <= a <= amax
     ]
@@ -281,9 +256,10 @@ def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
 
 CAI_GRANVILLE_CLAIMS = tuple(
     BinomialClaim(
-        f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a), read, (a,)
+        f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a),
+        ("binomials", "powers") if a > 1 else ("powers",),  # a = 1 reads no F_c
     )
-    for a, read in zip((1, 2, 3), ((), ("binomials",), ("binomials",)))  # a = 1 reads no F_c
+    for a in (1, 2, 3)
 )
 
 COROLLARY_CLAIMS = (

@@ -28,6 +28,7 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import inf, prod
 from typing import Collection, Iterable, NamedTuple
@@ -35,7 +36,7 @@ from typing import Collection, Iterable, NamedTuple
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition
-from .partitions import partitions_of
+from .partitions import arrangement_count, generalized_binomial, partitions_of
 from .report import CheckResult, check_at, check_residues
 from .residues import PResidue, batch_inverse, require_admissible, require_exponent, require_prime
 
@@ -66,21 +67,30 @@ _BLOCK = 1 << 14
 _CHUNK_BITS = 256
 # The partitions of weight <= 5, which a product-sum miss among them sums
 # together: the sum rows and the p^6 expansion read exactly those.  By weight
-# and then by length: the order of PrimeContext.expansion_weights.
+# and then by length.
 PARTITIONS = tuple(lam for j in range(1, 6) for lam in partitions_of(j))
 
 
-def _half_units(inverses: list, lift: int, carry: int, mod: int) -> tuple[list, list]:
-    """(u, 1/u) over a block's k, u_k = (-1)^k C(p-1, k), from carry = u_(start-1).
-
-    u_k = u_(k-1) * (1 - p/k) runs over the inverses 1/k, with the lift P in
-    place of p; 1/u is one batch inversion.
-    """
+def _half_units(inverses: list, lift: int, carry: int, mod: int) -> list:
+    """u_k = (-1)^k C(p-1, k) = u_(k-1) * (1 - P/k) over a block's k, from carry = u_(start-1)."""
     u, units = carry, []
     for inverse in inverses:
         u = u * (1 - lift * inverse) % mod
         units.append(u)
-    return units, batch_inverse(units, mod)
+    return units
+
+
+def moment_sum(a: int, moments, mod: int) -> int:
+    """sum_k (1 + x_k)^a modulo mod from the moments c_r = sum_k x_k^r, r < n = len(moments).
+
+    (1 + x)^a = sum_r C(a, r) x^r, whose terms r >= n vanish if p | x_k and mod | p^n.
+    """
+    return sum(map(operator.mul, _binomials(a, len(moments)), moments)) % mod
+
+
+@lru_cache(maxsize=1 << 12)  # a run reads each a at every prime
+def _binomials(a: int, n: int) -> tuple[int, ...]:
+    return tuple(generalized_binomial(a, r) for r in range(n))  # C(a, r) for r < n
 
 
 class PrimeContext:
@@ -95,15 +105,15 @@ class PrimeContext:
     _BLOCK entries, each modulo the primes not yet read (see :meth:`_blocks`),
     and carry from block to block only the last entry of each running row
     and its sums.  A chunk of one prime p works modulo p^top with P = p.  X
-    and the expansion weights (-p)^|lam| * S(lam) are formed per prime, once
-    each.  :meth:`fill` runs two passes, which share no table.  Each forms
-    what it is asked and nothing else, in a chunk as at one prime:
+    and the expansion moments are formed per prime, once each.  :meth:`fill`
+    runs two passes, which share no table.  Each forms what it is asked and
+    nothing else, in a chunk as at one prime:
 
     * harmonic: any of the groups "mhs" (H_{p-1}(s) of the base claims),
       "sum" (the product sums of every partition of weight <= 5) and
       "binomials", which share the rows H_k({1}^j) and k^(-s);
-    * powers: sum_k u_k^a over the units u_k = (-1)^k C(p-1, k), for the
-      asked a, from each block's half units.
+    * powers: the moments c_r = sum_k (u_k - 1)^r, r < top, of the units
+      u_k = (-1)^k C(p-1, k), from which :meth:`power_sum` reads every a.
     """
 
     def __init__(self, primes: tuple[int, ...], top: int = 6):
@@ -111,13 +121,13 @@ class PrimeContext:
             raise ValueError(f"a chunk's primes must ascend, got {primes}")
         self.primes, self.top = primes, top
         # per prime: composition -> H_{p-1}(s), the empty one 1; partition ->
-        # its sum, the empty one p - 1 ones; a -> sum_k u_k^a
+        # its sum, the empty one p - 1 ones
         self.mhs_sums: dict = {p: {(): 1} for p in primes}
         self.product_sums: dict = {p: {(): p - 1} for p in primes}
-        self.power_sums: dict = {p: {} for p in primes}
+        self.moments: dict = {}  # p -> (c_0, ..., c_(top-1)), c_r = sum_k (u_k - 1)^r
         self.binomial_values: dict = {}  # p -> (F_1, F_2, central)
         self.invariants: dict = {}  # p -> X mod p^2
-        self.weights: dict = {}  # p -> the expansion weights
+        self.expansions: dict = {}  # p -> the expansion moments
         mod = self.mod = prod(p**top for p in primes)  # M; the CRT lift P is p mod each p^top
         self.lift = sum(p * (m := mod // p**top) * pow(m, -1, p**top) for p in primes) % mod
 
@@ -186,11 +196,11 @@ class PrimeContext:
             self.fill(p, ["binomials"])
         return self.binomial_values[p]
 
-    def fill(self, p: int, groups: Collection[str] = (), exponents: Iterable[int] = ()) -> None:
-        """Form what p misses of the harmonic ``groups`` and of sum_k u_k^a, a in ``exponents``.
+    def fill(self, p: int, groups: Collection[str]) -> None:
+        """Form what p misses of the ``groups`` ("mhs", "sum", "binomials", "powers"), no other.
 
-        No other group or exponent is formed.  At most one harmonic and one
-        power pass run, each forming its sums at every prime of the chunk.
+        At most one harmonic and one power pass run, each forming its sums
+        at every prime of the chunk.
         """
         sums, products = self.mhs_sums[p], self.product_sums[p]
         compositions = [s for s in _BASE_TARGETS if s not in sums] if "mhs" in groups else []
@@ -198,9 +208,8 @@ class PrimeContext:
         binomials = "binomials" in groups and p not in self.binomial_values
         if compositions or partitions or binomials:
             self._sum_harmonic(compositions, partitions, binomials)
-        exponents = set(exponents).difference(self.power_sums[p])
-        if exponents:
-            self._sum_powers(exponents)
+        if "powers" in groups and p not in self.moments:
+            self._sum_powers()
 
     def _sum_harmonic(self, compositions: list, partitions: list, binomials: bool) -> None:
         """One pass forming the H_{p-1}(s), the product sums and, if asked, the binomials.
@@ -274,56 +283,58 @@ class PrimeContext:
                     twice = sum(x << j for j, x in enumerate(ones))  # F_2's: times 2^j
                     self.binomial_values[p] = sum(ones) % m, twice % m, quotients % m
 
-    def expansion_weights(self, p: int) -> tuple:
-        """(-p)^|lam| * S(lam) modulo p^top for each lam in PARTITIONS, S the product sum."""
-        if p not in self.weights:
-            mod = p**self.top
-            self.weights[p] = tuple(
-                (-p) ** sum(lam) * self.product_sum(lam, p) % mod for lam in PARTITIONS
-            )
-        return self.weights[p]
+    def expansion_moments(self, p: int) -> tuple:
+        """The moments c_r = sum_{k<p} (u_k - 1)^r modulo p^6, r < 6, from the product sums.
+
+        u_k - 1 = sum_{j<=5} (-p)^j H_k({1}^j) modulo p^6, so c_r sums the
+        weights (-p)^|lam| * S(lam) of the lam in PARTITIONS with r parts,
+        each times its arrangements; c_0 = p counts the k.
+        """
+        if p not in self.expansions:
+            moments = [p, 0, 0, 0, 0, 0]
+            for lam in PARTITIONS:
+                weight = (-p) ** sum(lam) * self.product_sum(lam, p)
+                moments[len(lam)] += arrangement_count(lam) * weight
+            self.expansions[p] = tuple(c % p**6 for c in moments)
+        return self.expansions[p]
 
     def power_sum(self, a: int, p: int) -> int:
-        """sum_{k=0}^{p-1} u_k^a; negative a powers 1/u."""
-        sums = self.power_sums[p]
-        if a not in sums:
-            self.fill(p, exponents=[a])
-        return sums[a]
+        """sum_{k=0}^{p-1} u_k^a modulo p^top, for any integer a, from p's moments.
 
-    def _sum_powers(self, exponents: set) -> None:
-        """One pass forming sum_k u_k^a for each a in ``exponents``.
+        u_k - 1 is divisible by p, so u_k^a = sum_{r<top} C(a, r) (u_k - 1)^r
+        modulo p^top (see :func:`moment_sum`).  A miss fills the group "powers".
+        """
+        if p not in self.moments:
+            self.fill(p, ["powers"])
+        return moment_sum(a, self.moments[p], p**self.top)
 
-        One running row per sign, u, u^2, ... (or 1/u, 1/u^2, ...) up to the
-        largest wanted |a|, is summed as it passes each wanted exponent.  It
-        runs over the half k <= m = (p-1)/2, because u_(p-1-k) = u_k for an
-        odd p: the whole sum is twice the half's, less the middle term u_m^a,
-        and a block ending at k = m completes p's sums.  The units come block
-        by block (see :func:`_half_units`), each from the last one's u.  The
-        sum at a = 0 counts them, so its value p checks the half's bookkeeping.
-        p = 2 is refused with ValueError.
+    def _sum_powers(self) -> None:
+        """One pass forming the moments c_r = sum_{k<p} x_k^r, r < top, of x_k = u_k - 1.
+
+        The rows x, x^2, ..., x^(top-1) run over the half k <= m = (p-1)/2,
+        as u_(p-1-k) = u_k for an odd p: c_r is twice the half's sum less
+        x_m^r, and a block ending at k = m completes p's moments.  The units
+        come block by block (see :func:`_half_units`), each from the last
+        one's u.  c_0 counts them, so its value p checks the half's
+        bookkeeping.  p = 2 is refused with ValueError.
         """
         if self.primes[0] == 2:
             raise ValueError("the power sums need an odd prime, got p = 2")
-        totals = dict.fromkeys(exponents, 1)  # k = 0: u_0 = 1
-        tops = (max(exponents), -min(exponents))  # the rows u^1.. and (1/u)^1.. run that far
+        totals = [1] + [0] * (self.top - 1)  # k = 0: x_0^0 = 1
         reads = {(p - 1) // 2: p for p in self.primes}
         carry = 1  # u_0, the carry into the first block
         for _, inverses, mod, lift, p in self._blocks(reads):
-            half = _half_units(inverses, lift, carry, mod)
-            carry = half[0][-1]
-            if 0 in totals:
-                totals[0] += len(half[0])  # u^0 = 1
-            for sign, bases, top in zip((1, -1), half, tops):
-                row = bases
-                for exponent in range(1, top + 1):
-                    if exponent > 1:
-                        row = [x * b % mod for x, b in zip(row, bases)]
-                    if sign * exponent in totals:
-                        totals[sign * exponent] += sum(row)
+            units = _half_units(inverses, lift, carry, mod)
+            carry = units[-1]
+            row = bases = [u - 1 for u in units]
+            totals[0] += len(bases)
+            for r in range(1, self.top):
+                if r > 1:
+                    row = [x * b % mod for x, b in zip(row, bases)]
+                totals[r] += sum(row)
             if p is not None:
-                m = p**self.top
-                for a, total in totals.items():
-                    self.power_sums[p][a] = (2 * total - pow(half[a < 0][-1], abs(a), m)) % m
+                m, x_m = p**self.top, carry - 1
+                self.moments[p] = tuple((2 * t - pow(x_m, r, m)) % m for r, t in enumerate(totals))
 
 
 def prime_chunks(primes: Iterable[int]) -> list[tuple[int, ...]]:
@@ -411,8 +422,7 @@ class CongruenceClaim(NamedTuple):
     exponent: int
 
     check = check_residues
-    harmonic = property(lambda self: (self.kind,))  # the group of PrimeContext it reads
-    powers = ()  # it reads no power sum
+    groups = property(lambda self: (self.kind,))  # the group of PrimeContext it reads
 
     def rhs_value(self, p: int) -> int:
         """The right side in Z / p^e, from X modulo p^2 only.

@@ -5,7 +5,12 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial
 
-__all__ = ["arrangement_count", "enumerate_partitions", "partition_counts", "partitions_of"]
+from .algebra import _exact_quotient
+
+__all__ = [
+    "arrangement_count", "enumerate_partitions", "generalized_binomial", "partition_counts",
+    "partitions_of",
+]
 
 
 def enumerate_partitions(j: int, r: int) -> list[tuple[int, ...]]:
@@ -55,3 +60,13 @@ def arrangement_count(lam: tuple[int, ...]) -> int:
     for mult in Counter(lam).values():
         count //= factorial(mult)
     return count
+
+
+def generalized_binomial(a: int, r: int) -> int:
+    """C(a, r) = a(a-1)...(a-r+1) / r! for any integer a, always an integer."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    numerator = 1
+    for i in range(r):
+        numerator *= a - i
+    return _exact_quotient(numerator, factorial(r))

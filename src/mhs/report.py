@@ -40,16 +40,14 @@ def check_residues(claim, p: int) -> CheckResult:
 def check_at(claims, p: int) -> list[CheckResult]:
     """Check each per-prime claim at p, in order, once p is admitted as a prime > 5.
 
-    The context of p first forms, in one call, the union of the harmonic
-    groups and of the exponents that the claims declare they read
-    (``claim.harmonic``, ``claim.powers``): no check starts a pass, and
-    claims checked in one call share each pass.
+    The context of p first forms, in one call, the union of the groups that
+    the claims declare they read (``claim.groups``): no check starts a pass,
+    and claims checked in one call share each pass.
     """
     require_admissible(p)
     from .congruences import prime_context  # which imports this module
 
-    groups = {group for c in claims for group in c.harmonic}
-    prime_context(p).fill(p, groups, {a for c in claims for a in c.powers})
+    prime_context(p).fill(p, {group for c in claims for group in c.groups})
     return [claim.check(p) for claim in claims]
 
 

@@ -129,25 +129,26 @@ def test_cai_granville_small():
             assert cai_granville_holds(a, p)
 
 
-def test_power_sum_computed_once_per_a_and_prime():
+def test_moments_formed_once_per_prime():
     from mhs import binomial_sums
     from mhs.congruences import prime_context
 
-    sweeps = []
+    formed = []
 
-    class RecordingSums(dict):
-        def __setitem__(self, a, total):
-            sweeps.append(a)
-            super().__setitem__(a, total)
+    class RecordingMoments(dict):
+        def __setitem__(self, p, moments):
+            formed.append(p)
+            super().__setitem__(p, moments)
 
     p = 17
     prime_context(13)  # a context of 17 from an earlier test is replaced
-    prime_context(p).power_sums[p] = RecordingSums()
+    prime_context(p).moments = RecordingMoments()
     results = binomial_sums.theorem_suite(p) + binomial_sums.cai_granville_suite(p)
     assert len(results) == 31 and all(r.passed for r in results)
-    # one direct sum per a in [-6, 6], formed in one batch; the anchors and the
-    # e = 4 checks reuse them
-    assert sorted(sweeps) == list(range(-6, 7))
+    # one power pass forms p's moments, from which every a in [-6, 6], the
+    # anchors and the e = 4 checks read their sums
+    assert formed == [p]
     assert binomial_power_sum(2, p, e=4) == binomial_sums.PResidue(
         sum(pow(comb(p - 1, k), 2, p**4) for k in range(p)), p, 4
     )
+    assert formed == [p]

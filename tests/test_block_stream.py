@@ -2,8 +2,9 @@
 
 Every value a per-prime claim reads is compared with the whole-row oracle
 (tests/whole_row.py), which works at one prime: H_{p-1}(s) of the base
-claims, every product sum of weight <= 5 and the expansion weights, the
-power sums for -6 <= a <= 6, F_1 and F_2 (which the stream sums from the
+claims, every product sum of weight <= 5, the moments of the units from
+the power pass and from the product sums, the power sums for
+-6 <= a <= 6, F_1 and F_2 (which the stream sums from the
 rows H_{p-1}({1}^j) and the oracle multiplies as step products over
 m <= p - 1) and the central-binomial sum.  A context holds an ascending chunk of primes and
 forms each sum for all of them in one pass modulo the product of their
@@ -36,19 +37,21 @@ def _streamed_values(context: PrimeContext, p: int) -> dict:
     values = {("mhs", claim.target): context.mhs(claim.target, p) for claim in BASE_CLAIMS}
     values.update((("sum", lam), context.product_sum(lam, p)) for lam in PARTITIONS)
     values.update((("power", a), context.power_sum(a, p)) for a in EXPONENTS)
+    values["moments"] = context.moments[p]
     values["binomials"] = context.binomials(p)
-    values["expansion"] = context.expansion_weights(p)
+    values["expansion"] = context.expansion_moments(p)
     return values
 
 
-def _whole_values(p: int, mod: int) -> dict:
-    """The same values from the whole-row oracle of p modulo mod."""
-    whole = WholeRowContext(p, mod)
+def _whole_values(p: int, top: int = 6) -> dict:
+    """The same values from the whole-row oracle of p modulo p^top."""
+    whole = WholeRowContext(p, p**top)
     values = {("mhs", claim.target): whole.mhs(claim.target) for claim in BASE_CLAIMS}
     values.update((("sum", lam), whole.product_sum(lam)) for lam in PARTITIONS)
     values.update((("power", a), whole.power_sum(a)) for a in EXPONENTS)
+    values["moments"] = whole.moments(top)
     values["binomials"] = whole.binomials
-    values["expansion"] = whole.expansion_weights
+    values["expansion"] = tuple(c % p**6 for c in values["moments"][:6])  # valid mod p^6
     return values
 
 
@@ -63,7 +66,7 @@ def _assert_chunks_match(chunks, oracle: dict, e: int = 6) -> None:
     top = max(e, 6)
     for chunk in chunks:
         context = PrimeContext(tuple(chunk), top)
-        context.fill(chunk[0], HARMONIC, EXPONENTS)  # as the runner fills it for `all`
+        context.fill(chunk[0], HARMONIC + ("powers",))  # as the runner fills it for `all`
         for p in chunk:
             streamed, whole = _streamed_values(context, p), oracle[p]
             assert streamed.keys() == whole.keys()
@@ -73,7 +76,7 @@ def _assert_chunks_match(chunks, oracle: dict, e: int = 6) -> None:
 
 def test_stream_matches_whole_rows_at_every_prime_to_2000():
     primes = primes_in_range(7, 2000)
-    oracle = {p: _whole_values(p, p**6) for p in primes}
+    oracle = {p: _whole_values(p) for p in primes}
     chunkings = _chunkings(primes)
     assert max(map(len, chunkings[-1])) > 3  # the sweep's chunks are longer still
     for chunks in chunkings:
@@ -84,7 +87,7 @@ def test_stream_matches_whole_rows_at_every_prime_to_2000():
     "primes", [[10007], [9973, 10007, 10009], [100003]], ids=["10007", "9973-10009", "100003"]
 )
 def test_stream_matches_whole_rows_at_large_primes(primes):
-    _assert_chunks_match([primes], {p: _whole_values(p, p**6) for p in primes})
+    _assert_chunks_match([primes], {p: _whole_values(p) for p in primes})
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 10])
@@ -92,7 +95,7 @@ def test_stream_matches_whole_rows_in_short_blocks(monkeypatch, block):
     monkeypatch.setattr(congruences, "_BLOCK", block)
     primes = primes_in_range(7, 60 if block == 1 else 150)
     for e in (6, 8):
-        oracle = {p: _whole_values(p, p ** max(e, 6)) for p in primes}
+        oracle = {p: _whole_values(p, max(e, 6)) for p in primes}
         chunkings = _chunkings(primes) if e == 6 else [[(p,) for p in primes]]
         for chunks in chunkings:
             _assert_chunks_match(chunks, oracle, e)
@@ -121,7 +124,7 @@ def test_stream_matches_whole_rows_off_the_claims(monkeypatch, block):
     heavy = [(7, 2, 1), (6,), (3, 3, 1), (12, 1, 1)]
     chunk = (7, 11, 37, 101)
     for streamed in [PrimeContext(chunk)] + [PrimeContext((p,)) for p in chunk]:
-        streamed.fill(streamed.primes[0], exponents=[9, -11])
+        streamed.fill(streamed.primes[0], ["powers"])
         for p in streamed.primes:
             whole = WholeRowContext(p, p**6)
             for s in shapes:
@@ -158,7 +161,7 @@ def test_each_block_works_modulo_the_primes_not_yet_read(monkeypatch, block):
 # the base claims and the product sums do.
 PASSES = {
     "harmonic": lambda context: context.fill(context.primes[0], HARMONIC),
-    "power": lambda context: context.fill(context.primes[0], exponents=EXPONENTS),
+    "power": lambda context: context.fill(context.primes[0], ["powers"]),
 }
 
 
@@ -192,7 +195,7 @@ def test_the_first_block_is_inverted_once_whatever_pass_runs_first(monkeypatch, 
     monkeypatch.setattr(congruences, "batch_inverse", recording)
     for name in ("_sum_harmonic", "_sum_powers"):
         monkeypatch.setattr(PrimeContext, name, counting(name, getattr(PrimeContext, name)))
-    oracle = {p: _whole_values(p, p**6) for p in chunk}
+    oracle = {p: _whole_values(p) for p in chunk}
     order = list(PASSES)
     for i in range(len(order)):
         firsts.clear()
@@ -228,10 +231,10 @@ def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypat
     context = PrimeContext((p,))
     with monkeypatch.context() as patched:
         patched.setattr(congruences, "_BLOCK", 4)
-        context.fill(p, exponents=EXPONENTS)
+        context.fill(p, ["powers"])
     assert firsts == [4]
     context.fill(p, HARMONIC)
-    assert _streamed_values(context, p) == _whole_values(p, p**6)
+    assert _streamed_values(context, p) == _whole_values(p)
     assert firsts == [4, p - 1]
 
 

@@ -406,23 +406,44 @@ def test_verify_runs_prime_major(monkeypatch, capsys):
     assert seen == sorted(seen)
 
 
-def test_verify_builds_expansion_terms_once_per_a(monkeypatch, capsys):
-    from mhs import binomial_sums
+def test_verify_runs_the_same_power_pass_for_any_range_of_a(monkeypatch, capsys):
+    """One power pass per chunk serves every a: a wide range runs the pass of -6..6.
 
-    built = []
+    The pass forms the moments of the units, so its row products (one zip
+    each) are as many for -500 <= a <= 500 as for the default range.
+    """
+    from mhs import congruences
+    from mhs.residues import primes_in_range
 
-    def counting_terms(a, real=binomial_sums._expansion_terms):
-        built.append(a)
-        return real(a)
+    passes = []
 
-    monkeypatch.setattr(binomial_sums, "_expansion_terms", counting_terms)
-    code, out, _ = run(
-        capsys, "verify", "--suite", "theorem", "--amin", "-40", "--amax", "40",
-        "--pmin", "7", "--pmax", "61",
-    )
-    assert code == 0
-    assert out.endswith("2505/2505 checks passed\n")  # 15 primes, 2 * 81 + 2 + 3 claims
-    assert built == list(range(-40, 41))
+    def counting(self, real=congruences.PrimeContext._sum_powers):
+        products = []
+
+        def counting_zip(*rows):
+            products.append(len(rows))
+            return zip(*rows)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(congruences, "zip", counting_zip, raising=False)
+            real(self)
+        passes.append((self.primes, len(products)))
+
+    monkeypatch.setattr(congruences.PrimeContext, "_sum_powers", counting)
+    runs = {}
+    # 15 primes, 2 * (amax - amin + 1) + 2 + 3 claims
+    for amin, amax, checks in ((-6, 6, 465), (-40, 40, 2505), (-500, 500, 30105)):
+        passes.clear()
+        code, out, _ = run(
+            capsys, "verify", "--suite", "theorem", "--amin", str(amin), "--amax", str(amax),
+            "--pmin", "7", "--pmax", "61",
+        )
+        assert code == 0
+        assert out.endswith(f"{checks}/{checks} checks passed\n")
+        runs[amin] = list(passes)
+    assert [chunk for chunk, _ in runs[-6]] == congruences.prime_chunks(primes_in_range(7, 61))
+    assert all(products > 0 for _, products in runs[-6])
+    assert runs[-500] == runs[-40] == runs[-6]
 
 
 @pytest.mark.parametrize("listing", [[], ["--list"]])

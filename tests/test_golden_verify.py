@@ -5,8 +5,8 @@ wrote: stdout, then stderr (empty, since every case passes).  The cases
 cover every suite over the default range, a JSON sweep of all suites, the
 theorem's power pass beyond a = -6..6 and over a range without a = 1..3, a
 ``--claim`` selection at primes above 100, the corollaries and the theorem
-at a prime of two blocks, and every suite on one chunk whose first prime is
-one block and whose last is two.  A JSON sweep of several chunks of primes is pinned by its
+at a prime of two blocks, every suite on one chunk whose first prime is
+one block and whose last is two, and the theorem for -40 <= a <= 40.  A JSON sweep of several chunks of primes is pinned by its
 length and sha256, as the context of one prime at a time wrote it.
 """
 
@@ -45,6 +45,11 @@ CASES = {
     # one chunk from 16381, one block, to 16411, two: a block ends between the primes
     "all_block_edge_json": [
         "--suite", "all", "--pmin", "16381", "--pmax", "16411", "--format", "json",
+    ],
+    # a far beyond the moments' six terms, both signs: every sum C(a, r) c_r of each route
+    "theorem_far_a_json": [
+        "--suite", "theorem", "--amin", "-40", "--amax", "40", "--pmin", "101", "--pmax", "101",
+        "--format", "json",
     ],
 }
 

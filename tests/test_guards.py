@@ -61,7 +61,8 @@ hoffman.factorial = lambda n: 7
 expect(ArithmeticError, hoffman.hoffman_reduce, 2)
 
 binomial_sums = importlib.import_module("mhs.binomial_sums")
-binomial_sums.factorial = lambda r: 7
+partitions = importlib.import_module("mhs.partitions")  # where generalized_binomial lives
+partitions.factorial = lambda r: 7
 expect(ArithmeticError, binomial_sums.generalized_binomial, 5, 2)
 
 # A Staver scale that never grows: L stays 1, which k = 2 does not divide.

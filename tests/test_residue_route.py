@@ -298,8 +298,7 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     """At a prime of one block the five suites' claims, checked together, run each pass once.
 
     Each pass inverts its own block.  Checked one suite at a time in fresh
-    contexts, each suite forms the groups and exponents it declares and no
-    others.
+    contexts, each suite forms the groups it declares and no others.
     """
     p = 101
     inversions, passes = [], []
@@ -315,9 +314,9 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
         passes.append((len(compositions), len(partitions), binomials))
         return real(self, compositions, partitions, binomials)
 
-    def counting_powers(self, exponents, real=congruences.PrimeContext._sum_powers):
-        passes.append(sorted(exponents))
-        return real(self, exponents)
+    def counting_powers(self, real=congruences.PrimeContext._sum_powers):
+        passes.append("powers")
+        return real(self)
 
     monkeypatch.setattr(congruences, "batch_inverse", counting_inverse)
     monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", counting_harmonic)
@@ -337,16 +336,16 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     # sum of weight <= 5 and the binomials: each base claim's prefix is a row
     # H({1}^j), and so is every term of F_1 and F_2.
     everything = len(BASE_CLAIMS), len(congruences.PARTITIONS)
-    assert passes == [(*everything, True), list(range(-6, 7))]
-    # 1/k for the harmonic pass, 1/k and the half units' inverses for the
-    # power pass: once for every e at p
-    assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6), ((p - 1) // 2, p**6)]
+    assert passes == [(*everything, True), "powers"]
+    # 1/k for each pass, once per block and once for every e at p: the power
+    # pass inverts no unit
+    assert inversions == [(p - 1, p**6), ((p - 1) // 2, p**6)]
 
     alone = {
         base_congruence_suite: [(len(BASE_CLAIMS), 0, False)],
         sum_congruence_suite: [(0, len(congruences.PARTITIONS), False)],
-        theorem_suite: [(0, len(congruences.PARTITIONS), False), list(range(-6, 7))],
-        cai_granville_suite: [(0, 0, True), [1, 2, 3]],
+        theorem_suite: [(0, len(congruences.PARTITIONS), False), "powers"],
+        cai_granville_suite: [(0, 0, True), "powers"],
         corollary_suite: [(0, 0, True)],
     }
     for suite, expected in alone.items():
@@ -380,55 +379,89 @@ def _reference_product_sum(lam: tuple, rows: list, p: int, mod: int) -> int:
 
 def _reference_power_sum(a: int, p: int, mod: int) -> int:
     """The per-k loop that summed u_k^a before the running rows: one pow per k."""
+    return _reference_unit_power_sums([a], p, mod)[a]
+
+
+def _reference_unit_power_sums(exponents, p: int, mod: int) -> dict:
+    """a -> sum_k u_k^a for each a in ``exponents``, by :func:`_reference_power_sum`'s loop."""
     units = [1]
     for k in range(1, p):
         units.append(units[-1] * (1 - p * pow(k, -1, mod)) % mod)
-    return sum(pow(u, a, mod) for u in units) % mod
+    return {a: sum(pow(u, a, mod) for u in units) % mod for a in exponents}
 
 
 KERNEL_PARTITIONS = [lam for w in range(1, 6) for lam in partitions_of(w)] + [(3, 2, 1)]
+KERNEL_EXPONENTS = range(-12, 13)
 KEPT = {
     "primes",
     "top",
     "mhs_sums",
     "product_sums",
-    "power_sums",
+    "moments",
     "binomial_values",
     "invariants",
-    "weights",
+    "expansions",
     "mod",
     "lift",
 }
 
 
-@pytest.mark.parametrize("p", [7, 11, 101])
+@pytest.mark.parametrize("p", PRIMES + [1009, 10007, 100003])
 def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
-    monkeypatch.setattr(congruences, "_BLOCK", 10)  # passes in blocks, the last one short
+    """The block passes' sums against the per-k loops, and against the whole rows above 1000.
+
+    Below 400 every power sum for -12 <= a <= 12 and every product sum of
+    KERNEL_PARTITIONS is checked against its per-k loop, in blocks of 10 at
+    every e of 1, 4, 6 and 8; at 7, 11 and 101 also in fresh contexts
+    filled in other orders.  Above 1000, where the loops would take
+    minutes, the power sums are checked against the whole-row context.  At
+    every p the direct moments equal the expansion moments, and at 101 and
+    1009 the power sums at a = -1000, 777 and 1000, far past the six
+    terms of the moments, equal the closed form.
+    """
+    if p < 1000:
+        monkeypatch.setattr(congruences, "_BLOCK", 10)  # passes in blocks, the last one short
     prime_context(13)  # a context of p from an earlier test is replaced
+    wholes: dict = {}  # mod -> the whole-row context
     for e in (1, 4, 6, 8):
         mod = p ** max(e, 6)
-        rows = _reference_rows(p, mod, 6)
-        products = {lam: _reference_product_sum(lam, rows, p, mod) for lam in KERNEL_PARTITIONS}
-        powers = {a: _reference_power_sum(a, p, mod) for a in range(-8, 9)}
-        for lam, expected in products.items():
-            assert homogeneous_product_sum_mod(lam, p, e) == expected % p**e, (lam, p, e)
+        if p > 1000:
+            whole = wholes.setdefault(mod, WholeRowContext(p, mod))
+            for a in KERNEL_EXPONENTS:
+                assert binomial_power_sum(a, p, e).value == whole.power_sum(a) % p**e, (a, p, e)
+            continue
+        powers = _reference_unit_power_sums(KERNEL_EXPONENTS, p, mod)
         for a, expected in powers.items():
             assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
+        if p not in (7, 11, 101):
+            continue
+        rows = _reference_rows(p, mod, 6)
+        products = {lam: _reference_product_sum(lam, rows, p, mod) for lam in KERNEL_PARTITIONS}
+        for lam, expected in products.items():
+            assert homogeneous_product_sum_mod(lam, p, e) == expected % p**e, (lam, p, e)
         # Fresh contexts, filled in other orders and batches, keep only sums,
         # M and the lift: no table outlives its pass.
         top = max(e, 6)
         ascending, batched = congruences.PrimeContext((p,), top), congruences.PrimeContext((p,), top)
-        batched.fill(p, exponents=range(-8, 9))
+        batched.fill(p, ["powers"])
         for lam in reversed(KERNEL_PARTITIONS):
             assert batched.product_sum(lam, p) == products[lam], (lam, p, e)
         for lam in KERNEL_PARTITIONS:
             assert ascending.product_sum(lam[::-1], p) == products[lam], (lam, p, e)
-        for a in range(-8, 9):
+        for a in KERNEL_EXPONENTS:
             assert ascending.power_sum(a, p) == batched.power_sum(a, p) == powers[a], (a, p, e)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
-            sums = [*context.product_sums[p].values(), *context.power_sums[p].values()]
+            sums = [*context.product_sums[p].values(), *context.moments[p]]
             assert all(type(total) is int for total in sums)
+    context = congruences.PrimeContext((p,))
+    context.fill(p, ["powers"])  # the direct moments, from the power pass
+    assert len(context.moments[p]) == 6 and context.moments[p] == context.expansion_moments(p), p
+    if p in (101, 1009):
+        for a in (-1000, 777, 1000):
+            closed = binomial_power_sum_closed_form(a, p).value
+            expansion = binomial_power_sum_via_mhs(a, p).value
+            assert binomial_power_sum(a, p).value == closed == expansion, (a, p)
 
 
 def _library_oracle(p: int) -> dict:
@@ -456,7 +489,7 @@ def test_a_library_read_forms_only_the_group_it_reads(monkeypatch, p):
     returns still equals the oracle's.
     """
     oracle = _library_oracle(p)
-    nothing = {"mhs": {()}, "sum": {()}, "binomials": False, "powers": {}}
+    nothing = {"mhs": {()}, "sum": {()}, "binomials": False, "powers": False}
 
     def fresh(read):
         """read() in an empty context, and what the context then holds at p."""
@@ -467,7 +500,7 @@ def test_a_library_read_forms_only_the_group_it_reads(monkeypatch, p):
             "mhs": set(held.mhs_sums[p]),
             "sum": set(held.product_sums[p]),
             "binomials": p in held.binomial_values,
-            "powers": held.power_sums[p],
+            "powers": p in held.moments,
         }
 
     value, formed = fresh(lambda: central_binomial_sum_mod(p)[0])
@@ -483,7 +516,7 @@ def test_a_library_read_forms_only_the_group_it_reads(monkeypatch, p):
 
     monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", refuse)
     value, formed = fresh(lambda: binomial_power_sum(2, p).value)
-    assert value == oracle["power"] and formed == {**nothing, "powers": {2: value}}
+    assert value == oracle["power"] and formed == {**nothing, "powers": True}
 
 
 @pytest.mark.parametrize("lam", [(30,), (7, 2, 1)])
@@ -598,8 +631,8 @@ def test_power_sums_refuse_p_2():
         with pytest.raises(ValueError, match="p = 2"):
             context.power_sum(a, 2)
     with pytest.raises(ValueError, match="p = 2"):
-        context.fill(2, exponents=range(-6, 7))
-    assert context.power_sums == {2: {}}
+        context.fill(2, ["powers"])
+    assert context.moments == {}
 
 
 @pytest.mark.parametrize("p, sums", [(3, (3, 0, 6, 366)), (5, (5, 0, 70, 5210))])
@@ -619,14 +652,13 @@ def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
         full.append(full[-1] * (1 - p * pow(k, -1, mod)) % mod)
     assert full == full[::-1]  # u_(p-1-k) = u_k: the half the passes run is all of it
     context = congruences.PrimeContext((p,))
-    units, inverted = [1], [1]
+    units = [1]
     for _, inverses, _, lift, _ in context._blocks({(p - 1) // 2: p}):  # as the pass does
-        half = congruences._half_units(inverses, lift, units[-1], mod)
-        units += half[0]
-        inverted += half[1]
+        units += congruences._half_units(inverses, lift, units[-1], mod)
     assert units == full[: (p + 1) // 2]
-    assert inverted == [pow(u, -1, mod) for u in units]
-    context.fill(p, exponents=range(-6, 7))
+    context.fill(p, ["powers"])
+    moments = tuple(sum(pow(u - 1, r, mod) for u in full) % mod for r in range(6))
+    assert context.moments[p] == moments
     for a in range(-6, 7):
         assert context.power_sum(a, p) == _reference_power_sum(a, p, mod), (a, p)
 
@@ -643,8 +675,7 @@ def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch
     half_units = congruences._half_units
 
     def without_the_middle(inverses, lift, carry, mod):
-        units, inverted = half_units(inverses, lift, carry, mod)
-        return units[:-1], inverted[:-1]  # p < _BLOCK: one block, which ends at the middle
+        return half_units(inverses, lift, carry, mod)[:-1]  # p < _BLOCK: one block, to the middle
 
     monkeypatch.setattr(congruences, "_local", threading.local())
     monkeypatch.setattr(congruences, "_half_units", without_the_middle)
@@ -666,9 +697,9 @@ def _passes_of_a_sweep(monkeypatch, capsys, suite: str, checks: int) -> tuple[li
             passes.append(("harmonic", self.primes, len(compositions), len(partitions), binomials))
             super()._sum_harmonic(compositions, partitions, binomials)
 
-        def _sum_powers(self, exponents):
+        def _sum_powers(self):
             passes.append(("powers", self.primes))
-            super()._sum_powers(exponents)
+            super()._sum_powers()
 
     monkeypatch.setattr(congruences, "PrimeContext", Counting)
     code = cli.main(["verify", "--suite", suite, "--pmin", "7", "--pmax", "199"])
@@ -708,35 +739,32 @@ def test_verify_congruences_runs_no_central_loop(monkeypatch, capsys):
 
 
 def test_each_claim_names_the_harmonic_group_it_reads(monkeypatch):
-    """A claim's ``harmonic`` and ``powers`` are what its sides read, and no more.
+    """A claim's ``groups`` are what its sides read, and no more.
 
-    ``harmonic`` is a tuple of the groups of the harmonic pass and
-    ``powers`` one of the a of the power sums.  ``check_at`` fills a
-    context with these before the first check, so a claim that named too
-    little would start a pass of its own, and one that named too much a
-    pass that no claim reads.  Each claim is checked alone, without
-    ``check_at``, in a fresh context: its reads ask ``fill`` for exactly
-    what it names.
+    ``groups`` is a tuple of the groups of PrimeContext: "mhs", "sum" and
+    "binomials" of the harmonic pass, "powers" of the power pass.
+    ``check_at`` fills a context with these before the first check, so a
+    claim that named too little would start a pass of its own, and one that
+    named too much a pass that no claim reads.  Each claim is checked alone,
+    without ``check_at``, in a fresh context: its reads ask ``fill`` for
+    exactly what it names.
     """
     p, asked = 101, []
 
-    def recording(self, p, groups=(), exponents=(), real=congruences.PrimeContext.fill):
-        asked.append((set(groups), set(exponents)))
-        return real(self, p, groups, exponents)
+    def recording(self, p, groups, real=congruences.PrimeContext.fill):
+        asked.append(set(groups))
+        return real(self, p, groups)
 
     monkeypatch.setattr(congruences.PrimeContext, "fill", recording)
     monkeypatch.setattr(congruences, "_local", threading.local())
     claims = BASE_CLAIMS + SUM_CLAIMS + theorem_claims() + CAI_GRANVILLE_CLAIMS + COROLLARY_CLAIMS
     for claim in claims:
         # a bare string would declare its letters: "sum" the groups s, u and m
-        assert type(claim.harmonic) is tuple and type(claim.powers) is tuple, claim.claim_id
+        assert type(claim.groups) is tuple, claim.claim_id
         asked.clear()
         congruences._local.held = congruences.PrimeContext((p,))
         assert claim.check(p).passed, claim.claim_id
-        groups = set().union(*(group for group, _ in asked))
-        exponents = set().union(*(exponent for _, exponent in asked))
-        assert groups == set(claim.harmonic), claim.claim_id
-        assert exponents == set(claim.powers), claim.claim_id
+        assert set().union(*asked) == set(claim.groups), claim.claim_id
 
 
 @pytest.mark.parametrize(
@@ -762,8 +790,8 @@ def test_no_check_starts_a_pass_once_the_runner_has_filled_the_context(monkeypat
         raise AssertionError(f"a check started a pass: {args}")
 
     class Sealed(congruences.PrimeContext):
-        def fill(self, p, groups=(), exponents=()):
-            super().fill(p, groups, exponents)
+        def fill(self, p, groups):
+            super().fill(p, groups)
             self._sum_harmonic = self._sum_powers = refuse  # for every later call
 
     monkeypatch.setattr(congruences, "PrimeContext", Sealed)
@@ -780,7 +808,7 @@ def test_the_theorem_routes_share_no_table(monkeypatch, chunk):
 
     With every inverse that the harmonic pass builds perturbed, every
     expansion claim fails and every direct claim passes.  With those of the
-    power pass perturbed (1/k and 1/u), every direct claim fails, while the expansion route's value
+    power pass perturbed (1/k), every direct claim fails, while the expansion route's value
     still equals the closed form (its claims fail too, as their right side
     is the direct sum).  a = 0 reads neither: the power pass counts p
     units, and C(0, r) = 0 for r >= 1 leaves the expansion at p.
@@ -822,13 +850,13 @@ def test_a_theorem_range_without_1_to_3_runs_one_power_pass_per_chunk(monkeypatc
     runs = []
     real = congruences.PrimeContext._sum_powers
 
-    def counting(self, exponents):
-        runs.append((self.primes, frozenset(exponents)))
-        return real(self, exponents)
+    def counting(self):
+        runs.append(self.primes)
+        return real(self)
 
     monkeypatch.setattr(congruences.PrimeContext, "_sum_powers", counting)
     argv = ["verify", "--suite", "theorem", "--amin", "-9", "--amax", "-7"]
     assert cli.main([*argv, "--pmin", "7", "--pmax", "199"]) == 0
     chunks = congruences.prime_chunks(primes_in_range(7, 199))
     assert len(chunks) > 1
-    assert runs == [(chunk, frozenset({-9, -8, -7, 1, 2, 3})) for chunk in chunks]
+    assert runs == chunks

@@ -4,7 +4,8 @@ Before the context of a prime streamed k in blocks, it held every table as
 one row over 0 <= k < p: the inverses, the tables j^(-s), the rows
 H_k({1}^j) and the half unit tables.  That design is kept here, unchanged
 in its arithmetic, so the tests can compare every value the claims read
-against it.  Its memory grows with p, so the tests use it only at moderate
+against it; the moments of the units, which the context now forms in
+place of the power sums, are summed here over every k < p.  Its memory grows with p, so the tests use it only at moderate
 primes.
 """
 
@@ -14,7 +15,6 @@ import itertools
 import operator
 from functools import cached_property
 
-from mhs.congruences import PARTITIONS
 from mhs.residues import batch_inverse
 
 _WEIGHT = 5
@@ -157,7 +157,14 @@ class WholeRowContext:
             total += central * inverses[k]
         return self.steps_product(1, p - 1), self.steps_product(2, p - 1), total % mod
 
-    @cached_property
-    def expansion_weights(self) -> tuple:
-        p, mod = self.p, self.mod
-        return tuple((-p) ** sum(lam) * self.product_sum(lam) % mod for lam in PARTITIONS)
+    def moments(self, n: int) -> tuple:
+        """sum_{k<p} (u_k - 1)^r for r < n, with u_k = prod_{j<=k} (1 - p/j) over every k < p."""
+        p, mod, inverses = self.p, self.mod, self.inverses
+        totals, u = [0] * n, 1
+        for k in range(p):
+            u = u * (1 - p * inverses[k]) % mod  # inverses[0] = 0: u_0 = 1
+            term = 1
+            for r in range(n):
+                totals[r] += term
+                term = term * (u - 1) % mod
+        return tuple(total % mod for total in totals)
