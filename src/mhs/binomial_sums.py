@@ -13,11 +13,11 @@ over partitions.  Their agreement re-verifies the congruence tables along the
 way.  Both read their residues at p from the context that holds p
 (congruences.prime_context), which holds X mod p^2 and each sum; in a
 sweep it holds a chunk of primes and forms each sum for all of them in one
-pass.  Each route gives every a as sum_{r<6} C(a, r) c_r from six moments
-c_r = sum_k (u_k - 1)^r: the direct route sums them over the units
-k <= (p-1)/2, since u_(p-1-k) = u_k, and the expansion route from the
-product sums.  The per-prime claims read the context directly; the public
-functions read the same values after checking p, as PResidue.
+pass.  Each route has six moments c_r = sum_k (u_k - 1)^r, the direct one
+over the units k <= (p-1)/2 (u_(p-1-k) = u_k), the expansion one from the
+product sums, and sums a row C(a, 0..5) with them (:func:`moment_sum`).  Each
+per-prime claim is built with its a's row and reads the context directly;
+the public functions form the row and check p, and return a PResidue.
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
@@ -32,6 +32,7 @@ Fraction route as their oracle.
 
 from __future__ import annotations
 
+import operator
 import threading
 from fractions import Fraction
 from functools import partial
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import _exact_quotient
 from .bernoulli import bernoulli_invariant
-from .congruences import moment_sum, prime_context
+from .congruences import prime_context
 from .partitions import generalized_binomial
 from .report import CheckResult, check_at, check_residues
 from .residues import PResidue, is_prime, padic_valuation, require_admissible, require_exponent
@@ -81,14 +82,27 @@ def signed_binomial_power(k: int, a: int, p: int, e: int = 6) -> PResidue:
     return PResidue(pow(top * pow(bottom, -1, mod), abs(a), mod), p, e)
 
 
+def moment_sum(row: tuple, moments: tuple, mod: int) -> int:
+    """sum_k (1 + x_k)^a = sum_r C(a, r) c_r modulo mod | p^len(row), for p | x_k.
+
+    ``row`` is C(a, 0..n-1) and c_r = sum_k x_k^r: the terms r >= n vanish.
+    """
+    return sum(map(operator.mul, row, moments)) % mod
+
+
+def _row(a: int, n: int = 6) -> tuple[int, ...]:
+    return tuple(generalized_binomial(a, r) for r in range(n))  # C(a, r) for r < n
+
+
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
     """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route).
 
-    The sum is read from the moments of the context of p, which one power
-    pass forms for every a (see ``PrimeContext.power_sum``).
+    The sum is a's row C(a, 0..top-1) times the moments of the context of
+    p, which one power pass forms for every a (``PrimeContext.unit_moments``).
     """
     require_admissible(p)
-    return PResidue(prime_context(p, e).power_sum(a, p), p, e)
+    context = prime_context(p, e)
+    return PResidue(moment_sum(_row(a, context.top), context.unit_moments(p), p**e), p, e)
 
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
@@ -124,7 +138,7 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     if e > 6:
         raise ValueError("the weight-5 truncation only supports e <= 6")
     require_exponent(e)
-    return PResidue(moment_sum(a, prime_context(p).expansion_moments(p), p**6), p, e)
+    return PResidue(moment_sum(_row(a), prime_context(p).expansion_moments(p), p**6), p, e)
 
 
 def alternating_power_sum(n: int, a: int) -> Fraction:
@@ -177,7 +191,7 @@ def cai_granville_holds(a: int, p: int) -> bool:
     if a < 1:
         raise ValueError("a must be >= 1")
     require_admissible(p)
-    return prime_context(p, 4).power_sum(a, p) % p**4 == comb(a * p - 2, p - 1) % p**4
+    return _direct(_row(a), p, 4) == comb(a * p - 2, p - 1) % p**4
 
 
 def central_binomial_sum_mod(p: int) -> tuple[int, int]:
@@ -205,25 +219,28 @@ class BinomialClaim(NamedTuple):
     check = check_residues
 
 
-def _closed_form_sides(a: int, p: int) -> tuple[int, int]:
-    context = prime_context(p)
-    return context.power_sum(a, p), _closed_form(a, p, p**6, context.invariant(p))
+def _direct(row: tuple, p: int, e: int = 6) -> int:
+    """sum_k u_k^a modulo p^e (e <= 6): a's row times the unit moments of the context of p."""
+    return moment_sum(row, prime_context(p).unit_moments(p), p**e)
 
 
-def _expansion_sides(a: int, p: int) -> tuple[int, int]:
-    context = prime_context(p)
-    return moment_sum(a, context.expansion_moments(p), p**6), context.power_sum(a, p)
+def _closed_form_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
+    return _direct(row, p), _closed_form(a, p, p**6, prime_context(p).invariant(p))
 
 
-def _anchor_sides(a: int, p: int) -> tuple[int, int]:
-    return prime_context(p).power_sum(a, p), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
+def _expansion_sides(row: tuple, p: int) -> tuple[int, int]:
+    return moment_sum(row, prime_context(p).expansion_moments(p), p**6), _direct(row, p)
 
 
-def _single_binomial_sides(a: int, p: int) -> tuple[int, int]:
+def _anchor_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
+    return _direct(row, p), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
+
+
+def _single_binomial_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
     # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial is read
     context, mod = prime_context(p, 4), p**4
     rhs = (a - 1) * p * context.binomials(p)[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
-    return context.power_sum(a, p) % mod, rhs % mod
+    return _direct(row, p, 4), rhs % mod
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
@@ -234,29 +251,30 @@ def _wolstenholme_sides(p: int) -> tuple[int, int]:
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
     """Direct vs closed form and expansion vs direct for each a, then the anchors.
 
-    Every claim reads the group "powers", whose one pass serves every a, and
-    the expansion claims the product sums too.
+    Each a's row C(a, 0..5) is formed once and bound into its claims, which
+    all read the group "powers", and the expansion claims the product sums.
     """
+    rows = {a: _row(a) for a in range(amin, amax + 1)}
     powers = ("powers",)
     claims = [
-        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, partial(sides, a), groups)
-        for a in range(amin, amax + 1)
+        BinomialClaim(f"binomial-power-sum{route}:a={a}", 6, sides, groups)
+        for a, row in rows.items()
         for route, sides, groups in (
-            ("", _closed_form_sides, powers),
-            ("-expansion", _expansion_sides, ("sum", "powers")),
+            ("", partial(_closed_form_sides, a, row), powers),
+            ("-expansion", partial(_expansion_sides, row), ("sum", "powers")),
         )
     ]
     claims += [
-        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a), powers)
-        for a in (0, 1)
-        if amin <= a <= amax
+        BinomialClaim(f"binomial-power-sum-anchor:a={a}", 6, partial(_anchor_sides, a, row), powers)
+        for a, row in rows.items()
+        if a in (0, 1)
     ]
     return tuple(claims)
 
 
 CAI_GRANVILLE_CLAIMS = tuple(
     BinomialClaim(
-        f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a),
+        f"binomial-vs-single-binomial:a={a}", 4, partial(_single_binomial_sides, a, _row(a)),
         ("binomials", "powers") if a > 1 else ("powers",),  # a = 1 reads no F_c
     )
     for a in (1, 2, 3)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import operator
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, repeat
 from math import inf, prod
 from typing import Collection, Iterable, NamedTuple
@@ -36,7 +35,7 @@ from typing import Collection, Iterable, NamedTuple
 from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition
-from .partitions import arrangement_count, generalized_binomial, partitions_of
+from .partitions import arrangement_count, partitions_of
 from .report import CheckResult, check_at, check_residues
 from .residues import PResidue, batch_inverse, require_admissible, require_exponent, require_prime
 
@@ -80,19 +79,6 @@ def _half_units(inverses: list, lift: int, carry: int, mod: int) -> list:
     return units
 
 
-def moment_sum(a: int, moments, mod: int) -> int:
-    """sum_k (1 + x_k)^a modulo mod from the moments c_r = sum_k x_k^r, r < n = len(moments).
-
-    (1 + x)^a = sum_r C(a, r) x^r, whose terms r >= n vanish if p | x_k and mod | p^n.
-    """
-    return sum(map(operator.mul, _binomials(a, len(moments)), moments)) % mod
-
-
-@lru_cache(maxsize=1 << 12)  # a run reads each a at every prime
-def _binomials(a: int, n: int) -> tuple[int, ...]:
-    return tuple(generalized_binomial(a, r) for r in range(n))  # C(a, r) for r < n
-
-
 class PrimeContext:
     """The residue sums of an ascending chunk of primes, each p modulo p^top.
 
@@ -113,7 +99,7 @@ class PrimeContext:
       "sum" (the product sums of every partition of weight <= 5) and
       "binomials", which share the rows H_k({1}^j) and k^(-s);
     * powers: the moments c_r = sum_k (u_k - 1)^r, r < top, of the units
-      u_k = (-1)^k C(p-1, k), from which :meth:`power_sum` reads every a.
+      u_k = (-1)^k C(p-1, k), which a claim weights with its own row C(a, r).
     """
 
     def __init__(self, primes: tuple[int, ...], top: int = 6):
@@ -298,15 +284,11 @@ class PrimeContext:
             self.expansions[p] = tuple(c % p**6 for c in moments)
         return self.expansions[p]
 
-    def power_sum(self, a: int, p: int) -> int:
-        """sum_{k=0}^{p-1} u_k^a modulo p^top, for any integer a, from p's moments.
-
-        u_k - 1 is divisible by p, so u_k^a = sum_{r<top} C(a, r) (u_k - 1)^r
-        modulo p^top (see :func:`moment_sum`).  A miss fills the group "powers".
-        """
+    def unit_moments(self, p: int) -> tuple:
+        """The moments c_r = sum_{k<p} (u_k - 1)^r modulo p^top, r < top; a miss fills "powers"."""
         if p not in self.moments:
             self.fill(p, ["powers"])
-        return moment_sum(a, self.moments[p], p**self.top)
+        return self.moments[p]
 
     def _sum_powers(self) -> None:
         """One pass forming the moments c_r = sum_{k<p} x_k^r, r < top, of x_k = u_k - 1.

@@ -410,9 +410,12 @@ def test_verify_runs_the_same_power_pass_for_any_range_of_a(monkeypatch, capsys)
     """One power pass per chunk serves every a: a wide range runs the pass of -6..6.
 
     The pass forms the moments of the units, so its row products (one zip
-    each) are as many for -500 <= a <= 500 as for the default range.
+    each) are as many for -500 <= a <= 500 as for the default range.  Each
+    claim is built with its a's row C(a, 0..5), so a run forms each row
+    once, however many primes it checks: -2100 <= a <= 2100 forms as many
+    C(a, r) at p = 7 alone as on 7..31.
     """
-    from mhs import congruences
+    from mhs import binomial_sums, congruences
     from mhs.residues import primes_in_range
 
     passes = []
@@ -444,6 +447,28 @@ def test_verify_runs_the_same_power_pass_for_any_range_of_a(monkeypatch, capsys)
     assert [chunk for chunk, _ in runs[-6]] == congruences.prime_chunks(primes_in_range(7, 61))
     assert all(products > 0 for _, products in runs[-6])
     assert runs[-500] == runs[-40] == runs[-6]
+
+    binomials = []
+
+    def counting_binomial(a, r, real=binomial_sums.generalized_binomial):
+        binomials.append((a, r))
+        return real(a, r)
+
+    monkeypatch.setattr(binomial_sums, "generalized_binomial", counting_binomial)
+    formed = {}
+    for pmax, primes in ((7, 1), (31, 8)):
+        passes.clear()
+        binomials.clear()
+        checks = primes * (2 * 4201 + 2 + 3)
+        code, out, _ = run(
+            capsys, "verify", "--suite", "theorem", "--amin", "-2100", "--amax", "2100",
+            "--pmin", "7", "--pmax", str(pmax),
+        )
+        assert code == 0
+        assert out.endswith(f"{checks}/{checks} checks passed\n")
+        assert [chunk for chunk, _ in passes] == congruences.prime_chunks(primes_in_range(7, pmax))
+        formed[pmax] = len(binomials)
+    assert formed[7] == formed[31] == 6 * 4201  # C(a, 0..5) for each a, once
 
 
 @pytest.mark.parametrize("listing", [[], ["--list"]])
