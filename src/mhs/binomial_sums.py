@@ -90,19 +90,19 @@ def moment_sum(row: tuple, moments: tuple, mod: int) -> int:
     return sum(map(operator.mul, row, moments)) % mod
 
 
-def _row(a: int, n: int = 6) -> tuple[int, ...]:
-    return tuple(generalized_binomial(a, r) for r in range(n))  # C(a, r) for r < n
+def _row(a: int) -> tuple[int, ...]:
+    return tuple(generalized_binomial(a, r) for r in range(6))  # C(a, r) for r < 6
 
 
 def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
     """sum_{k=0}^{p-1} (-1)^(ak) C(p-1, k)^a in Z / p^e (direct route).
 
-    The sum is a's row C(a, 0..top-1) times the moments of the context of
-    p, which one power pass forms for every a (``PrimeContext.unit_moments``).
+    The sum is a's row C(a, 0..5) times the moments of the context of p,
+    which one power pass forms for every a (``PrimeContext.unit_moments``):
+    the claims' direct side, read modulo p^e for e <= 6.
     """
     require_admissible(p)
-    context = prime_context(p, e)
-    return PResidue(moment_sum(_row(a, context.top), context.unit_moments(p), p**e), p, e)
+    return PResidue(_direct(_row(a), p, e), p, e)
 
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
@@ -112,8 +112,6 @@ def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
     precision of the congruence itself.
     """
     require_admissible(p)
-    if e > 6:
-        raise ValueError("the closed form only holds modulo p^6")
     return PResidue(_closed_form(a, p, p**e, prime_context(p, e).invariant(p)), p, e)
 
 
@@ -135,10 +133,7 @@ def binomial_power_sum_via_mhs(a: int, p: int, e: int = 6) -> PResidue:
     own 1/j.
     """
     require_admissible(p)
-    if e > 6:
-        raise ValueError("the weight-5 truncation only supports e <= 6")
-    require_exponent(e)
-    return PResidue(moment_sum(_row(a), prime_context(p).expansion_moments(p), p**6), p, e)
+    return PResidue(moment_sum(_row(a), prime_context(p, e).expansion_moments(p), p**6), p, e)
 
 
 def alternating_power_sum(n: int, a: int) -> Fraction:
@@ -203,7 +198,7 @@ def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     """
     require_admissible(p)
     mod = p**4
-    context = prime_context(p, 4)
+    context = prime_context(p)
     rhs = -16 * pow(3, -1, mod) * p * p * context.invariant(p)
     return context.binomials(p)[2] % mod, rhs % mod
 
@@ -221,7 +216,7 @@ class BinomialClaim(NamedTuple):
 
 def _direct(row: tuple, p: int, e: int = 6) -> int:
     """sum_k u_k^a modulo p^e (e <= 6): a's row times the unit moments of the context of p."""
-    return moment_sum(row, prime_context(p).unit_moments(p), p**e)
+    return moment_sum(row, prime_context(p, e).unit_moments(p), p**e)
 
 
 def _closed_form_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
@@ -238,14 +233,14 @@ def _anchor_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
 
 def _single_binomial_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
     # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial is read
-    context, mod = prime_context(p, 4), p**4
+    context, mod = prime_context(p), p**4
     rhs = (a - 1) * p * context.binomials(p)[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
     return _direct(row, p, 4), rhs % mod
 
 
 def _wolstenholme_sides(p: int) -> tuple[int, int]:
     # C(2p-1, p-1) = F_1 = prod_{m<p} (1 + p/m)
-    return prime_context(p, 3).binomials(p)[0] % p**3, 1
+    return prime_context(p).binomials(p)[0] % p**3, 1
 
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:

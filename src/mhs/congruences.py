@@ -12,12 +12,12 @@ them:
 Left sides are evaluated by streaming modular brute force, never through the
 symbolic engine, so a passing suite is an independent confirmation of the
 identities.  Every residue value at a prime is read from one PrimeContext,
-which this thread keeps until a prime outside it or another modulus is asked
-for.  A context holds an ascending chunk of primes (a sweep's primes, cut by
-prime_chunks; one prime for the public functions), and forms each sum for
-all of them in one pass over k in blocks of bounded length, modulo the
-product of p^6 over the primes the pass has yet to read.  Its two passes
-share no table: each inverts its own blocks.  A separate symbolic
+which this thread keeps until a prime outside it is asked for.  A context
+holds an ascending chunk of primes (a sweep's primes, cut by prime_chunks;
+one prime for the public functions), and forms each sum for all of them in
+one pass over k in blocks of bounded length, modulo the product of p^6
+over the primes the pass has yet to read.  Its two passes share no table:
+each inverts its own blocks.  A separate symbolic
 cross-derivation re-obtains the weight <= 3 sum rows by substituting the
 base congruences into the closed-form summation identities, with explicit
 error-term bookkeeping.
@@ -80,42 +80,42 @@ def _half_units(inverses: list, lift: int, carry: int, mod: int) -> list:
 
 
 class PrimeContext:
-    """The residue sums of an ascending chunk of primes, each p modulo p^top.
+    """The residue sums of an ascending chunk of primes, each p modulo p^6.
 
-    Every check at p modulo p^e reads p's values through Z/p^top -> Z/p^e.
-    Each value is a sum over k < p (k <= (p-1)/2 for the power sums), and a
-    pass forms it for every prime of the chunk at once: it walks k once, up
-    to the largest prime's range, in Z/M with the CRT lift P = p (mod
-    p^top) in place of p, and reads p's sums modulo p^top at k = p - 1
-    (k = (p-1)/2 in the power pass).  The passes run in blocks of at most
-    _BLOCK entries, each modulo the primes not yet read (see :meth:`_blocks`),
-    and carry from block to block only the last entry of each running row
-    and its sums.  A chunk of one prime p works modulo p^top with P = p.  X
-    and the expansion moments are formed per prime, once each.  :meth:`fill`
-    runs two passes, which share no table.  Each forms what it is asked and
-    nothing else, in a chunk as at one prime:
+    Every check at p modulo p^e, e <= 6, reads p's values through
+    Z/p^6 -> Z/p^e.  Each value is a sum over k < p (k <= (p-1)/2 for the
+    power sums), and a pass forms it for every prime of the chunk at once:
+    it walks k once, up to the largest prime's range, in Z/M with the CRT
+    lift P = p (mod p^6) in place of p, and reads p's sums modulo p^6 at
+    k = p - 1 (k = (p-1)/2 in the power pass).  The passes run in blocks of
+    at most _BLOCK entries, each modulo the primes not yet read (see
+    :meth:`_blocks`), and carry from block to block only the last entry of
+    each running row and its sums.  A chunk of one prime p works modulo p^6
+    with P = p.  X and the expansion moments are formed per prime, once
+    each.  :meth:`fill` runs two passes, which share no table.  Each forms
+    what it is asked and nothing else, in a chunk as at one prime:
 
     * harmonic: any of the groups "mhs" (H_{p-1}(s) of the base claims),
       "sum" (the product sums of every partition of weight <= 5) and
       "binomials", which share the rows H_k({1}^j) and k^(-s);
-    * powers: the moments c_r = sum_k (u_k - 1)^r, r < top, of the units
+    * powers: the moments c_r = sum_k (u_k - 1)^r, r < 6, of the units
       u_k = (-1)^k C(p-1, k), which a claim weights with its own row C(a, r).
     """
 
-    def __init__(self, primes: tuple[int, ...], top: int = 6):
+    def __init__(self, primes: tuple[int, ...]):
         if list(primes) != sorted(set(primes)):  # the passes read the primes in this order
             raise ValueError(f"a chunk's primes must ascend, got {primes}")
-        self.primes, self.top = primes, top
+        self.primes = primes
         # per prime: composition -> H_{p-1}(s), the empty one 1; partition ->
         # its sum, the empty one p - 1 ones
         self.mhs_sums: dict = {p: {(): 1} for p in primes}
         self.product_sums: dict = {p: {(): p - 1} for p in primes}
-        self.moments: dict = {}  # p -> (c_0, ..., c_(top-1)), c_r = sum_k (u_k - 1)^r
+        self.moments: dict = {}  # p -> (c_0, ..., c_5), c_r = sum_k (u_k - 1)^r
         self.binomial_values: dict = {}  # p -> (F_1, F_2, central)
         self.invariants: dict = {}  # p -> X mod p^2
         self.expansions: dict = {}  # p -> the expansion moments
-        mod = self.mod = prod(p**top for p in primes)  # M; the CRT lift P is p mod each p^top
-        self.lift = sum(p * (m := mod // p**top) * pow(m, -1, p**top) for p in primes) % mod
+        mod = self.mod = prod(p**6 for p in primes)  # M; the CRT lift P is p mod each p^6
+        self.lift = sum(p * (m := mod // p**6) * pow(m, -1, p**6) for p in primes) % mod
 
     def _blocks(self, reads: dict):
         """(start, inverses, mod, lift, read) for the blocks of a pass over k = 1..max(reads).
@@ -124,7 +124,7 @@ class PrimeContext:
         prime, in ascending order, and ``read`` is the prime whose sums the
         block completes, or None.  A block ends at each read and after
         _BLOCK entries.  inverses = [1/k mod M] and lift = P for M = prod
-        p^top over the primes not yet read: a prime leaves M right after
+        p^6 over the primes not yet read: a prime leaves M right after
         the block that reads it, so every k of a block is a unit.  Each
         block is inverted for the pass that walks it, and for no other.
         """
@@ -135,7 +135,7 @@ class PrimeContext:
                 inverses = batch_inverse(range(start, stop), mod)
                 yield start, inverses, mod, lift, p if stop > end else None
                 start = stop
-            mod //= p**self.top
+            mod //= p**6
             lift %= mod
 
     def mhs(self, s: tuple, p: int) -> int:
@@ -177,7 +177,7 @@ class PrimeContext:
         return sums[lam]
 
     def binomials(self, p: int) -> tuple[int, int, int]:
-        """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo p^top, F_c = prod_{m<p} (1 + cp/m)."""
+        """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo p^6, F_c = prod_{m<p} (1 + cp/m)."""
         if p not in self.binomial_values:
             self.fill(p, ["binomials"])
         return self.binomial_values[p]
@@ -202,7 +202,7 @@ class PrimeContext:
 
         In each block the pass runs the rows [H_(start-1)(r), ..., H_(stop-1)(r)]
         of every r a value reads: the prefixes s[:-1] and the rows H({1}^j)
-        up to the largest part and the last term of F_c, with their own
+        up to the largest part (up to j = 4 for F_c), with their own
         prefixes.  A row grows from its prefix row times the table k^(-r_d),
         summed from its last entry in the block before: whole-row passes with
         one reduction per entry.  H_{p-1}(s) is the last entry of the row of s
@@ -212,12 +212,11 @@ class PrimeContext:
         wanted partition.  Entry 0 of a row is k = start - 1, which the block
         before summed.  A block ending at k = p - 1 completes p's sums.  F_c
         needs no row of its own: prod_{m<p} (1 + x/m) = sum_j x^j H_{p-1}({1}^j),
-        whose terms j >= top - 1 vanish mod p^top at x = cp unless p = top, as
-        H_{p-1}({1}^j) is 0 for j >= p and 0 mod p for 0 < j < p - 1.
+        whose terms j >= 5 vanish mod p^6 at x = cp, as H_{p-1}({1}^j) is 0
+        for j >= p and 0 mod p for 0 < j < p - 1.
         C(2k, k) = C(2k-2, k-1) * 2(2k-1)/k and its sum over 1/k run k by k.
         """
-        needed = self.top - (self.top not in self.primes)  # F_c's terms are j < needed
-        depth = max([lam[0] for lam in partitions] + [needed - 1] * binomials, default=0)
+        depth = max([lam[0] for lam in partitions] + [4] * binomials, default=0)
         tips = {s[:-1] for s in compositions} | {(1,) * depth}
         carries = {r[:d]: 0 for r in tips for d in range(len(r) + 1)}  # H_(start-1)(r)
         carries[()] = 1
@@ -259,13 +258,13 @@ class PrimeContext:
                     central = central * (4 * k - 2) * inverse % mod
                     quotients += central * inverse
             if p is not None:
-                m = p**self.top
+                m = p**6
                 for s in compositions:
                     self.mhs_sums[p][s] = (carries[s] if s in carries else dots[s]) % m
                 for lam, total in totals.items():
                     self.product_sums[p][lam] = total % m
                 if binomials:
-                    ones = [carries[(1,) * j] * p**j for j in range(needed)]  # F_1's terms
+                    ones = [carries[(1,) * j] * p**j for j in range(5)]  # F_1's terms
                     twice = sum(x << j for j, x in enumerate(ones))  # F_2's: times 2^j
                     self.binomial_values[p] = sum(ones) % m, twice % m, quotients % m
 
@@ -285,15 +284,15 @@ class PrimeContext:
         return self.expansions[p]
 
     def unit_moments(self, p: int) -> tuple:
-        """The moments c_r = sum_{k<p} (u_k - 1)^r modulo p^top, r < top; a miss fills "powers"."""
+        """The moments c_r = sum_{k<p} (u_k - 1)^r modulo p^6, r < 6; a miss fills "powers"."""
         if p not in self.moments:
             self.fill(p, ["powers"])
         return self.moments[p]
 
     def _sum_powers(self) -> None:
-        """One pass forming the moments c_r = sum_{k<p} x_k^r, r < top, of x_k = u_k - 1.
+        """One pass forming the moments c_r = sum_{k<p} x_k^r, r < 6, of x_k = u_k - 1.
 
-        The rows x, x^2, ..., x^(top-1) run over the half k <= m = (p-1)/2,
+        The rows x, x^2, ..., x^5 run over the half k <= m = (p-1)/2,
         as u_(p-1-k) = u_k for an odd p: c_r is twice the half's sum less
         x_m^r, and a block ending at k = m completes p's moments.  The units
         come block by block (see :func:`_half_units`), each from the last
@@ -302,7 +301,7 @@ class PrimeContext:
         """
         if self.primes[0] == 2:
             raise ValueError("the power sums need an odd prime, got p = 2")
-        totals = [1] + [0] * (self.top - 1)  # k = 0: x_0^0 = 1
+        totals = [1] + [0] * 5  # k = 0: x_0^0 = 1
         reads = {(p - 1) // 2: p for p in self.primes}
         carry = 1  # u_0, the carry into the first block
         for _, inverses, mod, lift, p in self._blocks(reads):
@@ -310,12 +309,12 @@ class PrimeContext:
             carry = units[-1]
             row = bases = [u - 1 for u in units]
             totals[0] += len(bases)
-            for r in range(1, self.top):
+            for r in range(1, 6):
                 if r > 1:
                     row = [x * b % mod for x, b in zip(row, bases)]
                 totals[r] += sum(row)
             if p is not None:
-                m, x_m = p**self.top, carry - 1
+                m, x_m = p**6, carry - 1
                 self.moments[p] = tuple((2 * t - pow(x_m, r, m)) % m for r, t in enumerate(totals))
 
 
@@ -335,27 +334,27 @@ def prime_chunks(primes: Iterable[int]) -> list[tuple[int, ...]]:
     return chunks
 
 
-# One context per thread, replaced when a prime outside it or another
-# modulus is asked for: a chunk-major sweep builds each chunk's state once
-# and holds one chunk's at a time, and no thread reads another's, so nothing
-# needs a lock.
+# One context per thread, replaced when a prime outside it is asked for: a
+# chunk-major sweep builds each chunk's state once and holds one chunk's at a
+# time, and no thread reads another's, so nothing needs a lock.
 _local = threading.local()
 
 
 def prime_context(p: int, e: int = 6) -> PrimeContext:
-    """This thread's context holding p modulo p^max(e, 6), or a new context of p alone.
+    """This thread's context holding p modulo p^6, or a new context of p alone.
 
-    The held context is kept when it holds p at the exponent max(e, 6), so
-    a hit computes no power of p; every check at p asks for it at least
-    once.  An exponent below 1 is refused, and so is a p that is not prime
-    when a new context would be built.
+    The held context is kept whenever it holds p, so a hit computes no power
+    of p; every check at p asks for it at least once.  An exponent below 1
+    or above 6 (the context holds p^6) is refused before any work, and so is
+    a p that is not prime when a new context would be built.
     """
     require_exponent(e)
-    top = e if e > 6 else 6
+    if e > 6:
+        raise ValueError(f"e must be <= 6, got {e}")
     held = getattr(_local, "held", None)
-    if held is None or held.top != top or p not in held.mhs_sums:
+    if held is None or p not in held.mhs_sums:
         require_prime(p)
-        held = _local.held = PrimeContext((p,), top)
+        held = _local.held = PrimeContext((p,))
     return held
 
 
@@ -419,12 +418,12 @@ class CongruenceClaim(NamedTuple):
                     f"{self.claim_id}: p^{i}*X^{j} mod p^{e} needs X beyond mod p^2"
                 )
         mod = p**e
-        x = prime_context(p, e).invariant(p)
+        x = prime_context(p).invariant(p)
         return sum(coeff * p**i * pow(x, j, mod) for (i, j), coeff in self.rhs_terms) % mod
 
     def sides(self, p: int) -> tuple[int, int]:
         """Both sides in Z / p^e, the left one read from the context of p."""
-        context = prime_context(p, self.exponent)
+        context = prime_context(p)
         read = context.mhs if self.kind == "mhs" else context.product_sum
         lhs = read(self.target, p)
         return lhs % p**self.exponent, self.rhs_value(p)

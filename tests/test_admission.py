@@ -3,7 +3,10 @@
 A suite runs at a prime p > 5 only, through the one per-prime runner
 ``report.check_at``.  A residue function refuses an exponent e < 1 before
 any work, and a p that is not prime where a new context of p would be built;
-``reduce_mod`` refuses a p that is not prime on every call.
+``reduce_mod`` refuses a p that is not prime on every call.  The context of
+p holds each sum modulo p^6, so the five functions that read it also refuse
+e > 6 before any work; ``signed_binomial_power`` and ``reduce_mod`` read no
+context and take any e >= 1.
 """
 
 from fractions import Fraction
@@ -55,6 +58,25 @@ def test_exponents_below_1_are_refused_before_any_work(name, e):
     assert prime_context(11) is held  # no context of 13 was built
 
 
+# The two functions that read no context, with their values at p = 13.
+WITHOUT_CONTEXT = {
+    "signed_binomial_power": lambda e: PResidue(12**2, 13, e),  # (-C(12, 1))^2
+    "reduce_mod": lambda e: PResidue(pow(2, -1, 13**e), 13, e),
+}
+
+
+@pytest.mark.parametrize("name", WITH_EXPONENT)
+@pytest.mark.parametrize("e", [7, 8])
+def test_exponents_above_6_are_refused_where_a_context_is_read(name, e):
+    held = prime_context(11)
+    if name in WITHOUT_CONTEXT:
+        assert WITH_EXPONENT[name](e) == WITHOUT_CONTEXT[name](e)
+    else:
+        with pytest.raises(ValueError, match=rf"^e must be <= 6, got {e}$"):
+            WITH_EXPONENT[name](e)
+    assert prime_context(11) is held  # no context of 13 was built
+
+
 @pytest.mark.parametrize(
     "call, p",
     [
@@ -79,7 +101,7 @@ def test_a_held_context_is_not_tested_again(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("e", [1, 2, 3, 7])
+@pytest.mark.parametrize("e", [1, 2, 3, 6])
 def test_small_primes_keep_their_exact_values(p, e):
     for s in [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]:
         assert mhs_mod(s, p, e) == reduce_mod(eval_mhs(p - 1, s), p, e), (s, p, e)

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -129,8 +130,8 @@ def test_cai_granville_small():
             assert cai_granville_holds(a, p)
 
 
-def test_moments_formed_once_per_prime():
-    from mhs import binomial_sums
+def test_moments_formed_once_per_prime(monkeypatch):
+    from mhs import binomial_sums, congruences
     from mhs.congruences import prime_context
 
     formed = []
@@ -141,7 +142,7 @@ def test_moments_formed_once_per_prime():
             super().__setitem__(p, moments)
 
     p = 17
-    prime_context(13)  # a context of 17 from an earlier test is replaced
+    monkeypatch.setattr(congruences, "_local", threading.local())  # no chunk holding 17 is held
     prime_context(p).moments = RecordingMoments()
     results = binomial_sums.theorem_suite(p) + binomial_sums.cai_granville_suite(p)
     assert len(results) == 31 and all(r.passed for r in results)

@@ -17,7 +17,6 @@ points where a chunk reads its primes, and a half range of units that
 ends inside a block.
 """
 
-import threading
 from math import comb, prod
 
 import pytest
@@ -29,7 +28,7 @@ from mhs.binomial_sums import (
     moment_sum,
     signed_binomial_power,
 )
-from mhs.congruences import BASE_CLAIMS, PARTITIONS, PrimeContext, prime_chunks, prime_context
+from mhs.congruences import BASE_CLAIMS, PARTITIONS, PrimeContext, prime_chunks
 from mhs.residues import primes_in_range
 from whole_row import WholeRowContext
 
@@ -38,9 +37,9 @@ HARMONIC = ("mhs", "sum", "binomials")  # every group of the harmonic pass, as `
 
 
 def _power_sum(context: PrimeContext, a: int, p: int) -> int:
-    """sum_k u_k^a modulo p^top as a claim reads it: a's row C(a, r), r < top, times p's moments."""
-    row = [generalized_binomial(a, r) for r in range(context.top)]
-    return moment_sum(row, context.unit_moments(p), p**context.top)
+    """sum_k u_k^a modulo p^6 as a claim reads it: a's row C(a, r), r < 6, times p's moments."""
+    row = [generalized_binomial(a, r) for r in range(6)]
+    return moment_sum(row, context.unit_moments(p), p**6)
 
 
 def _streamed_values(context: PrimeContext, p: int) -> dict:
@@ -54,15 +53,14 @@ def _streamed_values(context: PrimeContext, p: int) -> dict:
     return values
 
 
-def _whole_values(p: int, top: int = 6) -> dict:
-    """The same values from the whole-row oracle of p modulo p^top."""
-    whole = WholeRowContext(p, p**top)
+def _whole_values(p: int) -> dict:
+    """The same values from the whole-row oracle of p modulo p^6."""
+    whole = WholeRowContext(p, p**6)
     values = {("mhs", claim.target): whole.mhs(claim.target) for claim in BASE_CLAIMS}
     values.update((("sum", lam), whole.product_sum(lam)) for lam in PARTITIONS)
     values.update((("power", a), whole.power_sum(a)) for a in EXPONENTS)
-    values["moments"] = whole.moments(top)
+    values["moments"] = values["expansion"] = whole.moments(6)
     values["binomials"] = whole.binomials
-    values["expansion"] = tuple(c % p**6 for c in values["moments"][:6])  # valid mod p^6
     return values
 
 
@@ -72,17 +70,16 @@ def _chunkings(primes: list) -> list:
     return [*sized, prime_chunks(primes)]
 
 
-def _assert_chunks_match(chunks, oracle: dict, e: int = 6) -> None:
+def _assert_chunks_match(chunks, oracle: dict) -> None:
     """Each chunk's context, filled as the claims fill it, against the oracle at each prime."""
-    top = max(e, 6)
     for chunk in chunks:
-        context = PrimeContext(tuple(chunk), top)
+        context = PrimeContext(tuple(chunk))
         context.fill(chunk[0], HARMONIC + ("powers",))  # as the runner fills it for `all`
         for p in chunk:
             streamed, whole = _streamed_values(context, p), oracle[p]
             assert streamed.keys() == whole.keys()
             for key, value in whole.items():
-                assert streamed[key] == value, (chunk, p, e, key)
+                assert streamed[key] == value, (chunk, p, key)
 
 
 def test_stream_matches_whole_rows_at_every_prime_to_2000():
@@ -105,22 +102,9 @@ def test_stream_matches_whole_rows_at_large_primes(primes):
 def test_stream_matches_whole_rows_in_short_blocks(monkeypatch, block):
     monkeypatch.setattr(congruences, "_BLOCK", block)
     primes = primes_in_range(7, 60 if block == 1 else 150)
-    for e in (6, 8):
-        oracle = {p: _whole_values(p, max(e, 6)) for p in primes}
-        chunkings = _chunkings(primes) if e == 6 else [[(p,) for p in primes]]
-        for chunks in chunkings:
-            _assert_chunks_match(chunks, oracle, e)
-
-
-def test_an_exponent_above_6_reads_a_chunk_of_one(monkeypatch):
-    """p^8 is not what a sweep's chunk holds, so p gets a context of its own."""
-    monkeypatch.setattr(congruences, "_local", threading.local())
-    chunk = prime_chunks(primes_in_range(7, 61))[0]
-    congruences._local.held = held = PrimeContext(chunk)
-    p = chunk[1]
-    assert prime_context(p) is held
-    alone = prime_context(p, 8)
-    assert (alone.primes, alone.top) == ((p,), 8)
+    oracle = {p: _whole_values(p) for p in primes}
+    for chunks in _chunkings(primes):
+        _assert_chunks_match(chunks, oracle)
 
 
 @pytest.mark.parametrize("block", [4, 1 << 14])
@@ -249,23 +233,19 @@ def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypat
     assert firsts == [4, p - 1]
 
 
-@pytest.mark.parametrize(
-    "e, primes", [(6, primes_in_range(7, 400)), (7, [7, 11]), (8, [7, 11])], ids=["6", "7", "8"]
-)
+@pytest.mark.parametrize("e, primes", [(6, primes_in_range(7, 400))], ids=["6"])
 def test_the_binomials_alone_match_the_step_products(e, primes):
-    """F_1 and F_2 from a pass that forms no product sum, against prod (1 + cp/m).
+    """F_1 and F_2 from a pass that forms no product sum, against prod (1 + cp/m) mod p^6.
 
-    Its rows H({1}^j) stop at j = top - 2: the term j = top - 1 of F_c
-    vanishes mod p^top unless p = top, as at p = 7 for e = 7, where the
-    row j = 6 is kept.
+    Its rows H({1}^j) stop at j = 4: the term j = 5 of F_c vanishes mod p^6,
+    but the term j = 4 in general does not.
     """
-    chunks = [(p,) for p in primes] + (prime_chunks(primes) if e == 6 else [])
-    for chunk in chunks:
-        context = PrimeContext(chunk, e)
+    for chunk in [(p,) for p in primes] + prime_chunks(primes):
+        context = PrimeContext(chunk)
         for p in chunk:
             whole = WholeRowContext(p, p**e)
             steps = whole.steps_product(1, p - 1), whole.steps_product(2, p - 1)
-            assert context.binomials(p)[:2] == steps, (chunk, p, e)
+            assert context.binomials(p)[:2] == steps, (chunk, p)
         assert context.product_sums == {p: {(): p - 1} for p in chunk}  # no partition formed
 
 
@@ -289,7 +269,7 @@ def test_prime_chunks_keep_order_and_budget():
 
 def test_signed_binomial_power_matches_comb():
     for p in (7, 11, 101):
-        for e in (1, 4, 6, 8):
+        for e in (1, 4, 6):
             mod = p**e
             for k in range(p):
                 base = (-1) ** k * comb(p - 1, k)

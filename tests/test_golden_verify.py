@@ -4,10 +4,12 @@ Each golden file ``tests/golden/verify_<name>.<ext>`` holds what the command
 wrote: stdout, then stderr (empty, since every case passes).  The cases
 cover every suite over the default range, a JSON sweep of all suites, the
 theorem's power pass beyond a = -6..6 and over a range without a = 1..3, a
-``--claim`` selection at primes above 100, the corollaries and the theorem
-at a prime of two blocks, every suite on one chunk whose first prime is
-one block and whose last is two, and the theorem for -40 <= a <= 40.  A JSON sweep of several chunks of primes is pinned by its
-length and sha256, as the context of one prime at a time wrote it.
+``--claim`` selection at primes above 100, the corollaries alone on the
+chunks of the smallest primes, the corollaries and the theorem at a prime
+of two blocks, every suite on one chunk whose first prime is one block and
+whose last is two, and the theorem for -40 <= a <= 40.  A JSON sweep of
+several chunks of primes is pinned by its length and sha256, as the
+context of one prime at a time wrote it.
 """
 
 import hashlib
@@ -33,6 +35,10 @@ CASES = {
     # a = 1..3 lie outside the range: the range's power pass forms them too
     "theorem_negative": [
         "--suite", "theorem", "--amin", "-9", "--amax", "-7", "--pmin", "7", "--pmax", "61",
+    ],
+    # the binomials alone, with no product sum, on chunks from p = 7: F_c's rows j <= 4
+    "corollary_small_primes_json": [
+        "--suite", "corollary", "--pmin", "7", "--pmax", "61", "--format", "json",
     ],
     # p > 2^14: Wolstenholme's product and the central-binomial sum run over two blocks
     "corollary_two_blocks_json": [

@@ -163,11 +163,6 @@ def test_closed_form_matches_exact():
             assert binomial_power_sum_closed_form(a, p) == reduce_mod(exact, p, 6), (a, p)
 
 
-def test_closed_form_refuses_precision_beyond_p6():
-    with pytest.raises(ValueError):
-        binomial_power_sum_closed_form(2, 7, e=7)
-
-
 def test_streamed_central_binomial_matches_exact():
     for p in PRIMES:
         lhs, rhs = central_binomial_sum_exact(p)
@@ -194,7 +189,7 @@ def test_verify_never_builds_exact_bernoulli(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The per-prime context: rows H_k(s) mod p^max(e, 6), shared by every check
+# The per-prime context: rows H_k(s) mod p^6, shared by every check
 # at p and read mod p^e, against the exact rows over Q.
 # ---------------------------------------------------------------------------
 
@@ -221,14 +216,15 @@ def _exact_tables(p: int):
 
 def _interleaved_schedule():
     """(p, e) visits alternating primes p, q, p with e ascending, then descending."""
-    exponents = list(range(1, 9)) + list(range(8, 0, -1))
+    exponents = list(range(1, 7)) + list(range(6, 0, -1))
     for p, q in zip(TABLE_PRIMES, TABLE_PRIMES[1:] + TABLE_PRIMES[:1]):
         for e in exponents:
             for prime in (p, q, p):
                 yield prime, e
 
 
-def test_residue_table_matches_exact_interleaved():
+def test_residue_table_matches_exact_interleaved(monkeypatch):
+    monkeypatch.setattr(congruences, "_local", threading.local())  # each visit switches contexts
     exact = {p: _exact_tables(p) for p in TABLE_PRIMES}
     for p, e in _interleaved_schedule():
         prime_context(p, e).product_sums[p].clear()  # recompute from the rows
@@ -240,7 +236,7 @@ def test_residue_table_matches_exact_interleaved():
             assert homogeneous_product_sum_mod(lam, p, e) == expected, (lam, p, e)
 
 
-@pytest.mark.parametrize("e", [1, 3, 6, 8])
+@pytest.mark.parametrize("e", [1, 3, 6])
 def test_residue_row_refuses_index_divisible_by_p(monkeypatch, e):
     """No pass inverts a multiple of p: its blocks stop at k = p - 1, whatever their length."""
     p = 7
@@ -253,14 +249,14 @@ def test_residue_row_refuses_index_divisible_by_p(monkeypatch, e):
 
     monkeypatch.setattr(congruences, "batch_inverse", recording)
     monkeypatch.setattr(congruences, "_BLOCK", 4)  # blocks 1..4 and 5..6
-    prime_context(11)  # a context of p from an earlier test is replaced
+    monkeypatch.setattr(congruences, "_local", threading.local())  # no context of p held
     for s in SHAPES:
         assert mhs_mod(s, p, e) == reduce_mod(eval_mhs(p - 1, s), p, e), (s, e)
-    binomial_power_sum(-2, p, min(e, 6))
+    binomial_power_sum(-2, p, e)
     central_binomial_sum_mod(p)
     assert inverted and all(value % p for value in inverted)
     # The whole-row oracle's row builder refuses the index outright.
-    oracle = WholeRowContext(p, p ** max(e, 6))
+    oracle = WholeRowContext(p, p**6)
     for s, n in [((1,), p), ((2, 1), p + 3), ((3,), 2 * p)]:
         with pytest.raises(ValueError):
             residue_row(s, n, {}, oracle)
@@ -380,9 +376,9 @@ def _reference_product_sum(lam: tuple, rows: list, p: int, mod: int) -> int:
 
 
 def _power_sum(context, a: int, p: int) -> int:
-    """sum_k u_k^a modulo p^top as a claim reads it: a's row C(a, r), r < top, times p's moments."""
-    row = [generalized_binomial(a, r) for r in range(context.top)]
-    return moment_sum(row, context.unit_moments(p), p**context.top)
+    """sum_k u_k^a modulo p^6 as a claim reads it: a's row C(a, r), r < 6, times p's moments."""
+    row = [generalized_binomial(a, r) for r in range(6)]
+    return moment_sum(row, context.unit_moments(p), p**6)
 
 
 def _reference_power_sum(a: int, p: int, mod: int) -> int:
@@ -402,7 +398,6 @@ KERNEL_PARTITIONS = [lam for w in range(1, 6) for lam in partitions_of(w)] + [(3
 KERNEL_EXPONENTS = range(-12, 13)
 KEPT = {
     "primes",
-    "top",
     "mhs_sums",
     "product_sums",
     "moments",
@@ -420,45 +415,43 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
 
     Below 400 every power sum for -12 <= a <= 12 and every product sum of
     KERNEL_PARTITIONS is checked against its per-k loop, in blocks of 10 at
-    every e of 1, 4, 6 and 8; at 7, 11 and 101 also in fresh contexts
-    filled in other orders.  Above 1000, where the loops would take
-    minutes, the power sums are checked against the whole-row context.  At
-    every p the direct moments equal the expansion moments, and at 101 and
-    1009 the power sums at a = -1000, 777 and 1000, far past the six
-    terms of the moments, equal the closed form.
+    every e of 1, 4 and 6; at 7, 11 and 101 also in fresh contexts filled
+    in other orders.  Above 1000, where the loops would take minutes, the
+    power sums are checked against the whole-row context.  At every p the
+    direct moments equal the expansion moments, and at 101 and 1009 the
+    power sums at a = -1000, 777 and 1000, far past the six terms of the
+    moments, equal the closed form.
     """
     if p < 1000:
         monkeypatch.setattr(congruences, "_BLOCK", 10)  # passes in blocks, the last one short
-    prime_context(13)  # a context of p from an earlier test is replaced
-    wholes: dict = {}  # mod -> the whole-row context
-    for e in (1, 4, 6, 8):
-        mod = p ** max(e, 6)
-        if p > 1000:
-            whole = wholes.setdefault(mod, WholeRowContext(p, mod))
-            for a in KERNEL_EXPONENTS:
-                assert binomial_power_sum(a, p, e).value == whole.power_sum(a) % p**e, (a, p, e)
-            continue
+    monkeypatch.setattr(congruences, "_local", threading.local())  # no context of p held
+    mod = p**6
+    if p > 1000:
+        whole = WholeRowContext(p, mod)
+        powers = {a: whole.power_sum(a) for a in KERNEL_EXPONENTS}
+    else:
         powers = _reference_unit_power_sums(KERNEL_EXPONENTS, p, mod)
-        for a, expected in powers.items():
-            assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
-        if p not in (7, 11, 101):
-            continue
+    products = {}
+    if p in (7, 11, 101):
         rows = _reference_rows(p, mod, 6)
         products = {lam: _reference_product_sum(lam, rows, p, mod) for lam in KERNEL_PARTITIONS}
+    for e in (1, 4, 6):
+        for a, expected in powers.items():
+            assert binomial_power_sum(a, p, e).value == expected % p**e, (a, p, e)
         for lam, expected in products.items():
             assert homogeneous_product_sum_mod(lam, p, e) == expected % p**e, (lam, p, e)
+    if products:
         # Fresh contexts, filled in other orders and batches, keep only sums,
         # M and the lift: no table outlives its pass.
-        top = max(e, 6)
-        ascending, batched = congruences.PrimeContext((p,), top), congruences.PrimeContext((p,), top)
+        ascending, batched = congruences.PrimeContext((p,)), congruences.PrimeContext((p,))
         batched.fill(p, ["powers"])
         for lam in reversed(KERNEL_PARTITIONS):
-            assert batched.product_sum(lam, p) == products[lam], (lam, p, e)
+            assert batched.product_sum(lam, p) == products[lam], (lam, p)
         for lam in KERNEL_PARTITIONS:
-            assert ascending.product_sum(lam[::-1], p) == products[lam], (lam, p, e)
+            assert ascending.product_sum(lam[::-1], p) == products[lam], (lam, p)
         for a in KERNEL_EXPONENTS:
             direct = _power_sum(ascending, a, p), _power_sum(batched, a, p)
-            assert direct == (powers[a], powers[a]), (a, p, e)
+            assert direct == (powers[a], powers[a]), (a, p)
         for context in (ascending, batched):
             assert set(vars(context)) == KEPT
             sums = [*context.product_sums[p].values(), *context.moments[p]]

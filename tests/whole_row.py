@@ -50,7 +50,7 @@ def residue_row(s: tuple, n: int, rows: dict, context) -> list:
 
 
 class WholeRowContext:
-    """Every sum a check at p reads, modulo mod = p^max(e, 6), from rows over all k < p."""
+    """Every sum a check at p reads, modulo mod = p^6, from rows over all k < p."""
 
     def __init__(self, p: int, mod: int):
         self.p, self.mod = p, mod
