@@ -117,7 +117,7 @@ def bernoulli_invariant_mod(p: int) -> int:
     p * B_m = sum_{j<p} j^m (mod p^3): B_{m-1} = 0, and the next term,
     m(m-1)/6 * B_{m-2} * p^3, is p-integral because p - 1 does not divide
     m - 2 for p > 5.  So B_m mod p^2 is that power sum divided by p.  The
-    checks at p read it once, from congruences.prime_context(p).
+    checks at p read it once, from the context that holds p.
     """
     from .residues import require_admissible
 

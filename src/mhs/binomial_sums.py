@@ -10,14 +10,15 @@ independent evaluations of the left side are provided: the direct one powers
 up the product formula (-1)^k C(p-1,k) = prod_{j<=k} (1 - p/j), while the
 expansion route rewrites that product in homogeneous harmonic sums and sums
 over partitions.  Their agreement re-verifies the congruence tables along the
-way.  Both read their residues at p from the context that holds p
-(congruences.prime_context), which holds X mod p^2 and each sum; in a
-sweep it holds a chunk of primes and forms each sum for all of them in one
-pass.  Each route has six moments c_r = sum_k (u_k - 1)^r, the direct one
+way.  Both read their residues at p from a context that holds p, with X
+mod p^2 and each sum: a per-prime claim reads the context it is handed,
+which in a sweep holds a chunk of primes and forms each sum for all of them
+in one pass, and a public function reads congruences.prime_context(p).
+Each route has six moments c_r = sum_k (u_k - 1)^r, the direct one
 over the units k <= (p-1)/2 (u_(p-1-k) = u_k), the expansion one from the
 product sums, and sums a row C(a, 0..5) with them (:func:`moment_sum`).  Each
-per-prime claim is built with its a's row and reads the context directly;
-the public functions form the row and check p, and return a PResidue.
+per-prime claim is built with its a's row; the public functions form the row
+and check p, and return a PResidue.
 
 Also covered: Staver's finite identity for sum (1/k) C(2k,k), Wolstenholme's
 congruence, the central-binomial consequence modulo p^4, and the classical
@@ -41,9 +42,9 @@ from typing import Callable, NamedTuple
 
 from .algebra import _exact_quotient
 from .bernoulli import bernoulli_invariant
-from .congruences import prime_context
+from .congruences import check_chunk, prime_context
 from .partitions import generalized_binomial
-from .report import CheckResult, check_at, check_residues
+from .report import CheckResult
 from .residues import PResidue, is_prime, padic_valuation, require_admissible, require_exponent
 
 __all__ = [
@@ -102,7 +103,7 @@ def binomial_power_sum(a: int, p: int, e: int = 6) -> PResidue:
     the claims' direct side, read modulo p^e for e <= 6.
     """
     require_admissible(p)
-    return PResidue(_direct(_row(a), p, e), p, e)
+    return PResidue(_direct(_row(a), prime_context(p, e), p, e), p, e)
 
 
 def binomial_power_sum_closed_form(a: int, p: int, e: int = 6) -> PResidue:
@@ -162,7 +163,7 @@ def wolstenholme_holds(p: int) -> bool:
     """C(2p-1, p-1) = 1 modulo p^3 for primes p > 3."""
     if p <= 3 or not is_prime(p):
         raise ValueError(f"p must be a prime > 3, got {p}")
-    lhs, rhs = _wolstenholme_sides(p)
+    lhs, rhs = _wolstenholme_sides(prime_context(p), p)
     return lhs == rhs
 
 
@@ -186,7 +187,7 @@ def cai_granville_holds(a: int, p: int) -> bool:
     if a < 1:
         raise ValueError("a must be >= 1")
     require_admissible(p)
-    return _direct(_row(a), p, 4) == comb(a * p - 2, p - 1) % p**4
+    return _direct(_row(a), prime_context(p), p, 4) == comb(a * p - 2, p - 1) % p**4
 
 
 def central_binomial_sum_mod(p: int) -> tuple[int, int]:
@@ -197,50 +198,51 @@ def central_binomial_sum_mod(p: int) -> tuple[int, int]:
     side needs only X modulo p^2.
     """
     require_admissible(p)
-    mod = p**4
-    context = prime_context(p)
-    rhs = -16 * pow(3, -1, mod) * p * p * context.invariant(p)
-    return context.binomials(p)[2] % mod, rhs % mod
+    return _central_sides(prime_context(p), p)
 
 
 class BinomialClaim(NamedTuple):
-    """A per-prime claim whose two sides come from ``sides``, which reads only its ``groups``."""
+    """A per-prime claim whose ``sides(context, p)`` reads only its ``groups``."""
 
     claim_id: str
     exponent: int
-    sides: Callable[[int], tuple[int, int]]
+    sides: Callable[..., tuple[int, int]]
     groups: tuple[str, ...] = ()  # the groups of PrimeContext that ``sides`` reads
 
-    check = check_residues
+
+def _direct(row: tuple, context, p: int, e: int = 6) -> int:
+    """sum_k u_k^a modulo p^e (e <= 6): a's row times the unit moments of p in ``context``."""
+    return moment_sum(row, context.unit_moments(p), p**e)
 
 
-def _direct(row: tuple, p: int, e: int = 6) -> int:
-    """sum_k u_k^a modulo p^e (e <= 6): a's row times the unit moments of the context of p."""
-    return moment_sum(row, prime_context(p, e).unit_moments(p), p**e)
+def _closed_form_sides(a: int, row: tuple, context, p: int) -> tuple[int, int]:
+    return _direct(row, context, p), _closed_form(a, p, p**6, context.invariant(p))
 
 
-def _closed_form_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
-    return _direct(row, p), _closed_form(a, p, p**6, prime_context(p).invariant(p))
+def _expansion_sides(row: tuple, context, p: int) -> tuple[int, int]:
+    return moment_sum(row, context.expansion_moments(p), p**6), _direct(row, context, p)
 
 
-def _expansion_sides(row: tuple, p: int) -> tuple[int, int]:
-    return moment_sum(row, prime_context(p).expansion_moments(p), p**6), _direct(row, p)
+def _anchor_sides(a: int, row: tuple, context, p: int) -> tuple[int, int]:
+    return _direct(row, context, p), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
 
 
-def _anchor_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
-    return _direct(row, p), p if a == 0 else 0  # p ones; (1 - 1)^(p-1)
-
-
-def _single_binomial_sides(a: int, row: tuple, p: int) -> tuple[int, int]:
+def _single_binomial_sides(a: int, row: tuple, context, p: int) -> tuple[int, int]:
     # C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); at a = 1 no binomial is read
-    context, mod = prime_context(p), p**4
+    mod = p**4
     rhs = (a - 1) * p * context.binomials(p)[a - 2] * pow(a * p - 1, -1, mod) if a > 1 else 0
-    return _direct(row, p, 4), rhs % mod
+    return _direct(row, context, p, 4), rhs % mod
 
 
-def _wolstenholme_sides(p: int) -> tuple[int, int]:
+def _wolstenholme_sides(context, p: int) -> tuple[int, int]:
     # C(2p-1, p-1) = F_1 = prod_{m<p} (1 + p/m)
-    return prime_context(p).binomials(p)[0] % p**3, 1
+    return context.binomials(p)[0] % p**3, 1
+
+
+def _central_sides(context, p: int) -> tuple[int, int]:
+    mod = p**4
+    rhs = -16 * pow(3, -1, mod) * p * p * context.invariant(p)
+    return context.binomials(p)[2] % mod, rhs % mod
 
 
 def theorem_claims(amin: int = -6, amax: int = 6) -> tuple[BinomialClaim, ...]:
@@ -276,7 +278,7 @@ CAI_GRANVILLE_CLAIMS = tuple(
 )
 
 COROLLARY_CLAIMS = (
-    BinomialClaim("central-binomial-sum", 4, central_binomial_sum_mod, ("binomials",)),
+    BinomialClaim("central-binomial-sum", 4, _central_sides, ("binomials",)),
     BinomialClaim("wolstenholme", 3, _wolstenholme_sides, ("binomials",)),
 )
 
@@ -337,12 +339,12 @@ class StaverClaim(NamedTuple):
 
 def theorem_suite(p: int, amin: int = -6, amax: int = 6) -> list[CheckResult]:
     """Direct vs closed form and direct vs expansion, over a range of a."""
-    return check_at(theorem_claims(amin, amax), p)
+    return check_chunk(theorem_claims(amin, amax), (p,))
 
 
 def cai_granville_suite(p: int) -> list[CheckResult]:
-    return check_at(CAI_GRANVILLE_CLAIMS, p)
+    return check_chunk(CAI_GRANVILLE_CLAIMS, (p,))
 
 
 def corollary_suite(p: int) -> list[CheckResult]:
-    return check_at(COROLLARY_CLAIMS, p)
+    return check_chunk(COROLLARY_CLAIMS, (p,))

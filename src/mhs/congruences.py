@@ -11,16 +11,16 @@ them:
 
 Left sides are evaluated by streaming modular brute force, never through the
 symbolic engine, so a passing suite is an independent confirmation of the
-identities.  Every residue value at a prime is read from one PrimeContext,
-which this thread keeps until a prime outside it is asked for.  A context
-holds an ascending chunk of primes (a sweep's primes, cut by prime_chunks;
-one prime for the public functions), and forms each sum for all of them in
-one pass over k in blocks of bounded length, modulo the product of p^6
-over the primes the pass has yet to read.  Its two passes share no table:
-each inverts its own blocks.  A separate symbolic
-cross-derivation re-obtains the weight <= 3 sum rows by substituting the
-base congruences into the closed-form summation identities, with explicit
-error-term bookkeeping.
+identities.  Every residue value at a prime is read from one PrimeContext of
+an ascending chunk of primes: a sweep's chunk (cut by prime_chunks), which
+check_chunk builds and drops, or p alone for the public functions, which
+this thread keeps until a prime outside it is asked for.  A context forms
+each sum for all of its primes in one pass over k in blocks of bounded
+length, modulo the product of p^6 over the primes the pass has yet to read.
+Its two passes share no table: each inverts its own blocks.  A separate
+symbolic cross-derivation re-obtains the weight <= 3 sum rows by
+substituting the base congruences into the closed-form summation
+identities, with explicit error-term bookkeeping.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .algebra import NPolynomial
 from .bernoulli import bernoulli_invariant_mod
 from .core import Composition
 from .partitions import arrangement_count, partitions_of
-from .report import CheckResult, check_at, check_residues
+from .report import CheckResult
 from .residues import PResidue, batch_inverse, require_admissible, require_exponent, require_prime
 
 __all__ = [
@@ -146,7 +146,7 @@ class PrimeContext:
         """
         sums = self.mhs_sums[p]
         if s in _BASE_TARGETS and s not in sums:
-            self.fill(p, ["mhs"])
+            self.fill(["mhs"])
         elif s not in sums:
             self._sum_harmonic([s], [], False)
         return sums[s]
@@ -171,7 +171,7 @@ class PrimeContext:
                 if lam[-1] < 1:  # the pass forms no such partition
                     raise ValueError(f"partition parts must be >= 1, got {lam[-1]}")
                 if lam in PARTITIONS:
-                    self.fill(p, ["sum"])
+                    self.fill(["sum"])
                 else:
                     self._sum_harmonic([], [lam], False)
         return sums[lam]
@@ -179,15 +179,16 @@ class PrimeContext:
     def binomials(self, p: int) -> tuple[int, int, int]:
         """(F_1, F_2, sum_{k<p} C(2k,k)/k) modulo p^6, F_c = prod_{m<p} (1 + cp/m)."""
         if p not in self.binomial_values:
-            self.fill(p, ["binomials"])
+            self.fill(["binomials"])
         return self.binomial_values[p]
 
-    def fill(self, p: int, groups: Collection[str]) -> None:
-        """Form what p misses of the ``groups`` ("mhs", "sum", "binomials", "powers"), no other.
+    def fill(self, groups: Collection[str]) -> None:
+        """Form what the chunk misses of the ``groups`` ("mhs", "sum", "binomials", "powers").
 
         At most one harmonic and one power pass run, each forming its sums
-        at every prime of the chunk.
+        at every prime of the chunk, so the first prime's misses are the chunk's.
         """
+        p = self.primes[0]
         sums, products = self.mhs_sums[p], self.product_sums[p]
         compositions = [s for s in _BASE_TARGETS if s not in sums] if "mhs" in groups else []
         partitions = [x for x in PARTITIONS if x not in products] if "sum" in groups else []
@@ -286,7 +287,7 @@ class PrimeContext:
     def unit_moments(self, p: int) -> tuple:
         """The moments c_r = sum_{k<p} (u_k - 1)^r modulo p^6, r < 6; a miss fills "powers"."""
         if p not in self.moments:
-            self.fill(p, ["powers"])
+            self.fill(["powers"])
         return self.moments[p]
 
     def _sum_powers(self) -> None:
@@ -334,9 +335,8 @@ def prime_chunks(primes: Iterable[int]) -> list[tuple[int, ...]]:
     return chunks
 
 
-# One context per thread, replaced when a prime outside it is asked for: a
-# chunk-major sweep builds each chunk's state once and holds one chunk's at a
-# time, and no thread reads another's, so nothing needs a lock.
+# The public functions' context, one per thread, replaced when a prime outside
+# it is asked for; no thread reads another's, so nothing needs a lock.
 _local = threading.local()
 
 
@@ -344,9 +344,9 @@ def prime_context(p: int, e: int = 6) -> PrimeContext:
     """This thread's context holding p modulo p^6, or a new context of p alone.
 
     The held context is kept whenever it holds p, so a hit computes no power
-    of p; every check at p asks for it at least once.  An exponent below 1
-    or above 6 (the context holds p^6) is refused before any work, and so is
-    a p that is not prime when a new context would be built.
+    of p.  An exponent below 1 or above 6 (the context holds p^6) is refused
+    before any work, and so is a p that is not prime when a new context
+    would be built.
     """
     require_exponent(e)
     if e > 6:
@@ -359,16 +359,23 @@ def prime_context(p: int, e: int = 6) -> PrimeContext:
 
 
 def check_chunk(claims, primes: tuple[int, ...]) -> list[CheckResult]:
-    """``check_at`` at each prime of an ascending chunk, in order, all reading one context.
+    """Check each per-prime claim at each prime of an ascending chunk, in order.
 
-    Every prime is admitted before the context is built, since the first
-    pass at any of them forms the sums of all: ``check_at`` at the first
-    prime fills the context with what the claims declare, for every prime.
+    Every prime is admitted as a prime > 5 before the chunk's context is
+    built.  Its one fill forms the union of the ``groups`` that the claims
+    read, for every prime, so no check starts a pass; ``claim.sides(context,
+    p)`` gives both sides mod p^exponent.  No thread keeps the context.
     """
     for p in primes:
         require_admissible(p)
-    _local.held = PrimeContext(primes)
-    return [result for p in primes for result in check_at(claims, p)]
+    context = PrimeContext(primes)
+    context.fill({group for claim in claims for group in claim.groups})
+    results = []
+    for p in primes:
+        for claim in claims:
+            lhs, rhs = claim.sides(context, p)
+            results.append(CheckResult(claim.claim_id, p, p**claim.exponent, lhs, rhs, lhs == rhs))
+    return results
 
 
 def mhs_mod(s: Iterable[int], p: int, e: int = 1) -> PResidue:
@@ -402,11 +409,14 @@ class CongruenceClaim(NamedTuple):
     rhs_terms: tuple[tuple[tuple[int, int], int], ...]  # ((p_exp, x_exp), coeff)
     exponent: int
 
-    check = check_residues
     groups = property(lambda self: (self.kind,))  # the group of PrimeContext it reads
 
     def rhs_value(self, p: int) -> int:
-        """The right side in Z / p^e, from X modulo p^2 only.
+        """The right side in Z / p^e, from X modulo p^2 of the context of p."""
+        return self._rhs(p, prime_context(p).invariant(p))
+
+    def _rhs(self, p: int, x: int) -> int:
+        """The right side in Z / p^e, from x = X modulo p^2 only.
 
         A term p^i * X^j (j > 0) is determined modulo p^(i+2), so every X
         term must have e - i <= 2; a claim that breaks this is refused.
@@ -418,15 +428,12 @@ class CongruenceClaim(NamedTuple):
                     f"{self.claim_id}: p^{i}*X^{j} mod p^{e} needs X beyond mod p^2"
                 )
         mod = p**e
-        x = prime_context(p).invariant(p)
         return sum(coeff * p**i * pow(x, j, mod) for (i, j), coeff in self.rhs_terms) % mod
 
-    def sides(self, p: int) -> tuple[int, int]:
-        """Both sides in Z / p^e, the left one read from the context of p."""
-        context = prime_context(p)
+    def sides(self, context: PrimeContext, p: int) -> tuple[int, int]:
+        """Both sides in Z / p^e, read from ``context``, which holds p."""
         read = context.mhs if self.kind == "mhs" else context.product_sum
-        lhs = read(self.target, p)
-        return lhs % p**self.exponent, self.rhs_value(p)
+        return read(self.target, p) % p**self.exponent, self._rhs(p, context.invariant(p))
 
 
 def _claim(kind: str, target: tuple[int, ...], rhs: dict, e: int) -> CongruenceClaim:
@@ -481,12 +488,12 @@ SUM_CLAIMS: tuple[CongruenceClaim, ...] = (
 
 def base_congruence_suite(p: int) -> list[CheckResult]:
     """Check every base claim at the prime p."""
-    return check_at(BASE_CLAIMS, p)
+    return check_chunk(BASE_CLAIMS, (p,))
 
 
 def sum_congruence_suite(p: int) -> list[CheckResult]:
     """Check every sum-of-products claim at the prime p."""
-    return check_at(SUM_CLAIMS, p)
+    return check_chunk(SUM_CLAIMS, (p,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The verify suites as one registry of claims, and one chunk-major runner.
 
-A claim has a ``claim_id`` and a ``check`` returning a CheckResult: per-prime
-claims are checked at each prime by ``report.check_at``, the others once.
-Checking every claim at each prime of a chunk before the next chunk builds
-each chunk's tables once, in passes that serve all of its primes.
+A claim has a ``claim_id``.  A per-prime claim has ``sides(context, p)``
+and the ``groups`` of the context it reads, and ``congruences.check_chunk``
+checks it at each prime of a chunk; any other claim has a ``check``
+returning a CheckResult, run once.  Checking every claim at each prime of a
+chunk before the next chunk builds each chunk's tables once, in passes that
+serve all of its primes.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
-"""Verification report records, and the one runner of the per-prime claims at p."""
+"""Verification report records, and their JSON text."""
 
 from __future__ import annotations
 
 import json
 from typing import NamedTuple, TextIO
 
-from .residues import require_admissible
-
-__all__ = ["CheckResult", "check_at", "check_residues", "write_json"]
+__all__ = ["CheckResult", "write_json"]
 
 
 class CheckResult(NamedTuple):
@@ -29,26 +27,6 @@ class CheckResult(NamedTuple):
             "rhs-residue": self.rhs,
             "pass": self.passed,
         }
-
-
-def check_residues(claim, p: int) -> CheckResult:
-    """The ``check`` of a per-prime claim: ``claim.sides(p)`` gives both sides mod p^exponent."""
-    lhs, rhs = claim.sides(p)
-    return CheckResult(claim.claim_id, p, p**claim.exponent, lhs, rhs, lhs == rhs)
-
-
-def check_at(claims, p: int) -> list[CheckResult]:
-    """Check each per-prime claim at p, in order, once p is admitted as a prime > 5.
-
-    The context of p first forms, in one call, the union of the groups that
-    the claims declare they read (``claim.groups``): no check starts a pass,
-    and claims checked in one call share each pass.
-    """
-    require_admissible(p)
-    from .congruences import prime_context  # which imports this module
-
-    prime_context(p).fill(p, {group for c in claims for group in c.groups})
-    return [claim.check(p) for claim in claims]
 
 
 def _json_scalar(value) -> str:

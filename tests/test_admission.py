@@ -1,9 +1,9 @@
 """Which p and e the suites and the residue functions admit, and what they refuse.
 
 A suite runs at a prime p > 5 only, through the one per-prime runner
-``report.check_at``.  A residue function refuses an exponent e < 1 before
-any work, and a p that is not prime where a new context of p would be built;
-``reduce_mod`` refuses a p that is not prime on every call.  The context of
+``congruences.check_chunk``.  A residue function refuses an exponent e < 1
+before any work, and a p that is not prime where a new context of p would be
+built; ``reduce_mod`` refuses a p that is not prime on every call.  The context of
 p holds each sum modulo p^6, so the five functions that read it also refuse
 e > 6 before any work; ``signed_binomial_power`` and ``reduce_mod`` read no
 context and take any e >= 1.

@@ -132,7 +132,6 @@ def test_cai_granville_small():
 
 def test_moments_formed_once_per_prime(monkeypatch):
     from mhs import binomial_sums, congruences
-    from mhs.congruences import prime_context
 
     formed = []
 
@@ -141,15 +140,28 @@ def test_moments_formed_once_per_prime(monkeypatch):
             formed.append(p)
             super().__setitem__(p, moments)
 
+    class Recording(congruences.PrimeContext):
+        def __init__(self, primes):
+            super().__init__(primes)
+            self.moments = RecordingMoments()
+
     p = 17
-    monkeypatch.setattr(congruences, "_local", threading.local())  # no chunk holding 17 is held
-    prime_context(p).moments = RecordingMoments()
-    results = binomial_sums.theorem_suite(p) + binomial_sums.cai_granville_suite(p)
-    assert len(results) == 31 and all(r.passed for r in results)
-    # one power pass forms p's moments, from which every a in [-6, 6], the
-    # anchors and the e = 4 checks read their sums
+    monkeypatch.setattr(congruences, "PrimeContext", Recording)
+    monkeypatch.setattr(congruences, "_local", threading.local())  # no context holding 17 is held
+    results = binomial_sums.theorem_suite(p)
+    assert len(results) == 28 and all(r.passed for r in results)
+    # one power pass forms p's moments, from which every a in [-6, 6] and
+    # the anchors read their sums
     assert formed == [p]
+    # each suite call checks p from a context of its own, as a sweep's
+    # chunk of one prime is checked
+    results = binomial_sums.cai_granville_suite(p)
+    assert len(results) == 3 and all(r.passed for r in results)
+    assert formed == [p, p]
+    # the public functions share this thread's context of p: one pass for both
     assert binomial_power_sum(2, p, e=4) == binomial_sums.PResidue(
         sum(pow(comb(p - 1, k), 2, p**4) for k in range(p)), p, 4
     )
-    assert formed == [p]
+    cubes = sum((-1) ** k * comb(p - 1, k) ** 3 for k in range(p))
+    assert binomial_power_sum(3, p).value == cubes % p**6
+    assert formed == [p, p, p]

@@ -74,7 +74,7 @@ def _assert_chunks_match(chunks, oracle: dict) -> None:
     """Each chunk's context, filled as the claims fill it, against the oracle at each prime."""
     for chunk in chunks:
         context = PrimeContext(tuple(chunk))
-        context.fill(chunk[0], HARMONIC + ("powers",))  # as the runner fills it for `all`
+        context.fill(HARMONIC + ("powers",))  # as the runner fills it for `all`
         for p in chunk:
             streamed, whole = _streamed_values(context, p), oracle[p]
             assert streamed.keys() == whole.keys()
@@ -119,7 +119,7 @@ def test_stream_matches_whole_rows_off_the_claims(monkeypatch, block):
     heavy = [(7, 2, 1), (6,), (3, 3, 1), (12, 1, 1)]
     chunk = (7, 11, 37, 101)
     for streamed in [PrimeContext(chunk)] + [PrimeContext((p,)) for p in chunk]:
-        streamed.fill(streamed.primes[0], ["powers"])
+        streamed.fill(["powers"])
         for p in streamed.primes:
             whole = WholeRowContext(p, p**6)
             for s in shapes:
@@ -155,8 +155,8 @@ def test_each_block_works_modulo_the_primes_not_yet_read(monkeypatch, block):
 # The two passes of --suite all: the binomials come from the harmonic one, as
 # the base claims and the product sums do.
 PASSES = {
-    "harmonic": lambda context: context.fill(context.primes[0], HARMONIC),
-    "power": lambda context: context.fill(context.primes[0], ["powers"]),
+    "harmonic": lambda context: context.fill(HARMONIC),
+    "power": lambda context: context.fill(["powers"]),
 }
 
 
@@ -226,9 +226,9 @@ def test_a_first_block_shorter_than_the_block_asked_for_is_built_again(monkeypat
     context = PrimeContext((p,))
     with monkeypatch.context() as patched:
         patched.setattr(congruences, "_BLOCK", 4)
-        context.fill(p, ["powers"])
+        context.fill(["powers"])
     assert firsts == [4]
-    context.fill(p, HARMONIC)
+    context.fill(HARMONIC)
     assert _streamed_values(context, p) == _whole_values(p)
     assert firsts == [4, p - 1]
 

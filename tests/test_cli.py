@@ -1,5 +1,9 @@
 import concurrent.futures
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -383,27 +387,60 @@ def test_verify_list_follows_suite(capsys):
 
 
 def test_verify_runs_prime_major(monkeypatch, capsys):
-    from mhs import binomial_sums, congruences
+    from mhs import congruences
 
     seen = []
 
-    def recording(fn):
-        def wrapper(self, p):
-            seen.append(p)
-            return fn(self, p)
+    def recording(claim_id, p, *rest, real=congruences.CheckResult):
+        seen.append(p)
+        return real(claim_id, p, *rest)
 
-        return wrapper
-
-    # congruence claims and then binomial claims at each prime: a run suite by
-    # suite would come back to p = 7 after p = 31
-    monkeypatch.setattr(congruences.CongruenceClaim, "check",
-                        recording(congruences.CongruenceClaim.check))
-    monkeypatch.setattr(binomial_sums.BinomialClaim, "check",
-                        recording(binomial_sums.BinomialClaim.check))
+    # congruence claims and then binomial claims at each prime, as the runner
+    # records each check: a run suite by suite would come back to p = 7 after p = 31
+    monkeypatch.setattr(congruences, "CheckResult", recording)
     code, out, _ = run(capsys, "verify", "--suite", "all", "--pmin", "7", "--pmax", "31")
     assert code == 0
     assert set(seen) == {7, 11, 13, 17, 19, 23, 29, 31}
     assert seen == sorted(seen)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "op, argv",
+    [
+        (
+            {"kind": "verify", "pmin": 7, "pmax": 13},
+            ["verify", "--suite", "all", "--pmin", "7", "--pmax", "13"],
+        ),
+        (
+            {"kind": "derive", "factors": [[1], [1, 1]], "check": 30},
+            ["derive", "1;1,1", "--check", "30"],
+        ),
+    ],
+    ids=["verify", "derive"],
+)
+def test_the_benchmark_tracer_returns_what_the_cli_prints(capsys, tmp_path, op, argv):
+    """perfbench/trace_op.py, which calls the public functions, agrees with the CLI's JSON.
+
+    The tracer reads what the claims expose (``kind``, ``target``,
+    ``exponent``, ``rhs_value(p)``), so a claim change that breaks it shows here.
+    """
+    op_path, out_path = tmp_path / "op.json", tmp_path / "out.json"
+    op_path.write_text(json.dumps({"id": 0, **op}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_op.py"), str(op_path), str(out_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    expected = json.loads(out)
+    assert json.loads(out_path.read_text())["result"] == expected
+    if op["kind"] == "verify":
+        assert len(expected) == 219
 
 
 def test_verify_runs_the_same_power_pass_for_any_range_of_a(monkeypatch, capsys):

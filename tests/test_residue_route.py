@@ -38,14 +38,15 @@ from mhs.congruences import (
     BASE_CLAIMS,
     SUM_CLAIMS,
     base_congruence_suite,
+    check_chunk,
     homogeneous_product_sum_mod,
     mhs_mod,
+    prime_chunks,
     prime_context,
     sum_congruence_suite,
 )
 from mhs.core import eval_mhs, mhs_prefix_values
 from mhs.partitions import partitions_of
-from mhs.report import check_at
 from mhs.residues import batch_inverse, primes_in_range, reduce_mod
 from whole_row import WholeRowContext, residue_row
 
@@ -319,7 +320,6 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
     monkeypatch.setattr(congruences, "batch_inverse", counting_inverse)
     monkeypatch.setattr(congruences.PrimeContext, "_sum_harmonic", counting_harmonic)
     monkeypatch.setattr(congruences.PrimeContext, "_sum_powers", counting_powers)
-    prime_context(97)  # a context of 101 from an earlier test is replaced
     suites = {  # in the registry's order, as verify checks them
         base_congruence_suite: BASE_CLAIMS,
         sum_congruence_suite: SUM_CLAIMS,
@@ -327,7 +327,7 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
         cai_granville_suite: CAI_GRANVILLE_CLAIMS,
         corollary_suite: COROLLARY_CLAIMS,
     }
-    results = check_at([claim for claims in suites.values() for claim in claims], p)
+    results = check_chunk([claim for claims in suites.values() for claim in claims], (p,))
     assert len(results) == sum(map(len, suites.values())) and all(r.passed for r in results)
 
     # One harmonic pass forms every base claim's H_{p-1}(s), every product
@@ -347,7 +347,6 @@ def test_residue_work_happens_once_per_prime(monkeypatch):
         corollary_suite: [(0, 0, True)],
     }
     for suite, expected in alone.items():
-        prime_context(97)
         passes.clear()
         assert all(r.passed for r in suite(p)), suite.__name__
         assert passes == expected, suite.__name__
@@ -444,7 +443,7 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
         # Fresh contexts, filled in other orders and batches, keep only sums,
         # M and the lift: no table outlives its pass.
         ascending, batched = congruences.PrimeContext((p,)), congruences.PrimeContext((p,))
-        batched.fill(p, ["powers"])
+        batched.fill(["powers"])
         for lam in reversed(KERNEL_PARTITIONS):
             assert batched.product_sum(lam, p) == products[lam], (lam, p)
         for lam in KERNEL_PARTITIONS:
@@ -457,7 +456,7 @@ def test_row_kernels_match_the_per_k_loops(monkeypatch, p):
             sums = [*context.product_sums[p].values(), *context.moments[p]]
             assert all(type(total) is int for total in sums)
     context = congruences.PrimeContext((p,))
-    context.fill(p, ["powers"])  # the direct moments, from the power pass
+    context.fill(["powers"])  # the direct moments, from the power pass
     assert len(context.moments[p]) == 6 and context.moments[p] == context.expansion_moments(p), p
     if p in (101, 1009):
         for a in (-1000, 777, 1000):
@@ -553,19 +552,18 @@ def test_inverse_power_tables_are_the_powers_of_the_inverses(monkeypatch, p):
 
 
 def test_single_binomial_at_a_1_runs_no_product():
-    prime_context(97)  # a context of 101 from an earlier test is replaced
     claim = next(c for c in CAI_GRANVILLE_CLAIMS if c.claim_id.endswith(":a=1"))
-    result = claim.check(101)
-    assert result.passed and result.rhs == 0
-    assert 101 not in prime_context(101).binomial_values  # a product scaled by a - 1 = 0
+    context = congruences.PrimeContext((101,))
+    assert claim.sides(context, 101) == (0, 0)
+    assert 101 not in context.binomial_values  # a product scaled by a - 1 = 0
 
 
 def test_binomials_without_comb_match_comb():
     """The two binomials the per-prime checks form from 1/m, against math.comb."""
     for p in PRIMES + [1009, 10007]:
-        for a, claim in zip((1, 2, 3), CAI_GRANVILLE_CLAIMS):
-            assert claim.check(p).rhs == comb(a * p - 2, p - 1) % p**4, (a, p)
-        wolstenholme = COROLLARY_CLAIMS[1].check(p)
+        *single, wolstenholme = check_chunk(CAI_GRANVILLE_CLAIMS + COROLLARY_CLAIMS[1:], (p,))
+        for a, result in zip((1, 2, 3), single):
+            assert result.rhs == comb(a * p - 2, p - 1) % p**4, (a, p)
         assert wolstenholme.lhs == comb(2 * p - 1, p - 1) % p**3, p
 
 
@@ -575,7 +573,6 @@ def test_per_prime_suites_run_without_comb(monkeypatch):
 
     monkeypatch.setattr(binomial_sums, "comb", refuse)
     p = 23
-    prime_context(19)  # a context of 23 from an earlier test is replaced
     results = (
         base_congruence_suite(p)
         + sum_congruence_suite(p)
@@ -587,13 +584,14 @@ def test_per_prime_suites_run_without_comb(monkeypatch):
 
 
 def test_replaced_context_leaves_no_cycle():
-    """A prime's rows are freed when its context is replaced, not at some later collection."""
+    """A context's rows are freed when it is dropped or replaced, not at some later collection."""
     gc.collect()
     gc.disable()
     try:
         for p in (101, 103):
             theorem_suite(p)
             sum_congruence_suite(p)
+            homogeneous_product_sum_mod((2, 1), p, 3)  # this thread keeps the context of p
         prime_context(107)
         assert gc.collect() == 0
     finally:
@@ -601,28 +599,31 @@ def test_replaced_context_leaves_no_cycle():
 
 
 def test_claim_sides_read_what_the_public_functions_return():
-    """Each per-prime claim reads the context directly; the public functions agree."""
+    """Each per-prime claim reads the chunk's context it is handed; the public functions agree."""
     claims = {claim.claim_id: claim for claim in theorem_claims()}
-    for p in PRIMES:
-        for claim in BASE_CLAIMS + SUM_CLAIMS:
-            e = claim.exponent
-            if claim.kind == "mhs":
-                lhs = mhs_mod(claim.target, p, e).value
-            else:
-                lhs = homogeneous_product_sum_mod(claim.target, p, e)
-            assert claim.sides(p) == (lhs, claim.rhs_value(p)), (claim.claim_id, p)
-        for a in range(-6, 7):
-            direct = binomial_power_sum(a, p).value
-            closed = binomial_power_sum_closed_form(a, p).value
-            expansion = binomial_power_sum_via_mhs(a, p).value
-            assert claims[f"binomial-power-sum:a={a}"].sides(p) == (direct, closed), (a, p)
-            assert claims[f"binomial-power-sum-expansion:a={a}"].sides(p) == (expansion, direct)
-        for a in (0, 1):
-            anchor = claims[f"binomial-power-sum-anchor:a={a}"].sides(p)
-            assert anchor[0] == binomial_power_sum(a, p).value, (a, p)
-        for a, claim in zip((1, 2, 3), CAI_GRANVILLE_CLAIMS):
-            assert claim.sides(p)[0] == binomial_power_sum(a, p, 4).value, (a, p)
-        assert COROLLARY_CLAIMS[0].sides(p) == central_binomial_sum_mod(p), p
+    for chunk in prime_chunks(PRIMES):
+        context = congruences.PrimeContext(chunk)
+        for p in chunk:
+            for claim in BASE_CLAIMS + SUM_CLAIMS:
+                e = claim.exponent
+                if claim.kind == "mhs":
+                    lhs = mhs_mod(claim.target, p, e).value
+                else:
+                    lhs = homogeneous_product_sum_mod(claim.target, p, e)
+                assert claim.sides(context, p) == (lhs, claim.rhs_value(p)), (claim.claim_id, p)
+            sides = {claim_id: claim.sides(context, p) for claim_id, claim in claims.items()}
+            for a in range(-6, 7):
+                direct = binomial_power_sum(a, p).value
+                closed = binomial_power_sum_closed_form(a, p).value
+                expansion = binomial_power_sum_via_mhs(a, p).value
+                assert sides[f"binomial-power-sum:a={a}"] == (direct, closed), (a, p)
+                assert sides[f"binomial-power-sum-expansion:a={a}"] == (expansion, direct), (a, p)
+            for a in (0, 1):
+                anchor = sides[f"binomial-power-sum-anchor:a={a}"]
+                assert anchor[0] == binomial_power_sum(a, p).value, (a, p)
+            for a, claim in zip((1, 2, 3), CAI_GRANVILLE_CLAIMS):
+                assert claim.sides(context, p)[0] == binomial_power_sum(a, p, 4).value, (a, p)
+            assert COROLLARY_CLAIMS[0].sides(context, p) == central_binomial_sum_mod(p), p
 
 
 def test_power_sums_refuse_p_2():
@@ -632,7 +633,7 @@ def test_power_sums_refuse_p_2():
     with pytest.raises(ValueError, match="p = 2"):
         context.unit_moments(2)
     with pytest.raises(ValueError, match="p = 2"):
-        context.fill(2, ["powers"])
+        context.fill(["powers"])
     assert context.moments == {}
 
 
@@ -657,7 +658,7 @@ def test_half_unit_tables_and_power_sums_match_the_full_row(monkeypatch, p):
     for _, inverses, _, lift, _ in context._blocks({(p - 1) // 2: p}):  # as the pass does
         units += congruences._half_units(inverses, lift, units[-1], mod)
     assert units == full[: (p + 1) // 2]
-    context.fill(p, ["powers"])
+    context.fill(["powers"])
     moments = tuple(sum(pow(u - 1, r, mod) for u in full) % mod for r in range(6))
     assert context.moments[p] == moments
     for a in range(-6, 7):
@@ -671,27 +672,26 @@ def test_the_a0_claims_fail_when_the_half_units_lose_the_middle_unit(monkeypatch
     ids = [f"binomial-power-sum{route}:a=0" for route in ("", "-expansion", "-anchor")]
     claims = [claim for claim in theorem_claims() if claim.claim_id in ids]
     assert [claim.claim_id for claim in claims] == ids
-    monkeypatch.setattr(congruences, "_local", threading.local())  # no context held
-    assert all(r.passed for r in check_at(claims, p))
+    assert all(r.passed for r in check_chunk(claims, (p,)))
     half_units = congruences._half_units
 
     def without_the_middle(inverses, lift, carry, mod):
         return half_units(inverses, lift, carry, mod)[:-1]  # p < _BLOCK: one block, to the middle
 
-    monkeypatch.setattr(congruences, "_local", threading.local())
     monkeypatch.setattr(congruences, "_half_units", without_the_middle)
-    results = check_at(claims, p)
+    results = check_chunk(claims, (p,))
     assert [r.claim_id for r in results] == ids
     assert not any(r.passed for r in results)
 
 
-def _passes_of_a_sweep(monkeypatch, capsys, suite: str, checks: int) -> tuple[list, list]:
-    """The chunks that ``verify --suite <suite>`` over 7..199 builds, and each pass it runs."""
-    built, passes = [], []
+def _passes_of_a_sweep(monkeypatch, capsys, suite: str, checks: int) -> tuple[list, list, list]:
+    """The chunks ``verify --suite <suite>`` builds over 7..199, their passes and contexts."""
+    built, passes, contexts = [], [], []
 
     class Counting(congruences.PrimeContext):
         def __init__(self, primes, *args, **kwargs):
             built.append(primes)
+            contexts.append(self)
             super().__init__(primes, *args, **kwargs)
 
         def _sum_harmonic(self, compositions, partitions, binomials):
@@ -709,7 +709,7 @@ def _passes_of_a_sweep(monkeypatch, capsys, suite: str, checks: int) -> tuple[li
     assert [p for chunk in built for p in chunk] == primes_in_range(7, 199)
     assert built == congruences.prime_chunks(primes_in_range(7, 199)) and len(built) > 2
     assert all(list(chunk) == sorted(set(chunk)) for chunk in built)
-    return built, passes
+    return built, passes, contexts
 
 
 def test_verify_builds_one_context_per_chunk(monkeypatch, capsys):
@@ -718,25 +718,46 @@ def test_verify_builds_one_context_per_chunk(monkeypatch, capsys):
     One harmonic walk forms the base claims, the product sums and the
     binomials together, and one power walk forms the power sums.
     """
-    built, passes = _passes_of_a_sweep(monkeypatch, capsys, "all", 2659)
+    built, passes, _ = _passes_of_a_sweep(monkeypatch, capsys, "all", 2659)
     everything = (len(BASE_CLAIMS), len(congruences.PARTITIONS), True)
     expected = [("harmonic", chunk, *everything) for chunk in built]
     expected += [("powers", chunk) for chunk in built]
     assert sorted(passes) == sorted(expected)
 
 
+def test_a_sweep_reads_no_thread_held_context(monkeypatch, capsys):
+    """A sweep checks each chunk from the context it builds, and leaves no context held.
+
+    With ``prime_context`` refused and no context held, ``verify`` prints
+    what it prints unpatched, and this thread holds no context afterwards.
+    """
+    argv = ["verify", "--suite", "all", "--pmin", "7", "--pmax", "199"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError(f"a check read a thread-held context: {args}")
+
+    monkeypatch.setattr(congruences, "_local", threading.local())
+    monkeypatch.setattr(congruences, "prime_context", refuse)
+    monkeypatch.setattr(binomial_sums, "prime_context", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert not hasattr(congruences._local, "held")
+
+
 def test_verify_corollary_forms_no_product_sums(monkeypatch, capsys):
     """The corollaries read only the binomials: rows H({1}^j) and the central loop, no partition."""
-    built, passes = _passes_of_a_sweep(monkeypatch, capsys, "corollary", 2 * 43)
+    built, passes, _ = _passes_of_a_sweep(monkeypatch, capsys, "corollary", 2 * 43)
     assert passes == [("harmonic", chunk, 0, 0, True) for chunk in built]
 
 
 def test_verify_congruences_runs_no_central_loop(monkeypatch, capsys):
     """No congruence claim reads the binomials, so no harmonic walk forms them."""
-    built, passes = _passes_of_a_sweep(monkeypatch, capsys, "congruences", 28 * 43)
+    built, passes, contexts = _passes_of_a_sweep(monkeypatch, capsys, "congruences", 28 * 43)
     everything = (len(BASE_CLAIMS), len(congruences.PARTITIONS), False)
     assert passes == [("harmonic", chunk, *everything) for chunk in built]
-    assert congruences._local.held.binomial_values == {}
+    assert all(context.binomial_values == {} for context in contexts)
 
 
 def test_each_claim_names_the_harmonic_group_it_reads(monkeypatch):
@@ -744,27 +765,26 @@ def test_each_claim_names_the_harmonic_group_it_reads(monkeypatch):
 
     ``groups`` is a tuple of the groups of PrimeContext: "mhs", "sum" and
     "binomials" of the harmonic pass, "powers" of the power pass.
-    ``check_at`` fills a context with these before the first check, so a
+    ``check_chunk`` fills a context with these before the first check, so a
     claim that named too little would start a pass of its own, and one that
-    named too much a pass that no claim reads.  Each claim is checked alone,
-    without ``check_at``, in a fresh context: its reads ask ``fill`` for
-    exactly what it names.
+    named too much a pass that no claim reads.  Each claim's sides are read
+    alone, without ``check_chunk``, from a fresh context: its reads ask
+    ``fill`` for exactly what it names.
     """
     p, asked = 101, []
 
-    def recording(self, p, groups, real=congruences.PrimeContext.fill):
+    def recording(self, groups, real=congruences.PrimeContext.fill):
         asked.append(set(groups))
-        return real(self, p, groups)
+        return real(self, groups)
 
     monkeypatch.setattr(congruences.PrimeContext, "fill", recording)
-    monkeypatch.setattr(congruences, "_local", threading.local())
     claims = BASE_CLAIMS + SUM_CLAIMS + theorem_claims() + CAI_GRANVILLE_CLAIMS + COROLLARY_CLAIMS
     for claim in claims:
         # a bare string would declare its letters: "sum" the groups s, u and m
         assert type(claim.groups) is tuple, claim.claim_id
         asked.clear()
-        congruences._local.held = congruences.PrimeContext((p,))
-        assert claim.check(p).passed, claim.claim_id
+        lhs, rhs = claim.sides(congruences.PrimeContext((p,)), p)
+        assert lhs == rhs, claim.claim_id
         assert set().union(*asked) == set(claim.groups), claim.claim_id
 
 
@@ -782,8 +802,8 @@ def test_each_claim_names_the_harmonic_group_it_reads(monkeypatch):
 def test_no_check_starts_a_pass_once_the_runner_has_filled_the_context(monkeypatch, capsys, argv):
     """The declarations are complete: after the first fill of a chunk's context, a pass raises.
 
-    ``check_at`` fills the context at each prime before its checks, so the
-    first fill of a chunk's context is the runner's, and any later pass
+    ``check_chunk`` fills the chunk's context once before its checks, so
+    the first fill of a chunk's context is the runner's, and any later pass
     would be one that a check started.
     """
 
@@ -791,12 +811,11 @@ def test_no_check_starts_a_pass_once_the_runner_has_filled_the_context(monkeypat
         raise AssertionError(f"a check started a pass: {args}")
 
     class Sealed(congruences.PrimeContext):
-        def fill(self, p, groups):
-            super().fill(p, groups)
+        def fill(self, groups):
+            super().fill(groups)
             self._sum_harmonic = self._sum_powers = refuse  # for every later call
 
     monkeypatch.setattr(congruences, "PrimeContext", Sealed)
-    monkeypatch.setattr(congruences, "_local", threading.local())
     assert cli.main(["verify", *argv, "--pmin", "7", "--pmax", "199"]) == 0
     tail = capsys.readouterr().out.splitlines()[-1]
     passed, total = tail.removesuffix(" checks passed").split("/")
@@ -829,7 +848,6 @@ def test_the_theorem_routes_share_no_table(monkeypatch, chunk):
     claims = theorem_claims()
     for name in ("_sum_harmonic", "_sum_powers"):
         with monkeypatch.context() as patched:
-            patched.setattr(congruences, "_local", threading.local())
             patched.setattr(congruences.PrimeContext, name, perturbing(name))
             results = congruences.check_chunk(claims, chunk)
         by_id = {(r.claim_id, r.p): r for r in results}
