@@ -26,15 +26,14 @@ C(ap-2, p-1) congruence modulo p^4.  At p, with F_c = prod_{m<p} (1 + cp/m),
 C(2p-1, p-1) = F_1 and C(ap-2, p-1) = (a-1)p F_(a-1) / (ap-1); the context
 of p forms F_1 and F_2 from the rows H({1}^j) that the congruence claims
 also read, so no per-prime check calls ``math.comb``; the exact functions
-still do.  The Staver claims compare integers over L_n = lcm(1..n),
-carrying the left side from n to n + 1; ``staver_identity_holds`` keeps the
-Fraction route as their oracle.
+still do.  The Staver claims compare integers over L_n = lcm(1..n), each
+built with L_n times its left side (:func:`staver_claims`);
+``staver_identity_holds`` keeps the Fraction route as their oracle.
 """
 
 from __future__ import annotations
 
 import operator
-import threading
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd
@@ -283,39 +282,14 @@ COROLLARY_CLAIMS = (
 )
 
 
-# Staver's left side on the running scale L_n = lcm(1..n), one state per
-# thread: (n, L_n, C(2n, n), L_n * sum_{k<=n} C(2k,k)/k).  The staver suite
-# checks n = 1, 2, ... in turn, so each check advances it by one step.
-_local = threading.local()
-_START = (0, 1, 1, 0)
-
-
-def _staver_left(n: int) -> tuple[int, int, int]:
-    """(L_n, C(2n, n), L_n * sum_{k<=n} C(2k,k)/k), advanced from this thread's state.
-
-    A state past n is dropped and the sum starts again from n = 0.  L grows
-    by q = k / gcd(L, k), which is 1 unless k is a prime power.
-    """
-    state = getattr(_local, "staver", _START)
-    m, lcm, central, left = state if state[0] <= n else _START
-    for k in range(m + 1, n + 1):
-        growth = k // gcd(lcm, k)
-        lcm *= growth
-        central = _exact_quotient(central * 2 * (2 * k - 1), k)
-        left = left * growth + central * _exact_quotient(lcm, k)
-    _local.staver = (n, lcm, central, left)
-    return lcm, central, left
-
-
-def _staver_on_integers(n: int) -> bool:
+def _staver_on_integers(n: int, lcm: int, central: int, left: int) -> bool:
     """Staver's identity at n, cross-multiplied over L = lcm(1..n): integers only.
 
-    L times the left side comes from :func:`_staver_left`.  On the right,
+    L times the left side comes from :func:`staver_claims`.  On the right,
     lcm_k C(n-1, k) = L/n = M, so sum_{k<n} 1/C(n-1,k)^2 = Q / M^2 with
     Q = sum_k q_k^2, q_k = M / C(n-1, k): q_0 = M, q_(k+1) = q_k (k+1)/(n-1-k).
     Every division is checked, so a wrong scale raises ArithmeticError.
     """
-    lcm, central, left = _staver_left(n)
     scale = q = _exact_quotient(lcm, n)
     squares = q * q
     for k in range(n - 1):
@@ -328,13 +302,34 @@ class StaverClaim(NamedTuple):
     """Staver's identity at one n, checked exactly on integers (see staver_identity_holds)."""
 
     n: int
+    lcm: int  # L_n = lcm(1..n)
+    central: int  # C(2n, n)
+    left: int  # L_n * sum_{k<=n} C(2k,k)/k
 
     @property
     def claim_id(self) -> str:
         return f"staver:n={self.n}"
 
     def check(self) -> CheckResult:
-        return CheckResult(self.claim_id, None, None, None, None, _staver_on_integers(self.n))
+        return CheckResult(self.claim_id, None, None, None, None, _staver_on_integers(*self))
+
+
+def staver_claims(nmax: int) -> tuple[StaverClaim, ...]:
+    """Staver's identity for n = 1..nmax, each claim's fields carried from n - 1.
+
+    L grows by n / gcd(L, n), which is 1 unless n is a prime power.  Every
+    division is checked, so a wrong scale raises ArithmeticError.
+    """
+    claims = []
+    lcm = central = 1
+    left = 0
+    for n in range(1, nmax + 1):
+        growth = _exact_quotient(n, gcd(lcm, n))
+        lcm *= growth
+        central = _exact_quotient(central * 2 * (2 * n - 1), n)
+        left = left * growth + central * _exact_quotient(lcm, n)
+        claims.append(StaverClaim(n, lcm, central, left))
+    return tuple(claims)
 
 
 def theorem_suite(p: int, amin: int = -6, amax: int = 6) -> list[CheckResult]:

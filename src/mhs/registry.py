@@ -54,7 +54,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("congruences", "p", lambda r: BASE_CLAIMS + SUM_CLAIMS),
     Suite("theorem", "pa", lambda r: bs.theorem_claims(r.amin, r.amax) + bs.CAI_GRANVILLE_CLAIMS),
     Suite("corollary", "p", lambda r: bs.COROLLARY_CLAIMS),
-    Suite("staver", "n", lambda r: tuple(map(bs.StaverClaim, range(1, r.nmax + 1)))),
+    Suite("staver", "n", lambda r: bs.staver_claims(r.nmax)),
 )
 if tuple(s.name for s in SUITES) != SUITE_NAMES:  # the CLI's --suite choices
     raise RuntimeError(f"registry suites {[s.name for s in SUITES]} differ from SUITE_NAMES")

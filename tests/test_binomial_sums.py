@@ -1,12 +1,11 @@
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 from mhs import binomial_sums
 from mhs.binomial_sums import (
-    StaverClaim,
     alternating_power_sum,
     binomial_power_sum,
     binomial_power_sum_closed_form,
@@ -16,6 +15,7 @@ from mhs.binomial_sums import (
     central_binomial_sum_exact,
     generalized_binomial,
     signed_binomial_power,
+    staver_claims,
     staver_identity_holds,
     wolstenholme_holds,
 )
@@ -87,22 +87,28 @@ def test_staver_small_cases():
 
 
 def test_staver_claim_on_integers_matches_the_fraction_oracle():
-    # n ascending, as the suite checks them; then out of order, so that a
-    # carried left side past n is dropped and summed again from n = 0
-    for n in [*range(1, 151), 150, 7, 1, 149, 3, 3]:
-        assert StaverClaim(n).check().passed is staver_identity_holds(n) is True, n
+    # in reverse, so that no claim leans on one checked before it
+    for claim in reversed(staver_claims(150)):
+        assert claim.check().passed is staver_identity_holds(claim.n) is True, claim.n
+
+
+def test_staver_claims_carry_lcm_central_binomial_and_left_side():
+    claims = staver_claims(200)
+    assert [claim.n for claim in claims] == list(range(1, 201))
+    left = Fraction(0)
+    for claim in claims:
+        n = claim.n
+        left += Fraction(comb(2 * n, n), n)
+        assert claim.lcm == lcm(*range(1, n + 1)), n
+        assert claim.central == comb(2 * n, n), n
+        assert Fraction(claim.left, claim.lcm) == left, n
 
 
 def test_staver_claim_fails_on_a_perturbed_left_side():
-    StaverClaim(9).check()
-    n, lcm, central, left = binomial_sums._local.staver
-    assert n == 9
-    binomial_sums._local.staver = (n, lcm, central, left + 1)
-    try:
-        assert not StaverClaim(10).check().passed
-    finally:
-        del binomial_sums._local.staver
-    assert StaverClaim(10).check().passed
+    claim = staver_claims(10)[-1]
+    assert claim.check().passed
+    assert not claim._replace(left=claim.left + 1).check().passed
+    assert not claim._replace(central=claim.central + 1).check().passed
 
 
 def test_wolstenholme_examples():

@@ -1,12 +1,16 @@
 import concurrent.futures
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import mhs
 from mhs.cli import main
 
 
@@ -121,6 +125,23 @@ def test_verify_staver(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "staver", "--nmax", "12")
     assert code == 0
     assert "12/12 checks passed" in out
+
+
+def test_verify_writes_no_thread_held_state(capsys, monkeypatch):
+    for info in pkgutil.iter_modules(mhs.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"mhs.{info.name}")
+    fresh = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mhs."):
+            for attr, value in vars(module).items():
+                if isinstance(value, threading.local):
+                    fresh[name, attr] = threading.local()
+                    monkeypatch.setattr(module, attr, fresh[name, attr])
+    assert fresh  # the caches of bernoulli, congruences and core
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--nmax", "40")
+    assert code == 0
+    assert {key: vars(local) for key, local in fresh.items() if vars(local)} == {}
 
 
 def test_verify_congruences_json(capsys):
