@@ -18,11 +18,12 @@ that grows with n (`_scaled_values`): den * lcm(1..n)^W at n.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .core import Composition, eval_mhs
 
@@ -286,6 +287,30 @@ def _term_order_key(factors: tuple[Composition, ...]) -> tuple:
     return (sum(map(sum, factors)), len(factors), [(sum(c), len(c), c) for c in factors])
 
 
+def _canonical_keys(terms: dict) -> Iterator[tuple]:
+    """The keys of ``terms`` in descending canonical order (heaviest factors first).
+
+    Keys of several factors sort by :func:`_term_order_key`.  When no key has
+    more than one, that order is the flat (weight, depth, composition) of the
+    lone factor, the empty key last: the keys are grouped by weight and depth
+    and each group sorts as plain tuples, so no sort key is built per term.
+    """
+    if any(len(key) > 1 for key in terms):
+        yield from sorted(terms, key=_term_order_key, reverse=True)
+        return
+    groups: dict[tuple[int, int], list] = {}
+    for key in terms:
+        comp = key[0] if key else key
+        shape = (sum(comp), len(comp))
+        group = groups.get(shape)
+        if group is None:
+            groups[shape] = [key]
+        else:
+            group.append(key)
+    for shape in sorted(groups, reverse=True):
+        yield from sorted(groups[shape], reverse=True)
+
+
 def _merged(pieces: Iterable) -> dict:
     """Sum (key, coeff) pieces with canonical keys per key, dropping zero sums."""
     acc: dict = {}
@@ -341,8 +366,7 @@ class MhsExpression:
 
     def terms(self) -> list[MhsMonomial]:
         """Terms in descending canonical order (heaviest factors first)."""
-        keys = sorted(self._terms, key=_term_order_key, reverse=True)
-        return [MhsMonomial(self._terms[k], k) for k in keys]
+        return [MhsMonomial(self._terms[k], k) for k in _canonical_keys(self._terms)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -447,8 +471,10 @@ class MhsExpression:
 
     def to_json(self) -> list[dict]:
         """Round-trippable form: one object per term, canonical order."""
-        keys = sorted(self._terms, key=_term_order_key, reverse=True)
-        return [{"coeff": self._terms[k].to_json(), "factors": list(map(str, k))} for k in keys]
+        return [
+            {"coeff": self._terms[k].to_json(), "factors": list(map(str, k))}
+            for k in _canonical_keys(self._terms)
+        ]
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "MhsExpression":
@@ -462,20 +488,27 @@ class MhsExpression:
 
     # -- rendering ------------------------------------------------------------
 
-    def _joined(self, latex: bool, minus: str, plus: str) -> str:
-        if not self._terms:
-            return "0"
-        parts = [_format_term(m.coeff, m.factors, latex=latex) for m in self.terms()]
-        rest = (minus + p[1:] if p.startswith("-") else plus + p for p in parts[1:])
-        return parts[0] + "".join(rest)
+    def write(self, stream: TextIO, format: str) -> None:
+        """Write the expression to ``stream`` one term at a time, with no newline.
+
+        ``format`` "text", "latex" or "json" writes ``render()``, ``latex()``
+        or ``json.dumps(to_json())``; no whole document is held in memory.
+        """
+        if format == "json":
+            pieces = _json_pieces(self._terms)
+        elif format in ("text", "latex"):
+            pieces = _text_pieces(self._terms, format == "latex")
+        else:
+            raise ValueError(f"unknown format {format!r}")
+        stream.writelines(pieces)
 
     def render(self) -> str:
-        return self._joined(False, " - ", " + ")
+        return "".join(_text_pieces(self._terms, False))
 
     __str__ = render
 
     def latex(self) -> str:
-        return self._joined(True, "-", "+")
+        return "".join(_text_pieces(self._terms, True))
 
     def __repr__(self) -> str:
         return f"MhsExpression({self.render()!r})"
@@ -503,21 +536,77 @@ def _format_factors(factors: tuple[Composition, ...], latex: bool = False) -> st
     return sep.join(pieces)
 
 
-def _format_term(coeff: NPolynomial, factors: tuple[Composition, ...], latex: bool = False) -> str:
+def _coefficient_head(coeff: NPolynomial, bare: bool, latex: bool) -> str:
+    """What a term's text holds before its factors: the coefficient, signed and joined.
+
+    ``bare`` marks the empty key, whose term is the coefficient alone.
+    """
     fmt = NPolynomial.latex if latex else str
-    if not factors:
+    if bare:
         return fmt(coeff)
-    body = _format_factors(factors, latex=latex)
     times = "" if latex else "*"
     if coeff.coeffs == (1,):
-        return body
+        return ""
     if coeff.coeffs == (-1,):
-        return "-" + body
+        return "-"
     if sum(1 for c in coeff.coeffs if c) == 1:
-        return f"{fmt(coeff)}{times}{body}"
+        return f"{fmt(coeff)}{times}"
     if coeff.coeffs[-1] < 0:
-        return f"-({fmt(-coeff)}){times}{body}"
-    return f"({fmt(coeff)}){times}{body}"
+        return f"-({fmt(-coeff)}){times}"
+    return f"({fmt(coeff)}){times}"
+
+
+def _text_pieces(terms: dict, latex: bool) -> Iterator[str]:
+    """The text (or LaTeX) of an expression, one string per term in canonical order.
+
+    A term after the first carries its separator: a leading minus becomes
+    " - " ("-" in LaTeX), anything else follows " + " ("+").  Each distinct
+    coefficient's head is formatted once, keyed by identity: a closed form
+    shares one NPolynomial per distinct value, and an id costs no Fraction
+    hash.  ``terms`` holds every coefficient meanwhile, so no id is reused.
+    """
+    minus, plus = ("-", "+") if latex else (" - ", " + ")
+    keys = _canonical_keys(terms)
+    first = next(keys, None)
+    if first is None:
+        yield "0"
+        return
+    yield _coefficient_head(terms[first], not first, latex) + _format_factors(first, latex)
+
+    def joined(head: str) -> str:
+        return minus + head[1:] if head.startswith("-") else plus + head
+
+    heads: dict[int, str] = {}
+    for key in keys:
+        coeff = terms[key]
+        if not key:  # the bare constant term
+            yield joined(_coefficient_head(coeff, True, latex))
+            continue
+        head = heads.get(id(coeff))
+        if head is None:
+            head = heads[id(coeff)] = joined(_coefficient_head(coeff, False, latex))
+        yield head + _format_factors(key, latex)
+
+
+def _json_pieces(terms: dict) -> Iterator[str]:
+    """``json.dumps`` of the expression's ``to_json()``, one string per term.
+
+    Each distinct coefficient's JSON list is encoded once (keyed by identity,
+    as in :func:`_text_pieces`); a factor's text is digits and commas, so it
+    is quoted as it stands.
+    """
+    yield "["
+    heads: dict[int, str] = {}
+    sep = ""
+    for key in _canonical_keys(terms):
+        coeff = terms[key]
+        head = heads.get(id(coeff))
+        if head is None:
+            head = heads[id(coeff)] = f'{{"coeff": {json.dumps(coeff.to_json())}, "factors": '
+        factors = '["' + '", "'.join(map(str, key)) + '"]' if key else "[]"
+        yield f"{sep}{head}{factors}}}"
+        sep = ", "
+    yield "]"
 
 
 def _combine(pairs: Iterable[tuple[object, MhsExpression]]) -> MhsExpression:

@@ -82,22 +82,25 @@ def _cmd_derive(args) -> int:
     if args.check is not None:
         verified = partial_sum_oracle(factors, closed, args.check)
 
+    # Everything that can fail has run: the output is written term by term.
+    out = sys.stdout
     if args.format == "json":
-        payload: dict = {"product": [str(c) for c in factors], "closed_form": closed.to_json()}
+        out.write(f'{{"product": {json.dumps([str(c) for c in factors])}, "closed_form": ')
+        closed.write(out, "json")
         if args.basis is not None:
-            payload["basis_coefficients"] = [poly.to_json() for poly in coeffs]
+            out.write(f', "basis_coefficients": {json.dumps([poly.to_json() for poly in coeffs])}')
         if verified is not None:
-            payload["verified"] = verified
-        print(json.dumps(payload))
-    elif args.format == "latex":
-        print(closed.latex())
+            out.write(f', "verified": {json.dumps(verified)}')
+        out.write("}\n")
     else:
-        print(closed)
-        if args.basis is not None:
-            for poly, expr in zip(coeffs, basis):
-                print(f"  [{poly}] * ({expr})")
-        if verified is not None:
-            print(f"verified n=1..{args.check}" if verified else "VERIFICATION FAILED")
+        closed.write(out, args.format)
+        out.write("\n")
+        if args.format == "text":
+            if args.basis is not None:
+                for poly, expr in zip(coeffs, basis):
+                    print(f"  [{poly}] * ({expr})")
+            if verified is not None:
+                print(f"verified n=1..{args.check}" if verified else "VERIFICATION FAILED")
     return 0 if verified in (None, True) else 1
 
 
@@ -124,12 +127,20 @@ def _cmd_reduce(args) -> int:
     expr = hoffman_reduce(args.d)
     lhs = MhsExpression.monomial(1, (Composition((1,) * args.d),))
     scale = factorial(args.d)
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps({"d": args.d, "lhs": (scale * lhs).to_json(), "rhs": expr.to_json()}))
-    elif args.format == "latex":
-        print(f"{scale}{lhs.latex()}={expr.latex()}")
+        out.write(f'{{"d": {args.d}, "lhs": ')
+        (scale * lhs).write(out, "json")
+        out.write(', "rhs": ')
+        expr.write(out, "json")
+        out.write("}\n")
     else:
-        print(f"{scale}*{lhs} = {expr}")
+        times, equals = ("*", " = ") if args.format == "text" else ("", "=")
+        out.write(f"{scale}{times}")
+        lhs.write(out, args.format)
+        out.write(equals)
+        expr.write(out, args.format)
+        out.write("\n")
     return 0
 
 

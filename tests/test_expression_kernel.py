@@ -275,7 +275,7 @@ def test_terms_and_json_keep_the_sort_key_order(ta):
 
 
 def test_format_term_branches():
-    # Each branch of _format_term, in text and LaTeX, as a whole expression.
+    # Each branch of _coefficient_head, in text and LaTeX, as a whole expression.
     cases = [
         (3 * N * H(1), "3*n*H(1)", "3nH_n(1)"),
         (-Fraction(1, 2) * N**2 * H(1), "-1/2*n^2*H(1)", r"-\frac{1}{2}n^2H_n(1)"),
